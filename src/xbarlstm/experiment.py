@@ -310,7 +310,10 @@ def _train_cell(task: str, overrides: dict, seed: int) -> EvalReport:
     """One train+evaluate with the task defaults overlaid by `overrides`."""
     bundle = build_task(task, seed=seed)
     cell_cfg = replace(bundle.defaults, **{**overrides, "seed": seed})
-    model = build_network(bundle, cell_cfg)
+    try:
+        model = build_network(bundle, cell_cfg)
+    except ValueError as exc:
+        raise ConfigError(f"invalid network config: {exc}") from exc
     _, report = train(model, bundle.train, cell_cfg, valid_dataset=bundle.valid,
                       task_name=task)
     return report

@@ -239,44 +239,49 @@ def lstm_backward(cache: SequenceCache, d_h: list[np.ndarray] | np.ndarray) -> L
         raise ValueError(f"need one upstream gradient per step ({cache.steps}), got {len(d_h)}")
 
     m, n = cache.input_size, cache.hidden_size
-    d_w = np.zeros((m + n, 4 * n))
-    dh_next = np.zeros_like(cache.records[-1].c)
+    last = cache.records[-1]
+    # each step's gate-input gradient goes into one buffer, so d_w is a
+    # single GEMM over the stacked (T*B) rows after the recurrence
+    da_seq = np.empty((cache.steps,) + last.preact.shape)
+    dh_next = np.zeros_like(last.c)
     dc_next = np.zeros_like(dh_next)
 
     for t in range(cache.steps - 1, -1, -1):
         rec = cache.records[t]
+        w_used = rec.w_eff if rec.w_eff is not None else cache.w_used
+        if w_used is None:
+            raise ValueError("cache is missing the weight matrix used in the forward pass")
         dh = np.asarray(d_h[t], dtype=np.float64) + dh_next
         if rec.h_mask is not None:
             dh = dh * rec.h_mask
         f, i, o = rec.gates[:, 0:n], rec.gates[:, n:2 * n], rec.gates[:, 2 * n:3 * n]
         c_tilde = rec.gates[:, 3 * n:]
 
-        do = dh * rec.tanh_c
+        da = da_seq[t]
         dc = dc_next + dh * o * (1.0 - rec.tanh_c**2)
-        df = dc * rec.c_prev
-        di = dc * c_tilde
-        dct = dc * i
+        np.multiply(dc, rec.c_prev, out=da[:, 0:n])               # df
+        np.multiply(dc, c_tilde, out=da[:, n:2 * n])              # di
+        np.multiply(dh, rec.tanh_c, out=da[:, 2 * n:3 * n])       # do
+        np.multiply(dc, i, out=da[:, 3 * n:])                     # dc_tilde
         dc_next = dc * f
 
         # nonlinearity derivatives at the pre-activation values of this pass
         s = sigmoid(rec.preact[:, :3 * n])
         th = np.tanh(rec.preact[:, 3 * n:])
-        da = np.concatenate([
-            np.concatenate([df, di, do], axis=1) * s * (1.0 - s),
-            dct * (1.0 - th**2),
-        ], axis=1)
+        da[:, :3 * n] *= s
+        da[:, :3 * n] *= 1.0 - s
+        da[:, 3 * n:] *= 1.0 - th**2
         if rec.adc_mask is not None:
-            da = da * rec.adc_mask
+            da *= rec.adc_mask
 
-        d_w += rec.inputs.T @ da
-        w_used = rec.w_eff if rec.w_eff is not None else cache.w_used
-        if w_used is None:
-            raise ValueError("cache is missing the weight matrix used in the forward pass")
-        du = da @ w_used.T
-        dh_next = du[:, m:]
+        if t > 0:
+            # only the hidden slice of du feeds the recurrence
+            dh_next = da @ w_used[m:].T
 
+    inputs = np.concatenate([rec.inputs for rec in cache.records])
+    d_w = inputs.T @ da_seq.reshape(inputs.shape[0], -1)
     if cache.w_mask is not None:
-        d_w = d_w * cache.w_mask
+        d_w *= cache.w_mask
     return LSTMGrads(
         w_f=d_w[:, 0:n], w_i=d_w[:, n:2 * n], w_o=d_w[:, 2 * n:3 * n], w_c=d_w[:, 3 * n:],
     )

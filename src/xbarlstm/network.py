@@ -5,13 +5,16 @@ forward is the 32-bit baseline; its quantized forward mirrors the
 crossbar pipeline batch-wise: weights snapped to the device grid, inputs
 and the recycled hidden state on the DAC grid, per-gate ADCs with ranges
 frozen from a calibration pass, LUT activations on the ADC codes, and
-optional read noise.  Both paths record a SequenceCache so lstm_backward
-computes straight-through gradients against the latent weights.
+optional read noise.  Training forwards record a SequenceCache so
+lstm_backward computes straight-through gradients against the latent
+weights; evaluation forwards record nothing.
 
 The batched matmuls here use BLAS; the single-vector crossbar ops in
 `crossbar` accumulate row by row instead.  Same arithmetic, different
 floating-point summation order.  Per read cycle (one time step) the
-weight-noise draw is shared across the batch.
+weight-noise draw is shared across the batch; a fixed programming-noise
+draw (`NoiseConfig.resample_per_read = False`) is modelled only by the
+single-vector `crossbar.with_programming_noise`, so the network rejects it.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ class LSTMNetwork:
         self.output_size = output_size
         self.crossbar = crossbar
         self.noise = noise if noise is not None else NoiseConfig()
+        if self.noise.weight_noise_beta > 0.0 and not self.noise.resample_per_read:
+            raise ValueError("weight noise with resample_per_read = False (one fixed "
+                             "programming draw) is not supported by LSTMNetwork, "
+                             "which redraws the weight noise on every read")
 
         scale = init_scale if init_scale is not None else 1.0 / np.sqrt(input_size + hidden_size)
         rng_l = derive_rng(seed, "init-lstm")
@@ -101,7 +108,8 @@ class LSTMNetwork:
     def forward_sequence(self, x_seq: np.ndarray, mode: str = "fp",
                          rng_weight_noise: np.random.Generator | None = None,
                          rng_adc_noise: np.random.Generator | None = None,
-                         ) -> tuple[np.ndarray, np.ndarray, SequenceCache]:
+                         record: bool = True,
+                         ) -> tuple[np.ndarray, np.ndarray, SequenceCache | None]:
         """Run a (T, B, m) batch; returns (logits (T,B,V), h_seq (T,B,n), cache).
 
         mode 'fp': plain float math (the 32-bit baseline).
@@ -110,23 +118,27 @@ class LSTMNetwork:
             since what enters the ADCs is a read of the *programmed* array.
         mode 'quantized': the full crossbar pipeline; `x_seq` must live in
             the DAC domain and is snapped to its grid on entry.
+
+        `record=False` is for forwards that are never back-propagated
+        (evaluation): no cache and no STE masks are built and the cache
+        comes back as None.  Logits, hidden states and noise draws are the
+        same either way.
         """
         if mode == "fp":
-            return self._forward_fp(x_seq)
+            return self._forward_fp(x_seq, record)
         if mode == "calibrate":
-            return self._forward_calibrate(x_seq)
+            return self._forward_calibrate(x_seq, record)
         if mode == "quantized":
-            return self._forward_quantized(x_seq, rng_weight_noise, rng_adc_noise)
+            return self._forward_quantized(x_seq, rng_weight_noise, rng_adc_noise, record)
         raise ValueError(f"unknown forward mode {mode!r}")
 
-    def _forward_fp(self, x_seq):
+    def _forward_fp(self, x_seq, record):
         t_steps, batch, m = x_seq.shape
         n = self.hidden_size
-        cache = SequenceCache(input_size=m, hidden_size=n, w_used=self.w)
+        cache = SequenceCache(input_size=m, hidden_size=n, w_used=self.w) if record else None
         h = np.zeros((batch, n))
         c = np.zeros((batch, n))
         h_seq = np.empty((t_steps, batch, n))
-        logits = np.empty((t_steps, batch, self.output_size))
         for t in range(t_steps):
             u = np.concatenate([x_seq[t], h], axis=1)
             a = u @ self.w
@@ -134,15 +146,15 @@ class LSTMNetwork:
             f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n]
             c_new = f * c + i * gates[:, 3 * n:]
             tanh_c = np.tanh(c_new)
-            cache.records.append(StepRecord(
-                inputs=u, preact=a, gates=gates, c_prev=c, c=c_new, tanh_c=tanh_c))
+            if record:
+                cache.records.append(StepRecord(
+                    inputs=u, preact=a, gates=gates, c_prev=c, c=c_new, tanh_c=tanh_c))
             h = o * tanh_c
             c = c_new
             h_seq[t] = h
-            logits[t] = h @ self.w_head
-        return logits, h_seq, cache
+        return self._head(h_seq), h_seq, cache
 
-    def _forward_calibrate(self, x_seq):
+    def _forward_calibrate(self, x_seq, record):
         """Quantized weights and DAC, ideal converters; collects |preact|."""
         if self.crossbar is None:
             raise RuntimeError("calibration forward requires a crossbar configuration")
@@ -150,13 +162,12 @@ class LSTMNetwork:
         t_steps, batch, m = x_seq.shape
         n = self.hidden_size
         w_q = np.asarray(quantize(self.w, cfg.weight_spec))
-        w_mask = ste_mask(self.w, cfg.weight_spec)
-        cache = SequenceCache(input_size=m, hidden_size=n, w_used=w_q, w_mask=w_mask)
+        cache = SequenceCache(input_size=m, hidden_size=n, w_used=w_q,
+                              w_mask=ste_mask(self.w, cfg.weight_spec)) if record else None
         x_q = np.asarray(quantize(x_seq, cfg.dac_spec))
         h = np.full((batch, n), from_code(to_code(0.0, cfg.dac_spec), cfg.dac_spec))
         c = np.zeros((batch, n))
         h_seq = np.empty((t_steps, batch, n))
-        logits = np.empty((t_steps, batch, self.output_size))
         for t in range(t_steps):
             u = np.concatenate([x_q[t], h], axis=1)
             a = u @ w_q
@@ -167,18 +178,16 @@ class LSTMNetwork:
             c_new = f * c + i * gates[:, 3 * n:]
             tanh_c = np.tanh(c_new)
             h_raw = o * tanh_c
-            h_mask = ste_mask(h_raw, cfg.dac_spec)
-            h_new = np.asarray(quantize(h_raw, cfg.dac_spec))
-            cache.records.append(StepRecord(
-                inputs=u, preact=a, gates=gates, c_prev=c, c=c_new,
-                tanh_c=tanh_c, h_mask=h_mask))
-            h = h_new
+            if record:
+                cache.records.append(StepRecord(
+                    inputs=u, preact=a, gates=gates, c_prev=c, c=c_new,
+                    tanh_c=tanh_c, h_mask=ste_mask(h_raw, cfg.dac_spec)))
+            h = np.asarray(quantize(h_raw, cfg.dac_spec))
             c = c_new
             h_seq[t] = h
-            logits[t] = h @ self.w_head
-        return logits, h_seq, cache
+        return self._head(h_seq), h_seq, cache
 
-    def _forward_quantized(self, x_seq, rng_weight_noise, rng_adc_noise):
+    def _forward_quantized(self, x_seq, rng_weight_noise, rng_adc_noise, record):
         if self.crossbar is None:
             raise RuntimeError("quantized forward requires a crossbar configuration")
         if not self.calibrated:
@@ -189,18 +198,17 @@ class LSTMNetwork:
         n = self.hidden_size
 
         w_q = np.asarray(quantize(self.w, cfg.weight_spec))
-        w_mask = ste_mask(self.w, cfg.weight_spec)
         per_step_noise = noise.weight_noise_beta > 0.0
         if noise.any_enabled and (rng_weight_noise is None or rng_adc_noise is None):
             raise ValueError("noise is enabled but noise rng streams were not provided")
 
         cache = SequenceCache(input_size=m, hidden_size=n,
-                              w_used=None if per_step_noise else w_q, w_mask=w_mask)
+                              w_used=None if per_step_noise else w_q,
+                              w_mask=ste_mask(self.w, cfg.weight_spec)) if record else None
         x_q = np.asarray(quantize(x_seq, cfg.dac_spec))
         h = np.full((batch, n), from_code(to_code(0.0, cfg.dac_spec), cfg.dac_spec))
         c = np.zeros((batch, n))
         h_seq = np.empty((t_steps, batch, n))
-        logits = np.empty((t_steps, batch, self.output_size))
 
         adc_sigma = np.concatenate([
             np.full(n, quantization_noise_v(s.full_range, s.bits))
@@ -211,38 +219,49 @@ class LSTMNetwork:
             u = np.concatenate([x_q[t], h], axis=1)
             if per_step_noise:
                 # one read-noise draw per cycle, shared over the batch
-                w_eff = w_q + rng_weight_noise.normal(0.0, w_sigma, size=w_q.shape)
+                w_eff = rng_weight_noise.normal(0.0, w_sigma, size=w_q.shape)
+                w_eff += w_q
             else:
                 w_eff = w_q
             a = u @ w_eff
             if adc_sigma is not None:
-                a = a + rng_adc_noise.normal(size=a.shape) * adc_sigma
+                z = rng_adc_noise.normal(size=a.shape)
+                z *= adc_sigma
+                a += z
 
             # the LUT is out-quantizer(fn(ADC(a))): both quantizers backprop
             # straight-through, so the cache records the continuous pre-ADC
             # value for the fn' evaluation plus the ADC pass mask
             gates = np.empty_like(a)
-            adc_mask = np.empty(a.shape, dtype=bool)
+            adc_mask = np.empty(a.shape, dtype=bool) if record else None
             for b, (spec, lut) in enumerate(zip(self.gate_adc_specs, self.luts)):
                 blk = a[:, b * n:(b + 1) * n]
-                adc_mask[:, b * n:(b + 1) * n] = ste_mask(blk, spec)
+                if record:
+                    adc_mask[:, b * n:(b + 1) * n] = ste_mask(blk, spec)
                 gates[:, b * n:(b + 1) * n] = lut.entries[to_code(blk, spec)]
 
             f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n]
             c_new = f * c + i * gates[:, 3 * n:]
             tanh_c = np.tanh(c_new)
             h_raw = o * tanh_c
-            h_mask = ste_mask(h_raw, cfg.dac_spec)
-            h_new = np.asarray(quantize(h_raw, cfg.dac_spec))
-            cache.records.append(StepRecord(
-                inputs=u, preact=a, gates=gates, c_prev=c, c=c_new,
-                tanh_c=tanh_c, adc_mask=adc_mask, h_mask=h_mask,
-                w_eff=w_eff if per_step_noise else None))
-            h = h_new
+            if record:
+                cache.records.append(StepRecord(
+                    inputs=u, preact=a, gates=gates, c_prev=c, c=c_new,
+                    tanh_c=tanh_c, adc_mask=adc_mask, h_mask=ste_mask(h_raw, cfg.dac_spec),
+                    w_eff=w_eff if per_step_noise else None))
+            h = np.asarray(quantize(h_raw, cfg.dac_spec))
             c = c_new
             h_seq[t] = h
-            logits[t] = h @ self.w_head
-        return logits, h_seq, cache
+        return self._head(h_seq), h_seq, cache
+
+    def _head(self, h_seq: np.ndarray) -> np.ndarray:
+        """Per-step logits of the dense softmax head."""
+        # one (B, n) GEMM per step: a single (T*B, n) GEMM may block
+        # differently in BLAS and change the logits in the last bits
+        logits = np.empty(h_seq.shape[:2] + (self.output_size,))
+        for t in range(h_seq.shape[0]):
+            logits[t] = h_seq[t] @ self.w_head
+        return logits
 
     # --- backward -----------------------------------------------------------
 

@@ -8,7 +8,7 @@ generator from the digest, which is platform-stable and documented here:
     stream(root, name) = PCG64(int(sha256(f"{root}:{name}")[:8 bytes]))
 
 Stream names in use: "init-lstm", "init-head", "data-shuffle",
-"weight-noise", "adc-noise", "eval-noise-<epoch>", "calib-subsample",
+"weight-noise", "adc-noise", "eval-noise-w-<epoch>", "eval-noise-a-<epoch>",
 "har-gen", "split".
 """
 

@@ -2,11 +2,14 @@
 
 Latent weights stay full precision; every quantized forward re-snaps them
 to the device grid, and straight-through gradients update the latents.
-When a quantized model has no frozen ADC ranges yet, the first epoch runs
-in full precision while collecting pre-activation magnitudes, the
-per-gate ADC full-scale ranges freeze at the configured percentile, and
-the remaining epochs train through the quantized path (an explicit range
-override skips the calibration epoch and quantizes from the start).
+When a quantized model has no frozen ADC ranges yet, the first epoch is
+a calibration epoch: weights snapped to the device grid and the DAC grid
+on inputs and hidden state, but ideal converters, while pre-activation
+magnitudes are collected.  The per-gate ADC full-scale ranges then freeze
+at the configured percentile and the remaining epochs train through the
+quantized path (an explicit range override skips the calibration epoch
+and quantizes from the start).  Training forwards record a cache for
+the backward pass; evaluation forwards record nothing.
 
 Sequences longer than bptt_length are split into independent chunks with
 state reset at the boundary.  Categorical inputs drive the array at full
@@ -41,10 +44,15 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the offending global step index."""
+    """The training loss or an evaluation metric became non-finite.
 
-    def __init__(self, step: int):
-        super().__init__(f"training loss became non-finite at step {step}")
+    `step` is the global step index of the failing training batch, None
+    when an evaluation failed.
+    """
+
+    def __init__(self, step: int | None, what: str = "training loss"):
+        where = "" if step is None else f" at step {step}"
+        super().__init__(f"{what} became non-finite{where}")
         self.step = step
 
 
@@ -113,7 +121,11 @@ class EvalReport:
 
 
 def perplexity_from_nll(nll_sum: float, count: int) -> float:
-    return float(math.exp(nll_sum / count))
+    """exp(mean NLL); inf when that overflows a float."""
+    try:
+        return float(math.exp(nll_sum / count))
+    except OverflowError:
+        return math.inf
 
 
 # --- batching -------------------------------------------------------------------
@@ -245,15 +257,31 @@ class _Adam:
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, params, grads):
+        """p -= lr * mhat / (sqrt(vhat) + eps), with the moments updated in
+        place and every operation in the closed form's order."""
         grads = _clip_global(grads, self.clip)
         self.t += 1
         for k, p in params.items():
             g = grads[k]
-            self.m[k] = self.beta1 * self.m.get(k, 0.0) + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v.get(k, 0.0) + (1 - self.beta2) * g * g
-            mhat = self.m[k] / (1 - self.beta1**self.t)
-            vhat = self.v[k] / (1 - self.beta2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            if k not in self.m:
+                self.m[k], self.v[k] = np.zeros_like(p), np.zeros_like(p)
+            m, v = self.m[k], self.v[k]
+            # scratch lives only for the step: persistent buffers would add
+            # two parameter-sized arrays to the peak memory of backward
+            step, denom = np.empty_like(p), np.empty_like(p)
+            m *= self.beta1
+            m += np.multiply(g, 1 - self.beta1, out=step)
+            v *= self.beta2
+            np.multiply(g, 1 - self.beta2, out=step)
+            step *= g
+            v += step
+            np.divide(m, 1 - self.beta1**self.t, out=step)            # mhat
+            np.divide(v, 1 - self.beta2**self.t, out=denom)           # vhat
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step *= self.lr
+            step /= denom
+            p -= step
 
 
 def _make_optimizer(cfg: TrainConfig):
@@ -263,11 +291,11 @@ def _make_optimizer(cfg: TrainConfig):
 # --- train / evaluate ---------------------------------------------------------------
 
 def _run_split(model: LSTMNetwork, batches, mode: str, rng_w, rng_a):
-    """Forward a whole split; returns (nll_sum, count, correct)."""
+    """Forward a whole split without recording; returns (nll_sum, count, correct)."""
     nll_sum = count = correct = 0.0
     for x, targets, mask in batches:
-        logits, _, _ = model.forward_sequence(x, mode=mode,
-                                              rng_weight_noise=rng_w, rng_adc_noise=rng_a)
+        logits, _, _ = model.forward_sequence(x, mode=mode, rng_weight_noise=rng_w,
+                                              rng_adc_noise=rng_a, record=False)
         s, c, corr, _ = softmax_xent(logits, targets, mask)
         nll_sum += s
         count += c
@@ -279,7 +307,8 @@ def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
              epoch_tag: int = 0, task_name: str | None = None) -> EvalReport:
     """Metrics over a dataset: perplexity = exp(mean token NLL), accuracy =
     fraction of argmax-correct predictions.  The quantized path (with its
-    configured noise) is used whenever the model has one."""
+    configured noise) is used whenever the model has one.  Raises
+    TrainingDiverged if the NLL or the perplexity is not finite."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if model.crossbar is not None and not model.calibrated:
@@ -294,6 +323,8 @@ def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
                            np.arange(len(dataset)), inactive=inactive)
     nll_sum, count, correct = _run_split(model, batches, mode, rng_w, rng_a)
     ppl = perplexity_from_nll(nll_sum, count)
+    if not math.isfinite(ppl):
+        raise TrainingDiverged(None, "evaluation perplexity")
     acc = correct / count
     metric_name = "perplexity" if dataset.kind.endswith("_lm") else "accuracy"
     return EvalReport(
@@ -308,7 +339,7 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
     """Optimize the latent weights; returns the model and an EvalReport with
     per-epoch curves (valid metric when a valid split is given, else the
     training metric).  Raises TrainingDiverged with the offending step index
-    if the loss becomes non-finite."""
+    if the loss becomes non-finite, and as `evaluate` does."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     quantized_model = model.crossbar is not None

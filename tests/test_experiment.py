@@ -105,6 +105,40 @@ class TestExitCodes:
         p = write(tmp_path, FAST_TRAIN)
         assert run(p, out_dir=tmp_path / "out") == EXIT_DIVERGED
 
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ""),
+        ("train", "weight_bits = 4\nadc_bits = 4\ndac_bits = 4\n"),
+        ("sweep", "[sweep]\nweight_bits = 4\nadc_bits = 4\n"),
+        ("noise-sweep", "[sweep]\nbetas = 0\n"),
+    ], ids=["train-fp", "train-4bit", "sweep", "noise-sweep"])
+    def test_overflowing_metric_exit_3(self, tmp_path, capsys, command, extra):
+        # the weights blow up in the first epoch; exp(mean NLL) overflows
+        p = write(tmp_path, f"""
+[experiment]
+command = train
+task = word_lm
+seed = 1
+
+[train]
+learning_rate = 1e300
+grad_clip = 0
+hidden_size = 8
+epochs = 1
+{extra}""")
+        with np.errstate(all="ignore"):
+            code = cli_main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DIVERGED
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_fixed_weight_noise_draw_exit_2(self, tmp_path, capsys):
+        p = write(tmp_path, FAST_TRAIN + """
+[noise]
+weight_noise_beta = 0.1
+resample_per_read = false
+""")
+        assert run(p, out_dir=tmp_path / "out") == EXIT_CONFIG
+        assert "resample_per_read" in capsys.readouterr().err
+
     def test_success_exit_0(self, tmp_path):
         p = write(tmp_path, FAST_TRAIN)
         assert run(p, out_dir=tmp_path / "out") == EXIT_OK

@@ -223,3 +223,84 @@ class TestForwardSequence:
         for b in range(3):
             h_one, _ = forward_sequence(params, x_seq[:, b:b + 1, :])
             np.testing.assert_allclose(h_all[:, b], h_one[:, 0], rtol=1e-12, atol=1e-16)
+
+
+def per_step_backward(cache, d_h):
+    """BPTT with d_w accumulated one step at a time and the full du
+    computed every step: the straightforward form of lstm_backward."""
+    m, n = cache.input_size, cache.hidden_size
+    d_w = np.zeros((m + n, 4 * n))
+    dh_next = np.zeros_like(cache.records[-1].c)
+    dc_next = np.zeros_like(dh_next)
+    for t in range(cache.steps - 1, -1, -1):
+        rec = cache.records[t]
+        dh = d_h[t] + dh_next
+        if rec.h_mask is not None:
+            dh = dh * rec.h_mask
+        f, i, o, ct = (rec.gates[:, k * n:(k + 1) * n] for k in range(4))
+        dc = dc_next + dh * o * (1.0 - rec.tanh_c**2)
+        s = 1.0 / (1.0 + np.exp(-rec.preact[:, :3 * n]))
+        th = np.tanh(rec.preact[:, 3 * n:])
+        da = np.concatenate([
+            np.concatenate([dc * rec.c_prev, dc * ct, dh * rec.tanh_c], axis=1) * s * (1 - s),
+            dc * i * (1.0 - th**2)], axis=1)
+        if rec.adc_mask is not None:
+            da = da * rec.adc_mask
+        d_w += rec.inputs.T @ da
+        w_used = rec.w_eff if rec.w_eff is not None else cache.w_used
+        dh_next = (da @ w_used.T)[:, m:]
+        dc_next = dc * f
+    if cache.w_mask is not None:
+        d_w = d_w * cache.w_mask
+    return d_w
+
+
+class TestBackwardAgainstPerStep:
+    """lstm_backward sums d_w in one GEMM over all steps; the per-step
+    reference sums it step by step, so the two agree to rounding."""
+
+    M, N, T, B = 5, 4, 6, 3
+
+    def _check(self, cache, seed):
+        rng = np.random.default_rng(seed)
+        d_h = [rng.normal(size=(self.B, self.N)) for _ in range(self.T)]
+        got = lstm_backward(cache, d_h).concat()
+        ref = per_step_backward(cache, d_h)
+        assert np.any(got != 0.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
+
+    def _network(self, noise=None):
+        from xbarlstm.crossbar import CrossbarConfig
+        from xbarlstm.network import LSTMNetwork
+
+        cfg = CrossbarConfig.for_lstm(self.M, self.N, weight_bits=4, adc_bits=4,
+                                      dac_bits=4, w_max=0.8)
+        net = LSTMNetwork(self.M, self.N, 3, seed=8, crossbar=cfg, noise=noise,
+                          init_scale=0.6)
+        net.freeze_adc_ranges(override=(1.0, 1.5, 2.0, 2.5))
+        return net
+
+    def _x(self, seed):
+        return np.random.default_rng(seed).uniform(-1, 1, size=(self.T, self.B, self.M))
+
+    def test_fp_cache(self):
+        params = random_params(self.M, self.N, seed=50, scale=0.6)
+        _, cache = forward_sequence(params, self._x(51))
+        self._check(cache, seed=52)
+
+    def test_quantized_mask_cache(self):
+        _, _, cache = self._network().forward_sequence(self._x(53), mode="quantized")
+        assert cache.w_mask is not None and cache.records[0].adc_mask is not None
+        assert not cache.records[0].adc_mask.all()  # some ADC clipping is exercised
+        self._check(cache, seed=54)
+
+    def test_noisy_w_eff_cache(self):
+        from xbarlstm.crossbar import NoiseConfig
+
+        net = self._network(NoiseConfig(weight_noise_beta=0.2, adc_noise_enabled=True))
+        _, _, cache = net.forward_sequence(
+            self._x(55), mode="quantized", rng_weight_noise=np.random.default_rng(56),
+            rng_adc_noise=np.random.default_rng(57))
+        assert cache.w_used is None
+        assert not np.array_equal(cache.records[0].w_eff, cache.records[1].w_eff)
+        self._check(cache, seed=58)

@@ -232,3 +232,49 @@ class TestDeterminism:
                 rng_adc_noise=np.random.default_rng(200))
             outs.append(logits)
         assert np.array_equal(outs[0], outs[1])
+
+
+class TestRecordSwitch:
+    """An evaluation forward (record=False) builds no cache yet gives the
+    recorded forward's logits bit for bit, noise draws included."""
+
+    def _pair(self, net, mode, x, noisy):
+        outs = []
+        for record in (True, False):
+            rngs = ({"rng_weight_noise": np.random.default_rng(61),
+                     "rng_adc_noise": np.random.default_rng(62)} if noisy else {})
+            outs.append(net.forward_sequence(x, mode=mode, record=record, **rngs))
+        (logits, h_seq, cache), (logits_nr, h_seq_nr, cache_nr) = outs
+        assert cache is not None and cache.steps == x.shape[0]
+        assert cache_nr is None
+        assert np.array_equal(logits, logits_nr)
+        assert np.array_equal(h_seq, h_seq_nr)
+
+    def test_fp(self):
+        net = LSTMNetwork(5, 4, 3, seed=60)
+        x = np.random.default_rng(63).normal(size=(6, 3, 5))
+        self._pair(net, "fp", x, noisy=False)
+
+    @pytest.mark.parametrize("noise", [
+        NoiseConfig(),
+        NoiseConfig(weight_noise_beta=0.2, adc_noise_enabled=True),
+    ])
+    def test_quantized(self, noise):
+        cfg = CrossbarConfig.for_lstm(5, 4, weight_bits=4, adc_bits=4, dac_bits=4)
+        net = LSTMNetwork(5, 4, 3, seed=64, crossbar=cfg, noise=noise)
+        net.freeze_adc_ranges(override=(1.0, 1.5, 2.0, 2.5))
+        x = np.random.default_rng(65).uniform(-1, 1, size=(6, 3, 5))
+        self._pair(net, "quantized", x, noisy=noise.any_enabled)
+
+
+class TestResamplePerRead:
+    def test_fixed_draw_with_weight_noise_rejected(self):
+        cfg = CrossbarConfig.for_lstm(3, 3, weight_bits=4, adc_bits=4, dac_bits=4)
+        with pytest.raises(ValueError, match="resample_per_read"):
+            LSTMNetwork(3, 3, 2, seed=1, crossbar=cfg,
+                        noise=NoiseConfig(weight_noise_beta=0.1, resample_per_read=False))
+
+    def test_fixed_draw_without_weight_noise_accepted(self):
+        cfg = CrossbarConfig.for_lstm(3, 3, weight_bits=4, adc_bits=4, dac_bits=4)
+        LSTMNetwork(3, 3, 2, seed=1, crossbar=cfg,
+                    noise=NoiseConfig(adc_noise_enabled=True, resample_per_read=False))

@@ -117,6 +117,16 @@ class TestTrainLoop:
                 train(model, ds, cfg)
         assert err.value.step == 0
 
+    def test_evaluation_overflow_is_divergence(self):
+        ds = tiny_lm_dataset(n_seq=16)
+        model = LSTMNetwork(6, 4, 6, seed=2)
+        model.w_head[:] = 0.0
+        model.w_head[:, 0] = 1e6  # mean NLL finite (~3e4 nats), its exp overflows
+        cfg = TrainConfig(epochs=1, batch_size=8)
+        with pytest.raises(TrainingDiverged) as err:
+            evaluate(model, ds, cfg)
+        assert err.value.step is None
+
     def test_sgd_and_adam_both_run(self):
         ds = tiny_lm_dataset(n_seq=16)
         for opt, lr in [("sgd", 0.5), ("adam", 0.01)]:
@@ -218,3 +228,34 @@ class TestBatching:
         assert mask[4, 0] == 1.0 and mask[6, 1] == 1.0
         assert mask.sum() == 2
         assert targets[4, 0] == 2 and targets[6, 1] == 1
+
+
+class TestAdam:
+    def test_in_place_matches_closed_form_bit_for_bit(self):
+        from xbarlstm.training import _Adam
+
+        rng = np.random.default_rng(71)
+        cfg = TrainConfig(optimizer="adam", learning_rate=0.01, grad_clip=5.0)
+        params = {"w": rng.normal(size=(7, 12)), "w_head": rng.normal(size=(3, 5))}
+        ref = {k: p.copy() for k, p in params.items()}
+        m = {k: 0.0 for k in params}
+        v = {k: 0.0 for k in params}
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
+        opt = _Adam(cfg)
+        for t in range(1, 6):
+            # the third step's gradients exceed grad_clip, so clipping runs too
+            scale = 10.0 if t == 3 else 0.1
+            grads = {k: rng.normal(size=p.shape) * scale for k, p in params.items()}
+            total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            clipped = ({k: g * (cfg.grad_clip / total) for k, g in grads.items()}
+                       if total > cfg.grad_clip else grads)
+            opt.step(params, grads)
+            for k, p in ref.items():
+                g = clipped[k]
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                p -= lr * (m[k] / (1 - b1**t)) / (np.sqrt(v[k] / (1 - b2**t)) + eps)
+            for k in params:
+                assert np.array_equal(params[k], ref[k])
+                assert np.array_equal(opt.m[k], m[k])
+                assert np.array_equal(opt.v[k], v[k])
