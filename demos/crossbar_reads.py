@@ -40,7 +40,7 @@ print("  max |vmm - direct| =", float(np.max(np.abs(pre - direct))),
       " (ADC step", cfg.adc_spec.step, ")")
 print()
 
-noise = NoiseConfig(adc_noise_enabled=True, weight_noise_beta=0.1, seed=7)
+noise = NoiseConfig(adc_noise_enabled=True, weight_noise_beta=0.1)
 print("With 10% weight noise and ADC quantization noise the same read varies:")
 for k in range(3):
     _, noisy = vmm(arr, codes, cfg, noise=noise, rng=np.random.default_rng(100 + k))

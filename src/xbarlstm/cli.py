@@ -15,21 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
-import tempfile
-from pathlib import Path
+from dataclasses import replace
 
-from .experiment import (
-    EXIT_CONFIG,
-    EXIT_OK,
-    ConfigError,
-    load_config,
-    run,
-    run_experiment,
-)
-from .hwcost import InfeasibleHardware
-from .training import TrainingDiverged
-from .experiment import EXIT_DIVERGED, EXIT_INFEASIBLE
+from .experiment import ConfigError, ExperimentConfig, exit_code, load_config, run_experiment
 
 
 def _add_common(sub):
@@ -38,6 +26,20 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="root seed (u64)")
     sub.add_argument("--threads", type=int, default=None,
                      help="concurrent sweep cells (default 1)")
+
+
+def _resolve(args) -> ExperimentConfig:
+    if args.config is None:
+        if args.command != "cost":
+            raise ConfigError(f"{args.command} requires --config")
+        # cost runs on defaults without a config file
+        flags = {k: v for k, v in (("seed", args.seed), ("threads", args.threads))
+                 if v is not None}
+        return ExperimentConfig(command="cost", out_dir=args.out or "runs/cost", **flags)
+    cfg = load_config(args.config, out_dir=args.out, seed=args.seed, threads=args.threads)
+    # the subcommand on the command line overrides the config's command;
+    # replace() validates the result again
+    return replace(cfg, command=args.command)
 
 
 def main(argv=None) -> int:
@@ -51,47 +53,13 @@ def main(argv=None) -> int:
         _add_common(subs.add_parser(name, help=desc))
     args = parser.parse_args(argv)
 
-    if args.config is None:
-        if args.command != "cost":
-            print(f"config error: {args.command} requires --config", file=sys.stderr)
-            return EXIT_CONFIG
-        # cost runs on defaults without a config file
-        with tempfile.NamedTemporaryFile("w", suffix=".ini", delete=False) as fh:
-            fh.write("[experiment]\ncommand = cost\n")
-            path = fh.name
-        code = run(path, out_dir=args.out or "runs/cost", seed=args.seed,
-                   threads=args.threads)
-        Path(path).unlink(missing_ok=True)
-        return code
-
-    # the subcommand on the command line overrides the config's command
-    try:
-        cfg = load_config(args.config, out_dir=args.out, seed=args.seed,
-                          threads=args.threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if cfg.command != args.command:
-        cfg.command = args.command
-        try:
-            cfg.__post_init__()
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    try:
+    def execute():
+        cfg = _resolve(args)
         report = run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except InfeasibleHardware as exc:
-        print(f"infeasible hardware: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    summary = {k: report[k] for k in ("task", "metric_name") if k in report}
-    print(json.dumps({"out": cfg.out_dir, **summary}))
-    return EXIT_OK
+        summary = {k: report[k] for k in ("task", "metric_name") if k in report}
+        print(json.dumps({"out": cfg.out_dir, **summary}))
+
+    return exit_code(execute)
 
 
 if __name__ == "__main__":

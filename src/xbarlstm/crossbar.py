@@ -55,11 +55,11 @@ MAX_WEIGHT_NOISE_BETA = 0.2
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Switches for the two injected noise sources plus their RNG seed."""
+    """Switches for the two injected noise sources.  Their random streams
+    are passed in by the caller (derived from the train seed)."""
 
     adc_noise_enabled: bool = False
     weight_noise_beta: float = 0.0
-    seed: int = 0
     resample_per_read: bool = True
 
     def __post_init__(self):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import configparser
 import json
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -41,6 +42,7 @@ __all__ = [
     "load_config",
     "run",
     "run_experiment",
+    "exit_code",
     "sweep_bitwidths",
     "noise_sweep",
     "EXIT_OK",
@@ -125,26 +127,27 @@ _BOOLS = {"on": True, "true": True, "yes": True, "1": True,
           "off": False, "false": False, "no": False, "0": False}
 
 
-def _coerce(value, target_type):
+def _coerce(value, target_type, key: str):
     if isinstance(value, str):
-        s = value.strip()
+        value = value.strip()
         if target_type is bool:
-            if s.lower() not in _BOOLS:
-                raise ConfigError(f"expected a boolean, got {value!r}")
-            return _BOOLS[s.lower()]
-        if target_type is int:
-            return int(s)
-        if target_type is float:
-            return float(s)
-        return s
-    return target_type(value) if target_type in (int, float, bool) else value
+            if value.lower() not in _BOOLS:
+                raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+            return _BOOLS[value.lower()]
+    if target_type not in (int, float, bool):
+        return value
+    try:
+        return target_type(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: expected {target_type.__name__}, got {value!r}") from exc
 
 
-def _parse_list(value, item):
-    if isinstance(value, (list, tuple)):
-        return tuple(item(v) for v in value)
-    parts = [p for p in str(value).replace(",", " ").split() if p]
-    return tuple(item(p) for p in parts)
+def _parse_list(value, item, key: str):
+    parts = value if isinstance(value, (list, tuple)) else str(value).replace(",", " ").split()
+    try:
+        return tuple(item(p) for p in parts)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: expected a list of {item.__name__}, got {value!r}") from exc
 
 
 def _sections_from_ini(path: Path) -> dict:
@@ -180,7 +183,6 @@ _NOISE_KEY_TYPES = {
     "adc_noise": ("adc_noise_enabled", bool),
     "adc_noise_enabled": ("adc_noise_enabled", bool),
     "weight_noise_beta": ("weight_noise_beta", float),
-    "seed": ("seed", int),
     "resample_per_read": ("resample_per_read", bool),
 }
 
@@ -199,10 +201,12 @@ def _build_train_overrides(sec: dict, noise_sec: dict) -> dict:
     inline_noise = sec.pop("noise", None)
     for source in (noise_sec, inline_noise if isinstance(inline_noise, dict) else {}):
         for key, raw in source.items():
+            if key == "seed":
+                continue  # accepted from older configs; noise streams derive from the train seed
             if key not in _NOISE_KEY_TYPES:
                 raise ConfigError(f"unknown noise key {key!r}")
             name, typ = _NOISE_KEY_TYPES[key]
-            noise_kwargs[name] = _coerce(raw, typ)
+            noise_kwargs[name] = _coerce(raw, typ, key)
     if noise_kwargs:
         try:
             overrides["noise"] = NoiseConfig(**noise_kwargs)
@@ -216,11 +220,11 @@ def _build_train_overrides(sec: dict, noise_sec: dict) -> dict:
             raise ConfigError("set all of weight_bits, adc_bits, dac_bits (or none for FP)")
         bits = (wb, ab, db)
     if not _is_unset(bits) and str(bits).strip().lower() != "fp":
-        overrides["bitwidths"] = tuple(_parse_list(bits, int))
+        overrides["bitwidths"] = _parse_list(bits, int, "bitwidths")
 
     raw_override = sec.pop("adc_range_override", None)
     if not _is_unset(raw_override):
-        vals = _parse_list(raw_override, float)
+        vals = _parse_list(raw_override, float, "adc_range_override")
         overrides["adc_range_override"] = vals[0] if len(vals) == 1 else vals
 
     for key, raw in sec.items():
@@ -228,7 +232,7 @@ def _build_train_overrides(sec: dict, noise_sec: dict) -> dict:
             raise ConfigError(f"unknown [train] key {key!r}")
         if _is_unset(raw):
             continue
-        overrides[key] = _coerce(raw, _TRAIN_KEY_TYPES[key])
+        overrides[key] = _coerce(raw, _TRAIN_KEY_TYPES[key], key)
     return overrides
 
 
@@ -244,7 +248,7 @@ def _build_hw(sec: dict) -> HwParams:
         if name not in hmap:
             raise ConfigError(f"unknown [hw] key {key!r}")
         typ = int if hmap[name].type == "int" else float
-        kwargs[name] = _coerce(raw, typ) * (scale if typ is float else 1)
+        kwargs[name] = _coerce(raw, typ, key) * (scale if typ is float else 1)
     try:
         return HwParams(**kwargs)
     except ValueError as exc:
@@ -255,11 +259,11 @@ def _build_sweep(sec: dict) -> SweepConfig:
     kwargs = {}
     for key, raw in sec.items():
         if key in ("weight_bits", "adc_bits", "seeds"):
-            kwargs[key] = _parse_list(raw, int)
+            kwargs[key] = _parse_list(raw, int, key)
         elif key == "betas":
-            kwargs[key] = _parse_list(raw, float)
+            kwargs[key] = _parse_list(raw, float, key)
         elif key == "adc_noise_grid":
-            grid = _parse_list(raw, str)
+            grid = _parse_list(raw, str, key)
             for g in grid:
                 if g not in ("on", "off"):
                     raise ConfigError(f"adc_noise_grid entries must be on/off, got {g!r}")
@@ -290,14 +294,14 @@ def load_config(path, out_dir=None, seed=None, threads=None) -> ExperimentConfig
         raise ConfigError(f"unknown [experiment] keys: {sorted(exp)}")
 
     root_seed = seed if seed is not None else (
-        int(file_seed) if file_seed is not None else 1)
+        _coerce(file_seed, int, "seed") if file_seed is not None else 1)
     train_sec = dict(sections.get("train", {}))
     train_sec.pop("seed", None)  # the experiment seed is authoritative
     return ExperimentConfig(
         command=str(command), task=str(task),
         out_dir=str(out_dir if out_dir is not None else (file_out or "runs/out")),
         seed=root_seed,
-        threads=int(threads if threads is not None else (file_threads or 1)),
+        threads=_coerce(threads if threads is not None else (file_threads or 1), int, "threads"),
         train_overrides=_build_train_overrides(train_sec, sections.get("noise", {})),
         hw=_build_hw(sections.get("hw", {})),
         sweep=_build_sweep(sections.get("sweep", {})),
@@ -367,8 +371,7 @@ def noise_sweep(task: str, betas, base_overrides: dict | None = None, seeds=(1,)
 
     def cell(job):
         kind, beta, adc_state, ab, seed = job
-        noise = NoiseConfig(adc_noise_enabled=(adc_state == "on"),
-                            weight_noise_beta=beta, seed=seed)
+        noise = NoiseConfig(adc_noise_enabled=(adc_state == "on"), weight_noise_beta=beta)
         bits = (base_bits[0], ab, ab)
         rep = _train_cell(task, {**base, "noise": noise, "bitwidths": bits}, seed)
         return {"kind": kind, "beta": beta, "adc_noise": adc_state,
@@ -412,7 +415,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the command and write manifest.json, report.json, metrics.csv
     (plus comparison tables for `cost`) into cfg.out_dir."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     _write_manifest(cfg, out)
 
     if cfg.command == "cost":
@@ -474,13 +480,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def run(config_path, out_dir=None, seed=None, threads=None) -> int:
     """Load a config file and execute it; returns the process exit code."""
+    return exit_code(lambda: run_experiment(
+        load_config(config_path, out_dir=out_dir, seed=seed, threads=threads)))
+
+
+def exit_code(action: Callable[[], object]) -> int:
+    """Call `action` and map its outcome to the documented exit code: 0 on
+    success, else 2, 3 or 4 for a config error, a diverged training run or
+    infeasible hardware, with the message on stderr."""
     try:
-        cfg = load_config(config_path, out_dir=out_dir, seed=seed, threads=threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        run_experiment(cfg)
+        action()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,15 +1,27 @@
-"""Full-precision LSTM cell mathematics and backpropagation through time.
+"""LSTM cell mathematics: the batched step loop behind every forward pass,
+and backpropagation through time.
 
 The cell has no bias terms: gates come from sigmoid/tanh of
 [x_t, h_{t-1}] @ W_* with the input concatenated before the previous
 hidden state, the memory cell is c_t = f*c_{t-1} + i*c_tilde and the
 hidden state is h_t = o*tanh(c_t).  The memory cell is never quantized.
 
-The backward pass operates on a recorded `SequenceCache`, which both the
-full-precision and the crossbar forward paths produce.  Quantizer nodes
-backpropagate as clipped identity (straight-through): the cache carries
-boolean pass masks for the ADC and the hidden-state DAC, and a weight
-mask derived from the latent weights, all `None` in full-precision mode.
+`run_cell` is the one batched step loop behind every forward pass:
+`forward_sequence` here and the fp, calibration and quantized forwards of
+`network.LSTMNetwork`.  Its stages are switched on by the data passed to
+it: the weight read (latent, snapped to the device grid, or snapped plus
+a per-step noise draw), the pre-activation (optional ADC noise, then an
+optional sink such as the ADC-range calibration), the converter
+(sigmoid/tanh or per-gate ADC + LUT) and the DAC (identity, or inputs and
+the recycled hidden state snapped to its grid).  The scalar
+`lstm_step_ref` stays separate as the reference the loop is checked
+against.
+
+The backward pass operates on the recorded `SequenceCache` of any
+forward mode.  Quantizer nodes backpropagate as clipped identity
+(straight-through): the cache carries boolean pass masks for the ADC and
+the hidden-state DAC, and a weight mask derived from the latent weights,
+all `None` in full-precision mode.
 Local derivatives of the gate nonlinearities are evaluated at the
 continuous pre-ADC values, i.e. the quantized activation unit is treated
 as out-quantizer(fn(ADC(a))) with both quantizers backpropagating
@@ -18,9 +30,12 @@ straight through.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .quantizer import ActivationLUT, QuantSpec, from_code, quantize, ste_mask, to_code
 
 __all__ = [
     "LSTMParams",
@@ -30,6 +45,7 @@ __all__ = [
     "StepRecord",
     "SequenceCache",
     "lstm_step_ref",
+    "run_cell",
     "lstm_backward",
     "sigmoid",
     "GATE_ORDER",
@@ -176,40 +192,108 @@ class SequenceCache:
         return len(self.records)
 
 
-def forward_sequence(params: LSTMParams, x_seq: np.ndarray,
-                     h0: np.ndarray | None = None, c0: np.ndarray | None = None,
-                     ) -> tuple[np.ndarray, SequenceCache]:
+def forward_sequence(params: LSTMParams, x_seq: np.ndarray) -> tuple[np.ndarray, SequenceCache]:
     """Batched full-precision forward pass over a (T, B, m) input sequence.
 
     Returns the hidden states (T, B, n) and the recorded cache for
     lstm_backward.
     """
+    return run_cell(x_seq, params.concat())
+
+
+def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
+             weight_spec: QuantSpec | None = None,
+             weight_noise: tuple[np.random.Generator, float] | None = None,
+             adc_noise: tuple[np.random.Generator, np.ndarray] | None = None,
+             on_preact: Callable[[np.ndarray], None] | None = None,
+             adc: tuple[Sequence[QuantSpec], Sequence[ActivationLUT]] | None = None,
+             dac_spec: QuantSpec | None = None,
+             record: bool = True,
+             ) -> tuple[np.ndarray, SequenceCache | None]:
+    """The batched step loop behind every forward pass.
+
+    Runs a (T, B, m) sequence through the cell with the (m+n) x 4n
+    concatenated weights `w` and returns the hidden states (T, B, n) and
+    the recorded cache (None when `record` is false).  Each stage is off
+    when its argument is None:
+
+    weight read: `w` as given, snapped to `weight_spec` (the cache then
+        carries the latent weights' STE mask), plus a fresh draw from
+        `weight_noise = (rng, sigma)` each step, shared over the batch.
+    pre-activation: `adc_noise = (rng, per-column sigma)` is added, then
+        `on_preact(a)` sees the result (the calibration sink).
+    converter: sigmoid/tanh, or per-gate ADC + LUT from
+        `adc = (specs, luts)`, which records the ADC pass mask.
+    DAC: identity, or inputs and the recycled hidden state snapped to
+        `dac_spec`, which records the hidden state's pass mask.
+    """
     x_seq = np.asarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3:
         raise ValueError(f"expected (T, B, m) input, got shape {x_seq.shape}")
     t_steps, batch, m = x_seq.shape
-    if m != params.input_size:
-        raise ValueError(f"input dim {m} does not match m={params.input_size}")
-    n = params.hidden_size
-    w = params.concat()
+    n = w.shape[1] // 4
+    if m != w.shape[0] - n:
+        raise ValueError(f"input dim {m} does not match m={w.shape[0] - n}")
 
-    h = np.zeros((batch, n)) if h0 is None else np.array(h0, dtype=np.float64)
-    c = np.zeros((batch, n)) if c0 is None else np.array(c0, dtype=np.float64)
-    cache = SequenceCache(input_size=m, hidden_size=n, w_used=w)
+    w_mask = None
+    if weight_spec is not None:
+        latent = w
+        w = np.asarray(quantize(latent, weight_spec))
+        if record:
+            w_mask = ste_mask(latent, weight_spec)
+    cache = SequenceCache(input_size=m, hidden_size=n, w_mask=w_mask,
+                          w_used=w if weight_noise is None else None) if record else None
+    if dac_spec is None:
+        h = np.zeros((batch, n))
+    else:
+        x_seq = np.asarray(quantize(x_seq, dac_spec))
+        h = np.full((batch, n), from_code(to_code(0.0, dac_spec), dac_spec))
+    c = np.zeros((batch, n))
     h_seq = np.empty((t_steps, batch, n))
 
     for t in range(t_steps):
         u = np.concatenate([x_seq[t], h], axis=1)
-        a = u @ w
-        gates = np.concatenate([sigmoid(a[:, :3 * n]), np.tanh(a[:, 3 * n:])], axis=1)
+        w_eff = w
+        if weight_noise is not None:
+            rng, sigma = weight_noise
+            w_eff = rng.normal(0.0, sigma, size=w.shape)
+            w_eff += w
+        a = u @ w_eff
+        if adc_noise is not None:
+            rng, sigma = adc_noise
+            z = rng.normal(size=a.shape)
+            z *= sigma
+            a += z
+        if on_preact is not None:
+            on_preact(a)
+
+        adc_mask = None
+        if adc is None:
+            gates = np.concatenate([sigmoid(a[:, :3 * n]), np.tanh(a[:, 3 * n:])], axis=1)
+        else:
+            # the LUT is out-quantizer(fn(ADC(a))): both quantizers backprop
+            # straight-through, so the cache records the continuous pre-ADC
+            # value for the fn' evaluation plus the ADC pass mask
+            gates = np.empty_like(a)
+            adc_mask = np.empty(a.shape, dtype=bool) if record else None
+            for b, (spec, lut) in enumerate(zip(*adc)):
+                blk = a[:, b * n:(b + 1) * n]
+                if record:
+                    adc_mask[:, b * n:(b + 1) * n] = ste_mask(blk, spec)
+                gates[:, b * n:(b + 1) * n] = lut.entries[to_code(blk, spec)]
+
         f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n]
-        c_tilde = gates[:, 3 * n:]
-        c_new = f * c + i * c_tilde
+        c_new = f * c + i * gates[:, 3 * n:]
         tanh_c = np.tanh(c_new)
-        cache.records.append(StepRecord(
-            inputs=u, preact=a, gates=gates, c_prev=c, c=c_new, tanh_c=tanh_c,
-        ))
         h = o * tanh_c
+        if record:
+            cache.records.append(StepRecord(
+                inputs=u, preact=a, gates=gates, c_prev=c, c=c_new, tanh_c=tanh_c,
+                adc_mask=adc_mask,
+                h_mask=None if dac_spec is None else ste_mask(h, dac_spec),
+                w_eff=None if weight_noise is None else w_eff))
+        if dac_spec is not None:
+            h = np.asarray(quantize(h, dac_spec))
         c = c_new
         h_seq[t] = h
     return h_seq, cache

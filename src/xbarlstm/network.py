@@ -1,13 +1,17 @@
 """Trainable LSTM with a full-precision linear softmax head.
 
-The network keeps latent full-precision weights.  Its full-precision
-forward is the 32-bit baseline; its quantized forward mirrors the
-crossbar pipeline batch-wise: weights snapped to the device grid, inputs
-and the recycled hidden state on the DAC grid, per-gate ADCs with ranges
-frozen from a calibration pass, LUT activations on the ADC codes, and
-optional read noise.  Training forwards record a SequenceCache so
-lstm_backward computes straight-through gradients against the latent
-weights; evaluation forwards record nothing.
+The network keeps latent full-precision weights and runs every forward
+through the one step loop `lstm.run_cell`; the three modes differ only in
+the stages they hand it.  The full-precision forward ('fp') is the 32-bit
+baseline and turns every stage off.  The calibration forward snaps the
+weights to the device grid and the inputs and recycled hidden state to
+the DAC grid, keeps ideal sigmoid/tanh converters, and feeds the
+pre-activations to the ADC-range collector.  The quantized forward
+mirrors the crossbar pipeline batch-wise: the same snaps, per-gate ADCs
+with ranges frozen from the calibration pass, LUT activations on the ADC
+codes, and optional weight and ADC read noise.  Training forwards record
+a SequenceCache so lstm_backward computes straight-through gradients
+against the latent weights; evaluation forwards record nothing.
 
 The batched matmuls here use BLAS; the single-vector crossbar ops in
 `crossbar` accumulate row by row instead.  Same arithmetic, different
@@ -23,8 +27,8 @@ import numpy as np
 
 from .crossbar import CrossbarConfig, NoiseConfig, gate_luts
 from .hwcost import quantization_noise_v
-from .lstm import SequenceCache, StepRecord, sigmoid
-from .quantizer import QuantSpec, from_code, quantize, ste_mask, to_code
+from .lstm import SequenceCache, lstm_backward, run_cell
+from .quantizer import QuantSpec
 from .seeding import derive_rng
 
 __all__ = ["LSTMNetwork"]
@@ -124,134 +128,31 @@ class LSTMNetwork:
         comes back as None.  Logits, hidden states and noise draws are the
         same either way.
         """
-        if mode == "fp":
-            return self._forward_fp(x_seq, record)
-        if mode == "calibrate":
-            return self._forward_calibrate(x_seq, record)
+        if mode not in ("fp", "calibrate", "quantized"):
+            raise ValueError(f"unknown forward mode {mode!r}")
+        stages = {}
+        if mode != "fp":
+            if self.crossbar is None:
+                raise RuntimeError(f"{mode} forward requires a crossbar configuration")
+            cfg = self.crossbar
+            stages = {"weight_spec": cfg.weight_spec, "dac_spec": cfg.dac_spec}
+        if mode == "calibrate" and self._collecting:
+            stages["on_preact"] = self._record_calibration
         if mode == "quantized":
-            return self._forward_quantized(x_seq, rng_weight_noise, rng_adc_noise, record)
-        raise ValueError(f"unknown forward mode {mode!r}")
-
-    def _forward_fp(self, x_seq, record):
-        t_steps, batch, m = x_seq.shape
-        n = self.hidden_size
-        cache = SequenceCache(input_size=m, hidden_size=n, w_used=self.w) if record else None
-        h = np.zeros((batch, n))
-        c = np.zeros((batch, n))
-        h_seq = np.empty((t_steps, batch, n))
-        for t in range(t_steps):
-            u = np.concatenate([x_seq[t], h], axis=1)
-            a = u @ self.w
-            gates = np.concatenate([sigmoid(a[:, :3 * n]), np.tanh(a[:, 3 * n:])], axis=1)
-            f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n]
-            c_new = f * c + i * gates[:, 3 * n:]
-            tanh_c = np.tanh(c_new)
-            if record:
-                cache.records.append(StepRecord(
-                    inputs=u, preact=a, gates=gates, c_prev=c, c=c_new, tanh_c=tanh_c))
-            h = o * tanh_c
-            c = c_new
-            h_seq[t] = h
-        return self._head(h_seq), h_seq, cache
-
-    def _forward_calibrate(self, x_seq, record):
-        """Quantized weights and DAC, ideal converters; collects |preact|."""
-        if self.crossbar is None:
-            raise RuntimeError("calibration forward requires a crossbar configuration")
-        cfg = self.crossbar
-        t_steps, batch, m = x_seq.shape
-        n = self.hidden_size
-        w_q = np.asarray(quantize(self.w, cfg.weight_spec))
-        cache = SequenceCache(input_size=m, hidden_size=n, w_used=w_q,
-                              w_mask=ste_mask(self.w, cfg.weight_spec)) if record else None
-        x_q = np.asarray(quantize(x_seq, cfg.dac_spec))
-        h = np.full((batch, n), from_code(to_code(0.0, cfg.dac_spec), cfg.dac_spec))
-        c = np.zeros((batch, n))
-        h_seq = np.empty((t_steps, batch, n))
-        for t in range(t_steps):
-            u = np.concatenate([x_q[t], h], axis=1)
-            a = u @ w_q
-            if self._collecting:
-                self._record_calibration(a)
-            gates = np.concatenate([sigmoid(a[:, :3 * n]), np.tanh(a[:, 3 * n:])], axis=1)
-            f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n]
-            c_new = f * c + i * gates[:, 3 * n:]
-            tanh_c = np.tanh(c_new)
-            h_raw = o * tanh_c
-            if record:
-                cache.records.append(StepRecord(
-                    inputs=u, preact=a, gates=gates, c_prev=c, c=c_new,
-                    tanh_c=tanh_c, h_mask=ste_mask(h_raw, cfg.dac_spec)))
-            h = np.asarray(quantize(h_raw, cfg.dac_spec))
-            c = c_new
-            h_seq[t] = h
-        return self._head(h_seq), h_seq, cache
-
-    def _forward_quantized(self, x_seq, rng_weight_noise, rng_adc_noise, record):
-        if self.crossbar is None:
-            raise RuntimeError("quantized forward requires a crossbar configuration")
-        if not self.calibrated:
-            raise RuntimeError("ADC ranges are not frozen; calibrate first")
-        cfg = self.crossbar
-        noise = self.noise
-        t_steps, batch, m = x_seq.shape
-        n = self.hidden_size
-
-        w_q = np.asarray(quantize(self.w, cfg.weight_spec))
-        per_step_noise = noise.weight_noise_beta > 0.0
-        if noise.any_enabled and (rng_weight_noise is None or rng_adc_noise is None):
-            raise ValueError("noise is enabled but noise rng streams were not provided")
-
-        cache = SequenceCache(input_size=m, hidden_size=n,
-                              w_used=None if per_step_noise else w_q,
-                              w_mask=ste_mask(self.w, cfg.weight_spec)) if record else None
-        x_q = np.asarray(quantize(x_seq, cfg.dac_spec))
-        h = np.full((batch, n), from_code(to_code(0.0, cfg.dac_spec), cfg.dac_spec))
-        c = np.zeros((batch, n))
-        h_seq = np.empty((t_steps, batch, n))
-
-        adc_sigma = np.concatenate([
-            np.full(n, quantization_noise_v(s.full_range, s.bits))
-            for s in self.gate_adc_specs]) if noise.adc_noise_enabled else None
-        w_sigma = noise.weight_noise_beta * cfg.weight_spec.full_range
-
-        for t in range(t_steps):
-            u = np.concatenate([x_q[t], h], axis=1)
-            if per_step_noise:
-                # one read-noise draw per cycle, shared over the batch
-                w_eff = rng_weight_noise.normal(0.0, w_sigma, size=w_q.shape)
-                w_eff += w_q
-            else:
-                w_eff = w_q
-            a = u @ w_eff
-            if adc_sigma is not None:
-                z = rng_adc_noise.normal(size=a.shape)
-                z *= adc_sigma
-                a += z
-
-            # the LUT is out-quantizer(fn(ADC(a))): both quantizers backprop
-            # straight-through, so the cache records the continuous pre-ADC
-            # value for the fn' evaluation plus the ADC pass mask
-            gates = np.empty_like(a)
-            adc_mask = np.empty(a.shape, dtype=bool) if record else None
-            for b, (spec, lut) in enumerate(zip(self.gate_adc_specs, self.luts)):
-                blk = a[:, b * n:(b + 1) * n]
-                if record:
-                    adc_mask[:, b * n:(b + 1) * n] = ste_mask(blk, spec)
-                gates[:, b * n:(b + 1) * n] = lut.entries[to_code(blk, spec)]
-
-            f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n]
-            c_new = f * c + i * gates[:, 3 * n:]
-            tanh_c = np.tanh(c_new)
-            h_raw = o * tanh_c
-            if record:
-                cache.records.append(StepRecord(
-                    inputs=u, preact=a, gates=gates, c_prev=c, c=c_new,
-                    tanh_c=tanh_c, adc_mask=adc_mask, h_mask=ste_mask(h_raw, cfg.dac_spec),
-                    w_eff=w_eff if per_step_noise else None))
-            h = np.asarray(quantize(h_raw, cfg.dac_spec))
-            c = c_new
-            h_seq[t] = h
+            if not self.calibrated:
+                raise RuntimeError("ADC ranges are not frozen; calibrate first")
+            noise = self.noise
+            if noise.any_enabled and (rng_weight_noise is None or rng_adc_noise is None):
+                raise ValueError("noise is enabled but noise rng streams were not provided")
+            stages["adc"] = (self.gate_adc_specs, self.luts)
+            if noise.weight_noise_beta > 0.0:
+                stages["weight_noise"] = (rng_weight_noise,
+                                          noise.weight_noise_beta * cfg.weight_spec.full_range)
+            if noise.adc_noise_enabled:
+                stages["adc_noise"] = (rng_adc_noise, np.concatenate([
+                    np.full(self.hidden_size, quantization_noise_v(s.full_range, s.bits))
+                    for s in self.gate_adc_specs]))
+        h_seq, cache = run_cell(x_seq, self.w, record=record, **stages)
         return self._head(h_seq), h_seq, cache
 
     def _head(self, h_seq: np.ndarray) -> np.ndarray:
@@ -269,8 +170,6 @@ class LSTMNetwork:
                  d_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of the loss w.r.t. the latent weights and the head,
         given d(loss)/d(logits) per step."""
-        from .lstm import lstm_backward
-
         t_steps = len(cache.records)
         d_head = np.zeros_like(self.w_head)
         d_h = []

@@ -54,11 +54,12 @@ class TestConfigParsing:
         p.write_text(json.dumps({
             "experiment": {"command": "train", "task": "word_lm", "seed": 3},
             "train": {"bitwidths": [2, 2, 2], "epochs": 1, "hidden_size": 8},
-            "noise": {"weight_noise_beta": 0.1},
+            "noise": {"weight_noise_beta": 0.1, "seed": 7},  # seed: accepted, ignored
         }))
         cfg = load_config(p)
         assert cfg.train_overrides["bitwidths"] == (2, 2, 2)
         assert cfg.train_overrides["noise"].weight_noise_beta == 0.1
+        assert not hasattr(cfg.train_overrides["noise"], "seed")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -129,6 +130,21 @@ epochs = 1
             code = cli_main([command, "--config", str(p), "--out", str(tmp_path / "out")])
         assert code == EXIT_DIVERGED
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, command", [
+        (FAST_TRAIN.replace("epochs = 2", "epochs = abc"), "train"),
+        (FAST_TRAIN.replace("seed = 5", "seed = 5\nthreads = x"), "train"),
+        (None, "cost"),
+    ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file"])
+    def test_malformed_input_exit_2(self, tmp_path, capsys, config, command):
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out)]
+        if config is None:
+            out.write_text("")
+        else:
+            argv += ["--config", str(write(tmp_path, config))]
+        assert cli_main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_fixed_weight_noise_draw_exit_2(self, tmp_path, capsys):
         p = write(tmp_path, FAST_TRAIN + """
@@ -254,6 +270,18 @@ class TestReproducibility:
         a = (tmp_path / "a" / "metrics.csv").read_bytes()
         b = (tmp_path / "b" / "metrics.csv").read_bytes()
         assert a == b
+
+    def test_older_manifest_noise_seed_ignored(self, tmp_path):
+        # older manifests record a "seed" in train.noise; noise streams
+        # derive from the train seed, so a re-run ignores it
+        p = write(tmp_path, FAST_TRAIN + "[noise]\nadc_noise = on\n")
+        assert run(p, out_dir=tmp_path / "a") == EXIT_OK
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        manifest["train"]["noise"]["seed"] = 7
+        older = write(tmp_path, json.dumps(manifest), "older-manifest.json")
+        assert run(older, out_dir=tmp_path / "b") == EXIT_OK
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
+               (tmp_path / "b" / "metrics.csv").read_bytes()
 
     def test_same_config_twice_byte_identical(self, tmp_path):
         p = write(tmp_path, FAST_TRAIN)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from xbarlstm.crossbar import CrossbarConfig, NoiseConfig, program, quantized_lstm_step
-from xbarlstm.lstm import LSTMState
+from xbarlstm.lstm import LSTMParams, LSTMState, forward_sequence
 from xbarlstm.network import LSTMNetwork
 from xbarlstm.quantizer import quantize
 from xbarlstm.training import softmax_xent
@@ -187,7 +187,13 @@ class TestCalibration:
         net = LSTMNetwork(m, n, 2, seed=29, crossbar=cfg)
         rng = np.random.default_rng(31)
         net.begin_calibration()
-        net.forward_sequence(rng.uniform(-1, 1, size=(6, 8, m)), mode="calibrate")
+        _, _, cache = net.forward_sequence(rng.uniform(-1, 1, size=(6, 8, m)),
+                                           mode="calibrate")
+        # the collector sees exactly the pre-activations the loop recorded
+        for b in range(4):
+            want = [np.abs(rec.preact[:, b * n:(b + 1) * n]).astype(np.float32).ravel()
+                    for rec in cache.records]
+            assert np.array_equal(np.concatenate(net._calib[b]), np.concatenate(want))
         net.freeze_adc_ranges(percentile=99.9)
         assert net.calibrated
         assert len(net.gate_adc_specs) == 4
@@ -254,6 +260,9 @@ class TestRecordSwitch:
         net = LSTMNetwork(5, 4, 3, seed=60)
         x = np.random.default_rng(63).normal(size=(6, 3, 5))
         self._pair(net, "fp", x, noisy=False)
+        # the network's fp forward and lstm.forward_sequence share one loop
+        h_ref, _ = forward_sequence(LSTMParams.from_concat(net.w), x)
+        assert np.array_equal(net.forward_sequence(x, mode="fp")[1], h_ref)
 
     @pytest.mark.parametrize("noise", [
         NoiseConfig(),
