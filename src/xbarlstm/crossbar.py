@@ -342,24 +342,45 @@ def _write_array(arr: ProgrammedArray, fh: io.TextIOBase) -> None:
         fh.write(" ".join(str(int(c)) for c in arr.source_codes[r]) + "\n")
 
 
+def _dump_values(lineno: int, line: str, layout: str, parse) -> list:
+    """The values on dump line `lineno` (1-based), parsed with `parse`.
+    `layout` spells the line with `_` where a value goes, e.g. 'rows _ cols _'."""
+    tok, keys = line.split(), layout.split()
+    if len(tok) != len(keys) or any(k not in ("_", t) for k, t in zip(keys, tok)):
+        raise ValueError(f"line {lineno}: expected {layout!r}, got {line!r}")
+    try:
+        return [parse(t) for k, t in zip(keys, tok) if k == "_"]
+    except ValueError:
+        raise ValueError(f"line {lineno}: malformed value in {line!r}") from None
+
+
 def load_array(path) -> ProgrammedArray:
+    """Read a dump written by `save_array`.  A malformed header line, a row
+    with the wrong number of codes, a missing row or a line after the
+    declared rows raises ValueError naming the line."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _MAGIC:
-            raise ValueError(f"not an array dump (bad magic {header!r})")
-        tok = fh.readline().split()
-        rows, cols = int(tok[1]), int(tok[3])
-        bits = int(fh.readline().split()[1])
-        _, lo, hi = fh.readline().split()
-        spec = QuantSpec(bits, float.fromhex(lo), float.fromhex(hi))
-        _, g_lo, g_hi = fh.readline().split()
-        g_min, g_max = float.fromhex(g_lo), float.fromhex(g_hi)
-        codes = np.empty((rows, cols), dtype=np.int64)
-        for r in range(rows):
-            line = fh.readline().split()
-            if len(line) != cols:
-                raise ValueError(f"row {r} has {len(line)} codes, expected {cols}")
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != _MAGIC:
+        raise ValueError(f"not an array dump (bad magic {lines[0] if lines else ''!r})")
+    header = lines[1:5] + [""] * (5 - len(lines))
+    rows, cols = _dump_values(2, header[0], "rows _ cols _", int)
+    if rows < 1 or cols < 1:
+        raise ValueError(f"line 2: rows and cols must be positive, got {header[0]!r}")
+    (bits,) = _dump_values(3, header[1], "weight_bits _", int)
+    spec = QuantSpec(bits, *_dump_values(4, header[2], "weight_range _ _", float.fromhex))
+    g_min, g_max = _dump_values(5, header[3], "conductance _ _", float.fromhex)
+    body = lines[5:]
+    if len(body) > rows:
+        raise ValueError(f"line {6 + rows}: unexpected line after the {rows} declared rows")
+    codes = np.empty((rows, cols), dtype=np.int64)
+    for r in range(rows):
+        line = body[r].split() if r < len(body) else []
+        if len(line) != cols:
+            raise ValueError(f"line {6 + r}: row {r} has {len(line)} codes, expected {cols}")
+        try:
             codes[r] = [int(c) for c in line]
+        except ValueError:
+            raise ValueError(f"line {6 + r}: malformed code in row {r}") from None
     w_q = from_code(codes, spec)
     w_absmax = max(abs(spec.v_min), abs(spec.v_max))
     g_eff = w_q / w_absmax * (g_max - g_min)

@@ -301,7 +301,8 @@ def load_config(path, out_dir=None, seed=None, threads=None) -> ExperimentConfig
         command=str(command), task=str(task),
         out_dir=str(out_dir if out_dir is not None else (file_out or "runs/out")),
         seed=root_seed,
-        threads=_coerce(threads if threads is not None else (file_threads or 1), int, "threads"),
+        threads=_coerce(threads if threads is not None else (
+            file_threads if file_threads is not None else 1), int, "threads"),
         train_overrides=_build_train_overrides(train_sec, sections.get("noise", {})),
         hw=_build_hw(sections.get("hw", {})),
         sweep=_build_sweep(sections.get("sweep", {})),

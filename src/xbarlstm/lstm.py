@@ -17,6 +17,17 @@ the recycled hidden state snapped to its grid).  The scalar
 `lstm_step_ref` stays separate as the reference the loop is checked
 against.
 
+The quantized converters cost a fixed number of array operations per
+step, whatever the gate count.  `FusedConverter` holds the four gate
+ADCs as per-column v_min, v_max, step and top-code arrays plus one
+concatenated LUT table, and converts the whole (B, 4n) pre-activation
+in one pass: a finite check, the code floor((a - v_min)/step + 0.5)
+clipped to [0, top], one gather, and the ADC pass mask when recording.
+The DAC snaps the recycled hidden state as `grid[to_code(h)]` with the
+grid built once per forward.  Both apply the same IEEE operations to
+every element as the per-gate `to_code` / LUT / `quantize` calls, so
+results are bit-identical to them.
+
 The backward pass operates on the recorded `SequenceCache` of any
 forward mode.  Quantizer nodes backpropagate as clipped identity
 (straight-through): the cache carries boolean pass masks for the ADC and
@@ -35,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantizer import ActivationLUT, QuantSpec, from_code, quantize, ste_mask, to_code
+from .quantizer import ActivationLUT, QuantSpec, _check_finite, quantize, ste_mask, to_code
 
 __all__ = [
     "LSTMParams",
@@ -46,6 +57,7 @@ __all__ = [
     "SequenceCache",
     "lstm_step_ref",
     "run_cell",
+    "FusedConverter",
     "lstm_backward",
     "sigmoid",
     "GATE_ORDER",
@@ -201,6 +213,55 @@ def forward_sequence(params: LSTMParams, x_seq: np.ndarray) -> tuple[np.ndarray,
     return run_cell(x_seq, params.concat())
 
 
+class FusedConverter:
+    """The four per-gate ADCs and activation LUTs of a quantized step as one
+    vectorized pass over the (B, 4n) pre-activation.
+
+    Column j of gate block b takes gate b's ADC spec and LUT.  Its code is
+    floor((a - v_min) / step + 0.5) clipped to [0, top], the same IEEE
+    operations `quantizer.to_code` applies per gate, and its value is that
+    code's entry of gate b's LUT, gathered from one concatenated table at
+    the block's base offset.  So the gates equal
+    `lut.entries[to_code(block, spec)]` and the mask equals
+    `ste_mask(block, spec)` bit for bit, block by block.
+    """
+
+    def __init__(self, specs: Sequence[QuantSpec], luts: Sequence[ActivationLUT], n: int):
+        for b, (spec, lut) in enumerate(zip(specs, luts, strict=True)):
+            if lut.entries.size != spec.levels:
+                raise ValueError(f"gate {b}: LUT has {lut.entries.size} entries, "
+                                 f"its ADC has {spec.levels} codes")
+
+        def per_column(values):
+            return np.repeat(np.asarray(values), n)
+
+        self.v_min = per_column([s.v_min for s in specs])
+        self.v_max = per_column([s.v_max for s in specs])
+        self.step = per_column([s.step for s in specs])
+        self.top = per_column([s.levels - 1 for s in specs])
+        self.base = per_column(np.cumsum([0] + [s.levels for s in specs[:-1]]))
+        self.table = np.concatenate([lut.entries for lut in luts])
+
+    def __call__(self, a: np.ndarray, record: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(gate values, ADC pass mask) for a (B, 4n) pre-activation; the
+        mask is None unless `record`.  Non-finite input raises ValueError."""
+        a = np.asarray(a, dtype=np.float64)
+        _check_finite(a)
+        raw = a - self.v_min
+        raw /= self.step
+        raw += 0.5
+        np.floor(raw, out=raw)
+        # np.clip(raw, 0, top) as two ufuncs: the input is finite, so the
+        # result is the same and the wrapper's per-call overhead is saved
+        np.maximum(raw, 0, out=raw)
+        np.minimum(raw, self.top, out=raw)
+        codes = raw.astype(np.int64)
+        codes += self.base
+        mask = (a >= self.v_min) & (a <= self.v_max) if record else None
+        return self.table[codes], mask
+
+
 def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
              weight_spec: QuantSpec | None = None,
              weight_noise: tuple[np.random.Generator, float] | None = None,
@@ -223,7 +284,8 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
     pre-activation: `adc_noise = (rng, per-column sigma)` is added, then
         `on_preact(a)` sees the result (the calibration sink).
     converter: sigmoid/tanh, or per-gate ADC + LUT from
-        `adc = (specs, luts)`, which records the ADC pass mask.
+        `adc = (specs, luts)` in one `FusedConverter` pass, which records
+        the ADC pass mask.
     DAC: identity, or inputs and the recycled hidden state snapped to
         `dac_spec`, which records the hidden state's pass mask.
     """
@@ -246,8 +308,11 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
     if dac_spec is None:
         h = np.zeros((batch, n))
     else:
-        x_seq = np.asarray(quantize(x_seq, dac_spec))
-        h = np.full((batch, n), from_code(to_code(0.0, dac_spec), dac_spec))
+        # grid[code] is from_code(code) without its per-call range scan
+        dac_grid = dac_spec.grid()
+        x_seq = dac_grid[to_code(x_seq, dac_spec)]
+        h = np.full((batch, n), dac_grid[to_code(0.0, dac_spec)])
+    converter = None if adc is None else FusedConverter(*adc, n)
     c = np.zeros((batch, n))
     h_seq = np.empty((t_steps, batch, n))
 
@@ -268,19 +333,13 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
             on_preact(a)
 
         adc_mask = None
-        if adc is None:
+        if converter is None:
             gates = np.concatenate([sigmoid(a[:, :3 * n]), np.tanh(a[:, 3 * n:])], axis=1)
         else:
             # the LUT is out-quantizer(fn(ADC(a))): both quantizers backprop
             # straight-through, so the cache records the continuous pre-ADC
             # value for the fn' evaluation plus the ADC pass mask
-            gates = np.empty_like(a)
-            adc_mask = np.empty(a.shape, dtype=bool) if record else None
-            for b, (spec, lut) in enumerate(zip(*adc)):
-                blk = a[:, b * n:(b + 1) * n]
-                if record:
-                    adc_mask[:, b * n:(b + 1) * n] = ste_mask(blk, spec)
-                gates[:, b * n:(b + 1) * n] = lut.entries[to_code(blk, spec)]
+            gates, adc_mask = converter(a, record)
 
         f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n]
         c_new = f * c + i * gates[:, 3 * n:]
@@ -293,7 +352,7 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
                 h_mask=None if dac_spec is None else ste_mask(h, dac_spec),
                 w_eff=None if weight_noise is None else w_eff))
         if dac_spec is not None:
-            h = np.asarray(quantize(h, dac_spec))
+            h = dac_grid[to_code(h, dac_spec)]
         c = c_new
         h_seq[t] = h
     return h_seq, cache

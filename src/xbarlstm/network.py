@@ -67,21 +67,25 @@ class LSTMNetwork:
 
         self.gate_adc_specs: tuple[QuantSpec, ...] | None = None
         self.luts = None
-        self._collecting = False
-        self._calib: list[list[np.ndarray]] = [[], [], [], []]
+        self._reset_calibration(collecting=False)
 
     # --- ADC range calibration ---------------------------------------------
 
     def begin_calibration(self):
-        self._collecting = True
-        self._calib = [[], [], [], []]
+        self._reset_calibration(collecting=True)
+
+    def _reset_calibration(self, collecting: bool):
+        self._collecting = collecting
+        self._calib: list[list[np.ndarray]] = [[], [], [], []]
+        self._calib_count = [0, 0, 0, 0]  # samples held per gate block
 
     def _record_calibration(self, a: np.ndarray):
         n = self.hidden_size
         for b in range(4):
-            block = self._calib[b]
-            if sum(arr.size for arr in block) < MAX_CALIB_SAMPLES:
-                block.append(np.abs(a[:, b * n:(b + 1) * n]).astype(np.float32).ravel())
+            if self._calib_count[b] < MAX_CALIB_SAMPLES:
+                block = np.abs(a[:, b * n:(b + 1) * n]).astype(np.float32).ravel()
+                self._calib[b].append(block)
+                self._calib_count[b] += block.size
 
     def freeze_adc_ranges(self, percentile: float = 99.9,
                           override: float | tuple | None = None):
@@ -100,8 +104,7 @@ class LSTMNetwork:
                       for block in self._calib]
         self.gate_adc_specs = tuple(QuantSpec.symmetric(bits, r) for r in ranges)
         self.luts = gate_luts(self.gate_adc_specs, bits)
-        self._collecting = False
-        self._calib = [[], [], [], []]
+        self._reset_calibration(collecting=False)
 
     @property
     def calibrated(self) -> bool:

@@ -327,6 +327,25 @@ class TestDumpFormat:
         with pytest.raises(ValueError):
             load_array(path)
 
+    @pytest.mark.parametrize("edit, line", [
+        (lambda lines: lines + [lines[-1]], 9),
+        (lambda lines: lines[:1] + ["rows 3"] + lines[2:], 2),
+        (lambda lines: lines[:1] + ["rows -1 cols 4"] + lines[2:], 2),
+        (lambda lines: lines[:3] + [lines[3].rsplit(" ", 1)[0]] + lines[4:], 4),
+        (lambda lines: lines[:-1], 8),
+        (lambda lines: lines[:-1] + [lines[-1] + " 1"], 8),
+        (lambda lines: lines[:-1] + ["x" + lines[-1][1:]], 8),
+    ], ids=["extra-row", "rows-without-cols", "negative-rows", "short-weight-range", "missing-row",
+            "long-row", "non-integer-code"])
+    def test_malformed_dump_rejected(self, tmp_path, edit, line):
+        cfg = make_cfg(3, 4, w_bits=3)
+        arr = program(np.random.default_rng(62).normal(size=(3, 4)), cfg)
+        path = tmp_path / "array.txt"
+        save_array(arr, path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            load_array(path)
+
 
 class TestConfigValidation:
     def test_mux_divisibility(self):

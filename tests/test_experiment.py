@@ -135,7 +135,9 @@ epochs = 1
         (FAST_TRAIN.replace("epochs = 2", "epochs = abc"), "train"),
         (FAST_TRAIN.replace("seed = 5", "seed = 5\nthreads = x"), "train"),
         (None, "cost"),
-    ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file"])
+        (json.dumps({"experiment": {"command": "train", "task": "word_lm", "threads": 0}}),
+         "train"),
+    ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, config, command):
         out = tmp_path / "out"
         argv = [command, "--out", str(out)]

@@ -1,13 +1,16 @@
-"""Reference LSTM cell against a scalar-loop oracle, plus BPTT gradients
-against central finite differences."""
+"""Reference LSTM cell against a scalar-loop oracle, BPTT gradients
+against central finite differences, and the fused per-gate ADC + LUT
+converter against the per-gate quantizer calls."""
 
 import math
 
 import numpy as np
 import pytest
 
+from xbarlstm.crossbar import gate_luts
 from xbarlstm.lstm import (
     GATE_ORDER,
+    FusedConverter,
     LSTMParams,
     LSTMState,
     OpCounter,
@@ -16,6 +19,7 @@ from xbarlstm.lstm import (
     lstm_backward,
     lstm_step_ref,
 )
+from xbarlstm.quantizer import QuantSpec, ste_mask, to_code
 
 
 def oracle_step(params, x, h_prev, c_prev):
@@ -304,3 +308,98 @@ class TestBackwardAgainstPerStep:
         assert cache.w_used is None
         assert not np.array_equal(cache.records[0].w_eff, cache.records[1].w_eff)
         self._check(cache, seed=58)
+
+
+def per_gate_converter(a, specs, luts, n):
+    """The ADC + LUT stage one gate block at a time: the reference that
+    FusedConverter must equal bit for bit."""
+    gates = np.empty_like(a)
+    mask = np.empty(a.shape, dtype=bool)
+    for b, (spec, lut) in enumerate(zip(specs, luts)):
+        blk = a[:, b * n:(b + 1) * n]
+        gates[:, b * n:(b + 1) * n] = lut.entries[to_code(blk, spec)]
+        mask[:, b * n:(b + 1) * n] = ste_mask(blk, spec)
+    return gates, mask
+
+
+def assert_fused_equals_per_gate(a, specs, n):
+    luts = gate_luts(specs, specs[0].bits)
+    converter = FusedConverter(specs, luts, n)
+    gates, mask = converter(a)
+    want_gates, want_mask = per_gate_converter(a, specs, luts, n)
+    assert gates.tobytes() == want_gates.tobytes()
+    assert np.array_equal(mask, want_mask)
+    unrecorded, no_mask = converter(a, record=False)
+    assert unrecorded.tobytes() == gates.tobytes() and no_mask is None
+    return gates, mask
+
+
+class TestFusedConverter:
+    N = 3
+
+    @pytest.mark.parametrize("bits", [1, 4])
+    def test_matches_per_gate_at_ties_grid_points_and_outside(self, bits):
+        n, levels = self.N, 1 << bits
+        # four different ranges whose steps are powers of two, so the
+        # half-step midpoints are exact and exercise the round-half-up rule
+        specs = tuple(QuantSpec.symmetric(bits, step * (levels - 1) / 2)
+                      for step in (0.25, 0.5, 1.0, 2.0))
+        halves = np.arange(-4, 2 * levels + 3)          # k half-steps above v_min
+        a = np.empty((len(halves), 4 * n))
+        for b, spec in enumerate(specs):
+            col = spec.v_min + halves * (spec.step / 2)
+            a[:, b * n:(b + 1) * n] = col[:, None]
+        a[:, 1::n] += np.random.default_rng(60).normal(scale=0.1, size=a[:, 1::n].shape)
+        gates, mask = assert_fused_equals_per_gate(a, specs, n)
+
+        luts = gate_luts(specs, bits)
+        for b, (spec, lut) in enumerate(zip(specs, luts)):
+            col = b * n
+            # a tie between codes k and k+1 rounds up to k+1
+            tie = np.flatnonzero(halves == 1)[0]
+            assert gates[tie, col] == lut.entries[1]
+            # outside the range: clipped to the end codes, blocked in the mask
+            assert gates[0, col] == lut.entries[0] and not mask[0, col]
+            assert gates[-1, col] == lut.entries[-1] and not mask[-1, col]
+            assert mask[np.flatnonzero(halves == 0)[0], col]            # v_min
+            assert mask[np.flatnonzero(halves == 2 * (levels - 1))[0], col]  # v_max
+
+    def test_non_finite_input_raises(self):
+        specs = tuple(QuantSpec.symmetric(4, r) for r in (1.0, 2.0, 3.0, 4.0))
+        converter = FusedConverter(specs, gate_luts(specs, 4), 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            a = np.zeros((2, 8))
+            a[1, 5] = bad
+            with pytest.raises(ValueError, match="finite"):
+                converter(a)
+
+    def test_lut_must_cover_every_adc_code(self):
+        specs = tuple(QuantSpec.symmetric(4, r) for r in (1.0, 2.0, 3.0, 4.0))
+        short = gate_luts(tuple(QuantSpec.symmetric(3, 1.0) for _ in range(4)), 4)
+        with pytest.raises(ValueError, match="gate 0"):
+            FusedConverter(specs, short, 2)
+
+    def test_property_matches_per_gate(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(
+            bits=st.integers(1, 8),
+            ranges=st.lists(st.floats(1e-3, 20.0), min_size=4, max_size=4),
+            n=st.integers(1, 3),
+            data=st.data())
+        def check(bits, ranges, n, data):
+            specs = tuple(QuantSpec.symmetric(bits, r) for r in ranges)
+            size = 2 * 4 * n
+            free = data.draw(st.lists(st.floats(-60.0, 60.0), min_size=size, max_size=size))
+            halves = data.draw(st.lists(st.integers(-4, 2 * (1 << bits) + 2),
+                                        min_size=size, max_size=size))
+            on_half = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            v_min = np.repeat([s.v_min for s in specs], n)
+            step = np.repeat([s.step for s in specs], n)
+            ties = v_min + np.reshape(halves, (2, 4 * n)) * (step / 2)
+            a = np.where(np.reshape(on_half, (2, 4 * n)), ties, np.reshape(free, (2, 4 * n)))
+            assert_fused_equals_per_gate(a, specs, n)
+
+        check()

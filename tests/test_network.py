@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from xbarlstm import network
 from xbarlstm.crossbar import CrossbarConfig, NoiseConfig, program, quantized_lstm_step
 from xbarlstm.lstm import LSTMParams, LSTMState, forward_sequence
 from xbarlstm.network import LSTMNetwork
@@ -181,6 +182,19 @@ class TestQuantizedForward:
 
 
 class TestCalibration:
+    def test_collector_stops_at_the_sample_cap(self, monkeypatch):
+        # each step adds B*n = 32 samples per gate; the collector appends
+        # while it holds fewer than the cap, so a cap of 50 keeps two steps
+        monkeypatch.setattr(network, "MAX_CALIB_SAMPLES", 50)
+        m, n = 3, 4
+        cfg = CrossbarConfig.for_lstm(m, n, weight_bits=6, adc_bits=6, dac_bits=6)
+        net = LSTMNetwork(m, n, 2, seed=29, crossbar=cfg)
+        net.begin_calibration()
+        net.forward_sequence(np.random.default_rng(3).uniform(-1, 1, size=(5, 8, m)),
+                             mode="calibrate")
+        assert [len(block) for block in net._calib] == [2, 2, 2, 2]
+        assert net._calib_count == [64, 64, 64, 64]
+
     def test_percentile_freeze(self):
         m = n = 4
         cfg = CrossbarConfig.for_lstm(m, n, weight_bits=6, adc_bits=6, dac_bits=6)
