@@ -35,7 +35,8 @@ def _resolve(args) -> ExperimentConfig:
         # cost runs on defaults without a config file
         flags = {k: v for k, v in (("seed", args.seed), ("threads", args.threads))
                  if v is not None}
-        return ExperimentConfig(command="cost", out_dir=args.out or "runs/cost", **flags)
+        out = args.out if args.out is not None else "runs/cost"
+        return ExperimentConfig(command="cost", out_dir=out, **flags)
     cfg = load_config(args.config, out_dir=args.out, seed=args.seed, threads=args.threads)
     # the subcommand on the command line overrides the config's command;
     # replace() validates the result again

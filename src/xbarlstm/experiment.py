@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASK_NAMES}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if not str(self.out_dir).strip():
+            raise ConfigError("out must name a directory, got an empty value")
         # surface invalid values now, before any compute starts
         try:
             TrainConfig(**self.train_overrides)
@@ -299,7 +301,8 @@ def load_config(path, out_dir=None, seed=None, threads=None) -> ExperimentConfig
     train_sec.pop("seed", None)  # the experiment seed is authoritative
     return ExperimentConfig(
         command=str(command), task=str(task),
-        out_dir=str(out_dir if out_dir is not None else (file_out or "runs/out")),
+        out_dir=str(out_dir if out_dir is not None else (
+            file_out if file_out is not None else "runs/out")),
         seed=root_seed,
         threads=_coerce(threads if threads is not None else (
             file_threads if file_threads is not None else 1), int, "threads"),

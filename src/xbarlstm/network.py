@@ -13,6 +13,14 @@ codes, and optional weight and ADC read noise.  Training forwards record
 a SequenceCache so lstm_backward computes straight-through gradients
 against the latent weights; evaluation forwards record nothing.
 
+Training forwards snap the latent weights to the device grid every time,
+because every step changes them.  An evaluation split programs the array
+once: `programmed_weights` snaps it, and each of the split's unrecorded
+forwards reads that array (with a fresh weight-noise draw per step when
+noise is on) instead of snapping again.  Nothing keeps the programmed
+array beyond the call that asked for it, so writes to `w` between calls
+are always seen.
+
 The batched matmuls here use BLAS; the single-vector crossbar ops in
 `crossbar` accumulate row by row instead.  Same arithmetic, different
 floating-point summation order.  Per read cycle (one time step) the
@@ -28,7 +36,7 @@ import numpy as np
 from .crossbar import CrossbarConfig, NoiseConfig, gate_luts
 from .hwcost import quantization_noise_v
 from .lstm import SequenceCache, lstm_backward, run_cell
-from .quantizer import QuantSpec
+from .quantizer import QuantSpec, quantize
 from .seeding import derive_rng
 
 __all__ = ["LSTMNetwork"]
@@ -115,7 +123,7 @@ class LSTMNetwork:
     def forward_sequence(self, x_seq: np.ndarray, mode: str = "fp",
                          rng_weight_noise: np.random.Generator | None = None,
                          rng_adc_noise: np.random.Generator | None = None,
-                         record: bool = True,
+                         record: bool = True, programmed: np.ndarray | None = None,
                          ) -> tuple[np.ndarray, np.ndarray, SequenceCache | None]:
         """Run a (T, B, m) batch; returns (logits (T,B,V), h_seq (T,B,n), cache).
 
@@ -130,6 +138,11 @@ class LSTMNetwork:
         (evaluation): no cache and no STE masks are built and the cache
         comes back as None.  Logits, hidden states and noise draws are the
         same either way.
+
+        `programmed` is the array from `programmed_weights()`, for
+        unrecorded forwards only: the weights are then read as given and
+        not snapped again.  Recorded forwards snap the latent weights
+        themselves, since the backward pass needs their STE mask.
         """
         if mode not in ("fp", "calibrate", "quantized"):
             raise ValueError(f"unknown forward mode {mode!r}")
@@ -155,8 +168,23 @@ class LSTMNetwork:
                 stages["adc_noise"] = (rng_adc_noise, np.concatenate([
                     np.full(self.hidden_size, quantization_noise_v(s.full_range, s.bits))
                     for s in self.gate_adc_specs]))
-        h_seq, cache = run_cell(x_seq, self.w, record=record, **stages)
+        w = self.w
+        if programmed is not None:
+            if record:
+                raise ValueError("a programmed array is for unrecorded forwards; "
+                                 "recorded forwards snap the latent weights")
+            w = programmed
+            stages.pop("weight_spec", None)
+        h_seq, cache = run_cell(x_seq, w, record=record, **stages)
         return self._head(h_seq), h_seq, cache
+
+    def programmed_weights(self) -> np.ndarray:
+        """The LSTM array as a read pass sees it: a new array of the latent
+        weights snapped to the device grid, which later writes to `w` do
+        not change, or `w` itself without a crossbar."""
+        if self.crossbar is None:
+            return self.w
+        return np.asarray(quantize(self.w, self.crossbar.weight_spec))
 
     def _head(self, h_seq: np.ndarray) -> np.ndarray:
         """Per-step logits of the dense softmax head."""

@@ -76,9 +76,19 @@ def to_code(x, spec: QuantSpec) -> np.ndarray:
     nearest endpoint code; exact midpoints round toward +inf."""
     x = np.asarray(x, dtype=np.float64)
     _check_finite(x)
-    # floor(u + 0.5) rounds half-up, i.e. toward +inf, unlike np.round.
-    raw = np.floor((x - spec.v_min) / spec.step + 0.5)
-    return np.clip(raw, 0, spec.levels - 1).astype(np.int64)
+    # floor((x - v_min) / step + 0.5) in one fresh buffer; floor(u + 0.5)
+    # rounds half-up, i.e. toward +inf, unlike np.round.  The caller's
+    # array is never written.
+    raw = np.subtract(x, spec.v_min, out=np.empty(x.shape))
+    raw /= spec.step
+    raw += 0.5
+    np.floor(raw, out=raw)
+    # np.clip(raw, 0, levels - 1) as two ufuncs: equal on finite input
+    np.maximum(raw, 0, out=raw)
+    np.minimum(raw, spec.levels - 1, out=raw)
+    codes = raw.astype(np.int64)
+    # 0-d input returns a numpy integer, not a 0-d array
+    return codes if codes.ndim else codes[()]
 
 
 def from_code(codes, spec: QuantSpec) -> np.ndarray:
@@ -92,10 +102,13 @@ def from_code(codes, spec: QuantSpec) -> np.ndarray:
 def quantize(x, spec: QuantSpec):
     """Snap values to the nearest grid point (clipping outside the range).
 
-    Total over finite reals; NaN/inf raise.  Returns a scalar for scalar
-    input, an ndarray otherwise.
+    The grid value of `to_code(x)`, gathered from `spec.grid()`: bit for
+    bit `from_code(to_code(x))`, without `from_code`'s range scan, which
+    cannot fail on codes `to_code` has clipped.  Total over finite reals;
+    NaN/inf raise.  Returns a float for scalar or 0-d input, an ndarray
+    otherwise.
     """
-    out = from_code(to_code(x, spec), spec)
+    out = spec.grid()[to_code(x, spec)]
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

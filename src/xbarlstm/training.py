@@ -1,7 +1,9 @@
 """Quantization-aware training loop and evaluation metrics.
 
-Latent weights stay full precision; every quantized forward re-snaps them
-to the device grid, and straight-through gradients update the latents.
+Latent weights stay full precision and straight-through gradients update
+them.  Every training forward re-snaps them to the device grid, since
+every step changes them; an evaluation split snaps them once and reads
+that programmed array in each of its batches.
 When a quantized model has no frozen ADC ranges yet, the first epoch is
 a calibration epoch: weights snapped to the device grid and the DAC grid
 on inputs and hidden state, but ideal converters, while pre-activation
@@ -291,11 +293,15 @@ def _make_optimizer(cfg: TrainConfig):
 # --- train / evaluate ---------------------------------------------------------------
 
 def _run_split(model: LSTMNetwork, batches, mode: str, rng_w, rng_a):
-    """Forward a whole split without recording; returns (nll_sum, count, correct)."""
+    """Forward a whole split without recording; returns (nll_sum, count, correct).
+
+    The array is programmed once for the split, and every batch reads it."""
+    programmed = model.programmed_weights()
     nll_sum = count = correct = 0.0
     for x, targets, mask in batches:
         logits, _, _ = model.forward_sequence(x, mode=mode, rng_weight_noise=rng_w,
-                                              rng_adc_noise=rng_a, record=False)
+                                              rng_adc_noise=rng_a, record=False,
+                                              programmed=programmed)
         s, c, corr, _ = softmax_xent(logits, targets, mask)
         nll_sum += s
         count += c

@@ -131,22 +131,37 @@ epochs = 1
         assert code == EXIT_DIVERGED
         assert "non-finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config, command", [
-        (FAST_TRAIN.replace("epochs = 2", "epochs = abc"), "train"),
-        (FAST_TRAIN.replace("seed = 5", "seed = 5\nthreads = x"), "train"),
-        (None, "cost"),
+    # out: "dir" passes --out <tmp>/out, "file" makes that path a file
+    # first, "" passes an empty --out, None passes no --out at all
+    @pytest.mark.parametrize("config, command, out", [
+        (FAST_TRAIN.replace("epochs = 2", "epochs = abc"), "train", "dir"),
+        (FAST_TRAIN.replace("seed = 5", "seed = 5\nthreads = x"), "train", "dir"),
+        (None, "cost", "file"),
         (json.dumps({"experiment": {"command": "train", "task": "word_lm", "threads": 0}}),
-         "train"),
-    ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero"])
-    def test_malformed_input_exit_2(self, tmp_path, capsys, config, command):
-        out = tmp_path / "out"
-        argv = [command, "--out", str(out)]
-        if config is None:
-            out.write_text("")
-        else:
+         "train", "dir"),
+        (FAST_TRAIN.replace("seed = 5", "seed = 5\nout ="), "train", None),
+        (json.dumps({"experiment": {"command": "train", "task": "word_lm", "out": ""}}),
+         "train", None),
+        ("[experiment]\ncommand = cost\n", "cost", ""),
+        (None, "cost", ""),
+    ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero",
+            "ini-out-empty", "json-out-empty", "cost-config-out-flag-empty",
+            "cost-out-flag-empty"])
+    def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, config, command, out):
+        # anything written to a relative path lands in tmp_path
+        monkeypatch.chdir(tmp_path)
+        argv = [command]
+        if out is not None:
+            path = tmp_path / "out"
+            argv += ["--out", "" if out == "" else str(path)]
+            if out == "file":
+                path.write_text("")
+        if config is not None:
             argv += ["--config", str(write(tmp_path, config))]
         assert cli_main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "manifest.json").exists()
+        assert not (tmp_path / "runs").exists()
 
     def test_fixed_weight_noise_draw_exit_2(self, tmp_path, capsys):
         p = write(tmp_path, FAST_TRAIN + """

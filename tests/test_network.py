@@ -289,6 +289,16 @@ class TestRecordSwitch:
         x = np.random.default_rng(65).uniform(-1, 1, size=(6, 3, 5))
         self._pair(net, "quantized", x, noisy=noise.any_enabled)
 
+    def test_recorded_forward_rejects_programmed_array(self):
+        # backward needs the STE mask of the latent weights, which only a
+        # forward that snaps them itself can record
+        cfg = CrossbarConfig.for_lstm(5, 4, weight_bits=4, adc_bits=4, dac_bits=4)
+        net = LSTMNetwork(5, 4, 3, seed=69, crossbar=cfg)
+        net.freeze_adc_ranges(override=1.0)
+        with pytest.raises(ValueError, match="unrecorded"):
+            net.forward_sequence(np.zeros((2, 1, 5)), mode="quantized",
+                                 programmed=net.programmed_weights())
+
 
 class TestResamplePerRead:
     def test_fixed_draw_with_weight_noise_rejected(self):

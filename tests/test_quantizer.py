@@ -213,3 +213,121 @@ class TestCodes:
             from_code(np.array([16]), QuantSpec(4, -1.0, 1.0))
         with pytest.raises(ValueError):
             from_code(np.array([-1]), QuantSpec(4, -1.0, 1.0))
+
+
+def ref_to_code(x, spec: QuantSpec) -> np.ndarray:
+    """The code law as one expression, with np.clip."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.clip(np.floor((x - spec.v_min) / spec.step + 0.5), 0,
+                   spec.levels - 1).astype(np.int64)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# 1, 4 and 16 bits; the [-7.5, 7.5] 4-bit grid has step 1, so its
+# half-step midpoints are exact ties in floating point
+LAW_SPECS = [
+    QuantSpec(1, -1.0, 1.0),
+    QuantSpec(4, -0.7, 1.3),
+    QuantSpec(4, -7.5, 7.5),
+    QuantSpec(16, -4.0, 4.0),
+]
+
+
+def law_inputs(spec: QuantSpec) -> np.ndarray:
+    """Grid points, half-step midpoints, values beyond the range and
+    random values across it."""
+    k = np.arange(spec.levels, dtype=np.float64)
+    rng = np.random.default_rng(spec.levels)
+    return np.concatenate([
+        spec.v_min + k * spec.step,
+        spec.v_min + (k[:-1] + 0.5) * spec.step,
+        [spec.v_min - 3 * spec.step, spec.v_max + 2.5, -1e300, 1e300, -1.7e308, 1.7e308],
+        rng.uniform(spec.v_min - 1.0, spec.v_max + 1.0, size=2000),
+    ])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestCodeLaw:
+    """to_code and quantize bit for bit against the reference formulas:
+    the clipped floor((x - v_min)/step + 0.5) and from_code(to_code(x)).
+    Values near the float limit overflow to inf on the way, which clips to
+    the top code."""
+
+    @pytest.mark.parametrize("spec", LAW_SPECS, ids=lambda s: f"{s.bits}bit-{s.v_min}")
+    def test_arrays(self, spec):
+        x = law_inputs(spec).reshape(-1, 1)
+        x.setflags(write=False)  # a write into the input would raise
+        before = x.copy()
+        codes = to_code(x, spec)
+        assert_bitwise(codes, ref_to_code(x, spec))
+        assert_bitwise(quantize(x, spec), from_code(ref_to_code(x, spec), spec))
+        assert_bitwise(x, before)
+
+    @pytest.mark.parametrize("spec", LAW_SPECS, ids=lambda s: f"{s.bits}bit-{s.v_min}")
+    def test_scalars(self, spec):
+        for v in law_inputs(spec)[::97]:
+            for x in (float(v), np.float64(v), np.array(v)):
+                code = to_code(x, spec)
+                assert isinstance(code, np.int64)
+                assert code == ref_to_code(x, spec)
+                q = quantize(x, spec)
+                assert type(q) is float
+                assert_bitwise(np.float64(q), from_code(ref_to_code(x, spec), spec))
+
+    def test_exact_midpoint_ties_round_up(self):
+        spec = QuantSpec(4, -7.5, 7.5)
+        k = np.arange(spec.levels - 1)
+        mid = spec.v_min + k + 0.5
+        np.testing.assert_array_equal(to_code(mid, spec), k + 1)
+        np.testing.assert_array_equal(quantize(mid, spec), spec.v_min + k + 1)
+
+    def test_input_not_modified(self):
+        spec = QuantSpec(4, -1.0, 1.0)
+        x = np.linspace(-2.0, 2.0, 41)
+        before = x.copy()
+        to_code(x, spec)
+        quantize(x, spec)
+        assert_bitwise(x, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        spec = QuantSpec(4, -1.0, 1.0)
+        x = np.zeros((3, 2))
+        x[2, 1] = bad
+        for value in (x, bad, np.array(bad)):
+            with pytest.raises(ValueError, match="quantizer input must be finite"):
+                to_code(value, spec)
+            with pytest.raises(ValueError, match="quantizer input must be finite"):
+                quantize(value, spec)
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            bits=st.sampled_from([1, 4, 16]),
+            lo=st.floats(-50.0, 50.0),
+            width=st.floats(1e-3, 100.0),
+            data=st.data())
+        def check(bits, lo, width, data):
+            spec = QuantSpec(bits, lo, lo + width)
+            free = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                      min_size=1, max_size=12))
+            halves = data.draw(st.lists(st.integers(-4, 2 * spec.levels + 2),
+                                        min_size=1, max_size=12))
+            x = np.array(free + [spec.v_min + h * (spec.step / 2) for h in halves])
+            before = x.copy()
+            assert_bitwise(to_code(x, spec), ref_to_code(x, spec))
+            assert_bitwise(quantize(x, spec), from_code(ref_to_code(x, spec), spec))
+            assert_bitwise(x, before)
+            q = quantize(float(x[0]), spec)
+            assert type(q) is float
+            assert_bitwise(np.float64(q), from_code(ref_to_code(x[0], spec), spec))
+
+        check()

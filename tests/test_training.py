@@ -7,8 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import xbarlstm.lstm
+import xbarlstm.network
+import xbarlstm.training
+from xbarlstm.crossbar import CrossbarConfig, NoiseConfig
 from xbarlstm.datasets import SequenceDataset
 from xbarlstm.network import LSTMNetwork
+from xbarlstm.seeding import derive_rng
 from xbarlstm.tasks import build_network, build_task
 from xbarlstm.training import (
     TrainConfig,
@@ -16,6 +21,7 @@ from xbarlstm.training import (
     evaluate,
     inactive_level,
     make_batches,
+    perplexity_from_nll,
     softmax_xent,
     train,
 )
@@ -259,3 +265,90 @@ class TestAdam:
                 assert np.array_equal(params[k], ref[k])
                 assert np.array_equal(opt.m[k], m[k])
                 assert np.array_equal(opt.v[k], v[k])
+
+
+class TestEvaluationSnap:
+    """evaluate() programs the array once per split and every batch reads
+    it; results equal a loop of per-batch unrecorded forwards, each of
+    which snaps the latent weights itself."""
+
+    CFG = TrainConfig(batch_size=8, seed=4)
+    NOISY = NoiseConfig(weight_noise_beta=0.2, adc_noise_enabled=True)
+
+    def _model(self, quantized=True, noise=None):
+        cfg = (CrossbarConfig.for_lstm(6, 4, weight_bits=4, adc_bits=4, dac_bits=4)
+               if quantized else None)
+        model = LSTMNetwork(6, 4, 6, seed=8, crossbar=cfg, noise=noise)
+        if quantized:
+            model.freeze_adc_ranges(override=(1.0, 1.5, 2.0, 2.5))
+        return model
+
+    def _reference(self, model, ds, epoch_tag=0):
+        """(logits per batch, perplexity, accuracy) from per-batch forwards."""
+        mode = "fp" if model.crossbar is None else "quantized"
+        rng_w = derive_rng(self.CFG.seed, f"eval-noise-w-{epoch_tag}")
+        rng_a = derive_rng(self.CFG.seed, f"eval-noise-a-{epoch_tag}")
+        inactive = inactive_level(self.CFG.input_drive, None if model.crossbar is None
+                                  else model.crossbar.dac_spec.bits)
+        batches = make_batches(ds, self.CFG.batch_size, self.CFG.bptt_length,
+                               np.arange(len(ds)), inactive=inactive)
+        assert len(batches) > 1
+        logits_all, nll, count, correct = [], 0.0, 0.0, 0.0
+        for x, targets, mask in batches:
+            logits, _, _ = model.forward_sequence(x, mode=mode, rng_weight_noise=rng_w,
+                                                  rng_adc_noise=rng_a, record=False)
+            s, c, corr, _ = softmax_xent(logits, targets, mask)
+            logits_all.append(logits)
+            nll, count, correct = nll + s, count + c, correct + corr
+        return logits_all, perplexity_from_nll(nll, count), correct / count
+
+    def _evaluate(self, model, ds, monkeypatch):
+        """evaluate() plus the logits of each of its batches."""
+        seen = []
+        real = xbarlstm.training.softmax_xent
+
+        def spy(logits, targets, mask):
+            seen.append(logits.copy())
+            return real(logits, targets, mask)
+
+        monkeypatch.setattr(xbarlstm.training, "softmax_xent", spy)
+        return evaluate(model, ds, self.CFG), seen
+
+    @pytest.mark.parametrize("quantized, snaps", [(True, 1), (False, 0)],
+                             ids=["quantized", "fp"])
+    def test_weights_snapped_once_per_split(self, monkeypatch, quantized, snaps):
+        model = self._model(quantized)
+        shapes = []
+        for module in (xbarlstm.network, xbarlstm.lstm):
+            real = module.quantize
+
+            def counting(x, spec, real=real):
+                shapes.append(np.shape(x))
+                return real(x, spec)
+
+            monkeypatch.setattr(module, "quantize", counting)
+        evaluate(model, tiny_lm_dataset(), self.CFG)
+        assert shapes.count(model.w.shape) == snaps
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noise-off", "beta-0.2-adc"])
+    def test_equals_per_batch_forwards(self, monkeypatch, noisy):
+        model = self._model(noise=self.NOISY if noisy else None)
+        ds = tiny_lm_dataset()
+        rep, logits = self._evaluate(model, ds, monkeypatch)
+        ref_logits, ppl, acc = self._reference(model, ds)
+        assert len(logits) == len(ref_logits)
+        for got, want in zip(logits, ref_logits):
+            assert np.array_equal(got, want)
+        assert rep.perplexity == ppl
+        assert rep.accuracy == acc
+
+    @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "fp"])
+    def test_write_to_weights_between_evaluations_is_seen(self, quantized):
+        model = self._model(quantized)
+        ds = tiny_lm_dataset()
+        first = evaluate(model, ds, self.CFG)
+        model.w += 0.3  # in place: a programmed array kept across calls would go stale
+        second = evaluate(model, ds, self.CFG)
+        assert second.perplexity != first.perplexity
+        _, ppl, acc = self._reference(model, ds)
+        assert (second.perplexity, second.accuracy) == (ppl, acc)
