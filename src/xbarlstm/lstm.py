@@ -10,19 +10,28 @@ hidden state is h_t = o*tanh(c_t).  The memory cell is never quantized.
 `forward_sequence` here and the fp, calibration and quantized forwards of
 `network.LSTMNetwork`.  Its stages are switched on by the data passed to
 it: the weight read (latent, snapped to the device grid, or snapped plus
-a per-step noise draw), the pre-activation (optional ADC noise, then an
+per-sample read noise), the pre-activation (optional ADC noise, then an
 optional sink such as the ADC-range calibration), the converter
 (sigmoid/tanh or per-gate ADC + LUT) and the DAC (identity, or inputs and
 the recycled hidden state snapped to its grid).  The scalar
 `lstm_step_ref` stays separate as the reference the loop is checked
 against.
 
+Weight read noise follows the hardware: every sample's VMM is a read of
+its own, through an array with fresh i.i.d. N(0, sigma^2) noise Z_b.
+The loop never builds Z_b.  For one sample u_b @ (W + Z_b) has the
+distribution of u_b @ W + sigma |u_b| eps_b with eps_b ~ N(0, I) over
+the 4n columns (local reparameterization, Kingma, Salimans & Welling
+2015), so a step draws one (B, 4n) standard normal.  The cache keeps
+that draw and the per-row scale, and backward adds the noise term's
+derivative with respect to the recycled hidden state.
+
 The quantized converters cost a fixed number of array operations per
 step, whatever the gate count.  `FusedConverter` holds the four gate
-ADCs as per-column v_min, v_max, step and top-code arrays plus one
-concatenated LUT table, and converts the whole (B, 4n) pre-activation
-in one pass: a finite check, the code floor((a - v_min)/step + 0.5)
-clipped to [0, top], one gather, and the ADC pass mask when recording.
+ADCs as per-column v_min, v_max and step arrays plus one concatenated
+LUT table, and converts the whole (B, 4n) pre-activation in one pass: a
+finite check, the code floor((a - v_min)/step + 0.5) of `a` clipped to
+[v_min, v_max], one gather, and the ADC pass mask when recording.
 The DAC snaps the recycled hidden state as `grid[to_code(h)]` with the
 grid built once per forward.  Both apply the same IEEE operations to
 every element as the per-gate `to_code` / LUT / `quantize` calls, so
@@ -186,7 +195,8 @@ class StepRecord:
     tanh_c: np.ndarray            # (B, n)
     adc_mask: np.ndarray | None = None   # (B, 4n) STE pass mask at the ADC
     h_mask: np.ndarray | None = None     # (B, n) STE pass mask at the output DAC
-    w_eff: np.ndarray | None = None      # per-step effective weights (noisy reads)
+    noise_eps: np.ndarray | None = None    # (B, 4n) standard normals of the weight read
+    noise_scale: np.ndarray | None = None  # (B,) sigma * |u_b| scaling row b's normals
 
 
 @dataclass
@@ -196,7 +206,7 @@ class SequenceCache:
     input_size: int
     hidden_size: int
     records: list[StepRecord] = field(default_factory=list)
-    w_used: np.ndarray | None = None     # (m+n, 4n) weights seen by the VMM
+    w_used: np.ndarray | None = None     # (m+n, 4n) array the VMM read
     w_mask: np.ndarray | None = None     # STE pass mask from the latent weights
 
     @property
@@ -218,10 +228,10 @@ class FusedConverter:
     vectorized pass over the (B, 4n) pre-activation.
 
     Column j of gate block b takes gate b's ADC spec and LUT.  Its code is
-    floor((a - v_min) / step + 0.5) clipped to [0, top], the same IEEE
-    operations `quantizer.to_code` applies per gate, and its value is that
-    code's entry of gate b's LUT, gathered from one concatenated table at
-    the block's base offset.  So the gates equal
+    floor((a - v_min) / step + 0.5) of `a` clipped to [v_min, v_max], the
+    same IEEE operations `quantizer.to_code` applies per gate, and its
+    value is that code's entry of gate b's LUT, gathered from one
+    concatenated table at the block's base offset.  So the gates equal
     `lut.entries[to_code(block, spec)]` and the mask equals
     `ste_mask(block, spec)` bit for bit, block by block.
     """
@@ -238,7 +248,6 @@ class FusedConverter:
         self.v_min = per_column([s.v_min for s in specs])
         self.v_max = per_column([s.v_max for s in specs])
         self.step = per_column([s.step for s in specs])
-        self.top = per_column([s.levels - 1 for s in specs])
         self.base = per_column(np.cumsum([0] + [s.levels for s in specs[:-1]]))
         self.table = np.concatenate([lut.entries for lut in luts])
 
@@ -248,14 +257,13 @@ class FusedConverter:
         mask is None unless `record`.  Non-finite input raises ValueError."""
         a = np.asarray(a, dtype=np.float64)
         _check_finite(a)
-        raw = a - self.v_min
+        # clipped before the divide, as in `to_code`: no overflow
+        raw = np.maximum(a, self.v_min)
+        np.minimum(raw, self.v_max, out=raw)
+        raw -= self.v_min
         raw /= self.step
         raw += 0.5
         np.floor(raw, out=raw)
-        # np.clip(raw, 0, top) as two ufuncs: the input is finite, so the
-        # result is the same and the wrapper's per-call overhead is saved
-        np.maximum(raw, 0, out=raw)
-        np.minimum(raw, self.top, out=raw)
         codes = raw.astype(np.int64)
         codes += self.base
         mask = (a >= self.v_min) & (a <= self.v_max) if record else None
@@ -279,8 +287,11 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
     when its argument is None:
 
     weight read: `w` as given, snapped to `weight_spec` (the cache then
-        carries the latent weights' STE mask), plus a fresh draw from
-        `weight_noise = (rng, sigma)` each step, shared over the batch.
+        carries the latent weights' STE mask), plus per-sample read noise
+        from `weight_noise = (rng, sigma)`: each step draws a (B, 4n)
+        standard normal and adds row b times sigma |u_b| to `u @ w`,
+        which is u_b @ (w + Z_b) in distribution for a fresh noise
+        matrix Z_b of i.i.d. N(0, sigma^2) entries per sample and step.
     pre-activation: `adc_noise = (rng, per-column sigma)` is added, then
         `on_preact(a)` sees the result (the calibration sink).
     converter: sigmoid/tanh, or per-gate ADC + LUT from
@@ -304,7 +315,7 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         if record:
             w_mask = ste_mask(latent, weight_spec)
     cache = SequenceCache(input_size=m, hidden_size=n, w_mask=w_mask,
-                          w_used=w if weight_noise is None else None) if record else None
+                          w_used=w) if record else None
     if dac_spec is None:
         h = np.zeros((batch, n))
     else:
@@ -318,12 +329,15 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
 
     for t in range(t_steps):
         u = np.concatenate([x_seq[t], h], axis=1)
-        w_eff = w
+        a = u @ w
+        eps = noise_scale = None
         if weight_noise is not None:
+            # u_b @ (W + Z_b), Z_b i.i.d. N(0, sigma^2), is distributed as
+            # u_b @ W + sigma |u_b| eps_b, eps_b ~ N(0, I): one (B, 4n) draw
             rng, sigma = weight_noise
-            w_eff = rng.normal(0.0, sigma, size=w.shape)
-            w_eff += w
-        a = u @ w_eff
+            eps = rng.normal(size=a.shape)
+            noise_scale = sigma * np.sqrt(np.einsum("ij,ij->i", u, u))
+            a += eps * noise_scale[:, None]
         if adc_noise is not None:
             rng, sigma = adc_noise
             z = rng.normal(size=a.shape)
@@ -350,7 +364,7 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
                 inputs=u, preact=a, gates=gates, c_prev=c, c=c_new, tanh_c=tanh_c,
                 adc_mask=adc_mask,
                 h_mask=None if dac_spec is None else ste_mask(h, dac_spec),
-                w_eff=None if weight_noise is None else w_eff))
+                noise_eps=eps, noise_scale=noise_scale))
         if dac_spec is not None:
             h = dac_grid[to_code(h, dac_spec)]
         c = c_new
@@ -381,7 +395,10 @@ def lstm_backward(cache: SequenceCache, d_h: list[np.ndarray] | np.ndarray) -> L
     if len(d_h) != cache.steps:
         raise ValueError(f"need one upstream gradient per step ({cache.steps}), got {len(d_h)}")
 
+    if cache.w_used is None:
+        raise ValueError("cache is missing the weight matrix used in the forward pass")
     m, n = cache.input_size, cache.hidden_size
+    w_hidden = cache.w_used[m:]
     last = cache.records[-1]
     # each step's gate-input gradient goes into one buffer, so d_w is a
     # single GEMM over the stacked (T*B) rows after the recurrence
@@ -391,9 +408,6 @@ def lstm_backward(cache: SequenceCache, d_h: list[np.ndarray] | np.ndarray) -> L
 
     for t in range(cache.steps - 1, -1, -1):
         rec = cache.records[t]
-        w_used = rec.w_eff if rec.w_eff is not None else cache.w_used
-        if w_used is None:
-            raise ValueError("cache is missing the weight matrix used in the forward pass")
         dh = np.asarray(d_h[t], dtype=np.float64) + dh_next
         if rec.h_mask is not None:
             dh = dh * rec.h_mask
@@ -419,7 +433,15 @@ def lstm_backward(cache: SequenceCache, d_h: list[np.ndarray] | np.ndarray) -> L
 
         if t > 0:
             # only the hidden slice of du feeds the recurrence
-            dh_next = da @ w_used[m:].T
+            dh_next = da @ w_hidden.T
+            if rec.noise_eps is not None:
+                # the read noise sigma |u_b| eps_b adds
+                # sigma (da_b . eps_b) u_b / |u_b| to du_b, zero at u_b = 0
+                u = rec.inputs
+                sq = np.einsum("ij,ij->i", u, u)
+                gain = np.einsum("ij,ij->i", da, rec.noise_eps) * rec.noise_scale
+                np.divide(gain, sq, out=gain, where=sq > 0)
+                dh_next += gain[:, None] * u[:, m:]
 
     inputs = np.concatenate([rec.inputs for rec in cache.records])
     d_w = inputs.T @ da_seq.reshape(inputs.shape[0], -1)

@@ -16,17 +16,20 @@ against the latent weights; evaluation forwards record nothing.
 Training forwards snap the latent weights to the device grid every time,
 because every step changes them.  An evaluation split programs the array
 once: `programmed_weights` snaps it, and each of the split's unrecorded
-forwards reads that array (with a fresh weight-noise draw per step when
-noise is on) instead of snapping again.  Nothing keeps the programmed
+forwards reads that array (with fresh per-sample read noise every step
+when noise is on) instead of snapping again.  Nothing keeps the programmed
 array beyond the call that asked for it, so writes to `w` between calls
 are always seen.
 
 The batched matmuls here use BLAS; the single-vector crossbar ops in
 `crossbar` accumulate row by row instead.  Same arithmetic, different
-floating-point summation order.  Per read cycle (one time step) the
-weight-noise draw is shared across the batch; a fixed programming-noise
-draw (`NoiseConfig.resample_per_read = False`) is modelled only by the
-single-vector `crossbar.with_programming_noise`, so the network rejects it.
+floating-point summation order.  Every sample's read in every time step
+has weight noise of its own: one (B, 4n) standard-normal draw per step,
+row b scaled by sigma |u_b| (see `lstm.run_cell`), which matches the
+full-matrix draw of the single-vector `crossbar.vmm` in distribution.  A
+fixed programming-noise draw (`NoiseConfig.resample_per_read = False`) is
+modelled only by the single-vector `crossbar.with_programming_noise`, so
+the network rejects it.
 """
 
 from __future__ import annotations

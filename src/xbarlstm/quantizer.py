@@ -42,6 +42,14 @@ class QuantSpec:
             raise ValueError("range bounds must be finite")
         if not self.v_min < self.v_max:
             raise ValueError(f"need v_min < v_max, got [{self.v_min}, {self.v_max}]")
+        # v_max must map to the top code in float64, or the range is too
+        # wide (the step overflows) or too narrow (it loses its precision
+        # in subnormals); to_code relies on it to clip before dividing
+        step = self.step
+        if not (0.0 < step < np.inf
+                and np.floor((self.v_max - self.v_min) / step + 0.5) == self.levels - 1):
+            raise ValueError(f"[{self.v_min}, {self.v_max}] is not a usable "
+                             f"{self.bits}-bit grid in float64")
 
     @property
     def levels(self) -> int:
@@ -78,14 +86,16 @@ def to_code(x, spec: QuantSpec) -> np.ndarray:
     _check_finite(x)
     # floor((x - v_min) / step + 0.5) in one fresh buffer; floor(u + 0.5)
     # rounds half-up, i.e. toward +inf, unlike np.round.  The caller's
-    # array is never written.
-    raw = np.subtract(x, spec.v_min, out=np.empty(x.shape))
+    # array is never written.  x is clipped to [v_min, v_max] first (two
+    # ufuncs, equal to np.clip on finite input): every step is monotone,
+    # so the codes equal clipping the result to [0, levels - 1], and
+    # values near the float limit cannot overflow in the divide.
+    raw = np.maximum(x, spec.v_min, out=np.empty(x.shape))
+    np.minimum(raw, spec.v_max, out=raw)
+    raw -= spec.v_min
     raw /= spec.step
     raw += 0.5
     np.floor(raw, out=raw)
-    # np.clip(raw, 0, levels - 1) as two ufuncs: equal on finite input
-    np.maximum(raw, 0, out=raw)
-    np.minimum(raw, spec.levels - 1, out=raw)
     codes = raw.astype(np.int64)
     # 0-d input returns a numpy integer, not a 0-d array
     return codes if codes.ndim else codes[()]

@@ -2,8 +2,9 @@
 
 Trend criteria (criterion6/7/8/10) train real models over the fixed seed
 set (1, 2, 3); all randomness is seed-derived so their numbers reproduce
-exactly run to run.  A summary line per criterion is printed at the end
-of the session (see conftest).
+exactly run to run, and a cell two tests share is trained once per
+session (see trained_cells).  A summary line per criterion is printed at
+the end of the session (see conftest).
 """
 
 from dataclasses import replace
@@ -35,20 +36,7 @@ from xbarlstm.tasks import build_network, build_task
 from xbarlstm.training import train
 from xbarlstm.experiment import run as run_config_file
 
-SEEDS = (1, 2, 3)
-
-
-def _mean_metric(task, bits, noise=None, seeds=SEEDS):
-    vals = []
-    for seed in seeds:
-        bundle = build_task(task, seed=seed)
-        cfg = replace(bundle.defaults, bitwidths=bits, seed=seed,
-                      **({"noise": noise} if noise is not None else {}))
-        model = build_network(bundle, cfg)
-        _, rep = train(model, bundle.train, cfg, valid_dataset=bundle.valid)
-        vals.append(rep.metric)
-    return float(np.mean(vals))
-
+from trained_cells import mean_metric
 
 # -- 1 ---------------------------------------------------------------------------
 
@@ -214,10 +202,10 @@ def test_criterion5_quantizer_property_suite():
 def test_criterion6_char_corpus_bitwidth_trend():
     """Bundled char corpus, 3-seed mean perplexity ratios against the FP
     baseline: 4b/4b <= 1.05, 2b/2b <= 1.10, 1b/1b >= 1.20."""
-    fp = _mean_metric("char_lm", None)
-    r444 = _mean_metric("char_lm", (4, 4, 4)) / fp
-    r222 = _mean_metric("char_lm", (2, 2, 2)) / fp
-    r111 = _mean_metric("char_lm", (1, 1, 1)) / fp
+    fp = mean_metric("char_lm", None)
+    r444 = mean_metric("char_lm", (4, 4, 4)) / fp
+    r222 = mean_metric("char_lm", (2, 2, 2)) / fp
+    r111 = mean_metric("char_lm", (1, 1, 1)) / fp
     assert r444 <= 1.05, f"4b/4b ratio {r444:.3f}"
     assert r222 <= 1.10, f"2b/2b ratio {r222:.3f}"
     assert r111 >= 1.20, f"1b/1b ratio {r111:.3f}"
@@ -229,10 +217,10 @@ def test_criterion7_bit_asymmetry_trend():
     """Word task, 3-seed means: 4-bit weights with 2-bit converters beat
     2-bit weights with 4-bit converters, and 1-bit weights with 2-bit
     converters are worse than 2-bit weights with 1-bit converters."""
-    p422 = _mean_metric("word_lm", (4, 2, 2))
-    p244 = _mean_metric("word_lm", (2, 4, 4))
-    p122 = _mean_metric("word_lm", (1, 2, 2))
-    p211 = _mean_metric("word_lm", (2, 1, 1))
+    p422 = mean_metric("word_lm", (4, 2, 2))
+    p244 = mean_metric("word_lm", (2, 4, 4))
+    p122 = mean_metric("word_lm", (1, 2, 2))
+    p211 = mean_metric("word_lm", (2, 1, 1))
     assert p422 < p244, f"422={p422:.2f} vs 244={p244:.2f}"
     assert p122 > p211, f"122={p122:.2f} vs 211={p211:.2f}"
 
@@ -243,9 +231,9 @@ def test_criterion8_noise_robustness():
     """Char corpus at 4b/4b: ADC quantization noise and beta = 0.2 weight
     noise each move the 3-seed mean metric by <= 5%; beta = 0 is
     bit-identical to the noiseless path."""
-    clean = _mean_metric("char_lm", (4, 4, 4))
-    b02 = _mean_metric("char_lm", (4, 4, 4), NoiseConfig(weight_noise_beta=0.2))
-    adc = _mean_metric("char_lm", (4, 4, 4), NoiseConfig(adc_noise_enabled=True))
+    clean = mean_metric("char_lm", (4, 4, 4))
+    b02 = mean_metric("char_lm", (4, 4, 4), NoiseConfig(weight_noise_beta=0.2))
+    adc = mean_metric("char_lm", (4, 4, 4), NoiseConfig(adc_noise_enabled=True))
     assert abs(b02 / clean - 1) <= 0.05, f"beta=0.2 delta {100*abs(b02/clean-1):.2f}%"
     assert abs(adc / clean - 1) <= 0.05, f"adc delta {100*abs(adc/clean-1):.2f}%"
 
@@ -291,7 +279,7 @@ hidden_size = 16
 def test_criterion10_synthetic_har():
     """FP baseline reaches >= 95% validation accuracy; the 4b/4b model sits
     within 2 accuracy points of it on 3-seed means."""
-    fp = _mean_metric("har", None)
-    q4 = _mean_metric("har", (4, 4, 4))
+    fp = mean_metric("har", None)
+    q4 = mean_metric("har", (4, 4, 4))
     assert fp >= 0.95, f"FP accuracy {fp:.3f}"
     assert abs(fp - q4) * 100 <= 2.0, f"gap {100*abs(fp-q4):.2f} points"

@@ -1,13 +1,15 @@
 """Reference LSTM cell against a scalar-loop oracle, BPTT gradients
-against central finite differences, and the fused per-gate ADC + LUT
-converter against the per-gate quantizer calls."""
+against central finite differences, per-sample weight read noise against
+the full-matrix draw of the crossbar oracle, and the fused per-gate
+ADC + LUT converter against the per-gate quantizer calls."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from xbarlstm.crossbar import gate_luts
+from xbarlstm.crossbar import gate_luts, vmm
 from xbarlstm.lstm import (
     GATE_ORDER,
     FusedConverter,
@@ -18,8 +20,9 @@ from xbarlstm.lstm import (
     forward_sequence,
     lstm_backward,
     lstm_step_ref,
+    run_cell,
 )
-from xbarlstm.quantizer import QuantSpec, ste_mask, to_code
+from xbarlstm.quantizer import QuantSpec, quantize, ste_mask, to_code
 
 
 def oracle_step(params, x, h_prev, c_prev):
@@ -231,7 +234,9 @@ class TestForwardSequence:
 
 def per_step_backward(cache, d_h):
     """BPTT with d_w accumulated one step at a time and the full du
-    computed every step: the straightforward form of lstm_backward."""
+    computed every step: the straightforward form of lstm_backward.  A
+    noisy read a_b = u_b @ W + sigma |u_b| eps_b adds, row by row,
+    sigma (da_b . eps_b) u_b / |u_b| to du_b (nothing at u_b = 0)."""
     m, n = cache.input_size, cache.hidden_size
     d_w = np.zeros((m + n, 4 * n))
     dh_next = np.zeros_like(cache.records[-1].c)
@@ -251,8 +256,14 @@ def per_step_backward(cache, d_h):
         if rec.adc_mask is not None:
             da = da * rec.adc_mask
         d_w += rec.inputs.T @ da
-        w_used = rec.w_eff if rec.w_eff is not None else cache.w_used
-        dh_next = (da @ w_used.T)[:, m:]
+        du = da @ cache.w_used.T
+        if rec.noise_eps is not None:
+            for b in range(du.shape[0]):
+                norm = np.linalg.norm(rec.inputs[b])
+                if norm > 0:
+                    sigma = rec.noise_scale[b] / norm
+                    du[b] += sigma * np.dot(da[b], rec.noise_eps[b]) * rec.inputs[b] / norm
+        dh_next = du[:, m:]
         dc_next = dc * f
     if cache.w_mask is not None:
         d_w = d_w * cache.w_mask
@@ -298,16 +309,132 @@ class TestBackwardAgainstPerStep:
         assert not cache.records[0].adc_mask.all()  # some ADC clipping is exercised
         self._check(cache, seed=54)
 
-    def test_noisy_w_eff_cache(self):
+    def test_noisy_read_cache(self):
         from xbarlstm.crossbar import NoiseConfig
 
         net = self._network(NoiseConfig(weight_noise_beta=0.2, adc_noise_enabled=True))
         _, _, cache = net.forward_sequence(
             self._x(55), mode="quantized", rng_weight_noise=np.random.default_rng(56),
             rng_adc_noise=np.random.default_rng(57))
-        assert cache.w_used is None
-        assert not np.array_equal(cache.records[0].w_eff, cache.records[1].w_eff)
+        rows, cols = self.M + self.N, 4 * self.N
+        # the cache holds one array of the read's shape: the programmed one
+        assert np.array_equal(cache.w_used, quantize(net.w, net.crossbar.weight_spec))
+        for rec in cache.records:
+            assert all(np.shape(v) != (rows, cols) for v in vars(rec).values())
+            assert rec.noise_eps.shape == (self.B, cols)
+            assert rec.noise_scale.shape == (self.B,)
+        eps = np.stack([rec.noise_eps for rec in cache.records])
+        assert len({row.tobytes() for row in eps.reshape(-1, cols)}) == self.T * self.B
         self._check(cache, seed=58)
+
+
+class TestWeightReadNoise:
+    """Per-sample weight read noise by local reparameterization: a step
+    draws one (B, 4n) standard normal instead of a noise matrix."""
+
+    def test_gradients_match_finite_differences_at_a_fixed_draw(self):
+        # the criterion-4 check with weight noise on and no quantizers: a
+        # fresh generator of one seed per forward fixes the draw, so the
+        # loss is a smooth function of the weights
+        m, n, t_steps, batch, sigma = 3, 3, 4, 2, 0.3
+        rng = np.random.default_rng(60)
+        w = rng.normal(0.0, 0.5, size=(m + n, 4 * n))
+        x_seq = rng.normal(size=(t_steps, batch, m)) * 0.8
+        targets = rng.normal(size=(t_steps, batch, n)) * 0.5
+
+        def forward(weights):
+            return run_cell(x_seq, weights, weight_noise=(np.random.default_rng(61), sigma))
+
+        def loss(weights):
+            h_seq, _ = forward(weights)
+            return 0.5 * float(np.sum((h_seq - targets) ** 2))
+
+        h_seq, cache = forward(w)
+        grads = lstm_backward(cache, list(h_seq - targets)).concat()
+        step = 1e-5
+        fd = np.zeros_like(w)
+        for idx in np.ndindex(*w.shape):
+            orig = w[idx]
+            w[idx] = orig + step
+            up = loss(w)
+            w[idx] = orig - step
+            down = loss(w)
+            w[idx] = orig
+            fd[idx] = (up - down) / (2 * step)
+        assert max_rel_err(grads, fd) < 1e-7
+
+    def test_zero_input_row_gets_no_noise_and_finite_gradients(self):
+        m, n = 2, 2
+        w = np.random.default_rng(62).normal(size=(m + n, 4 * n))
+        x_seq = np.zeros((3, 2, m))
+        x_seq[:, 1] = 0.5
+        _, cache = run_cell(x_seq, w, weight_noise=(np.random.default_rng(63), 0.4))
+        first = cache.records[0]
+        assert first.noise_scale[0] == 0.0 and first.noise_scale[1] > 0.0
+        np.testing.assert_array_equal(first.preact[0], 0.0)
+        grads = lstm_backward(cache, [np.ones((2, n))] * 3).concat()
+        assert np.all(np.isfinite(grads))
+
+
+class TestReadNoiseAgainstCrossbarOracle:
+    """The pre-activations `run_cell` feeds to `on_preact` (ADC noise off)
+    against `crossbar.vmm`, which draws a full noise matrix on every read.
+    Seeds, draw count and the 5-standard-error tolerance are fixed in
+    advance; the per-column mean and variance of the two must agree, and
+    two batch rows with the same input must be uncorrelated."""
+
+    M, N, DRAWS, TOL = 3, 2, 4000, 5.0
+
+    def _setup(self):
+        from xbarlstm.crossbar import CrossbarConfig, NoiseConfig, program
+
+        cfg = CrossbarConfig.for_lstm(self.M, self.N, weight_bits=4, adc_bits=8,
+                                      dac_bits=4, adc_range=8.0)
+        w = np.random.default_rng(70).normal(0.0, 0.6, size=(cfg.rows, cfg.cols))
+        noise = NoiseConfig(weight_noise_beta=0.2)
+        return cfg, w, program(w, cfg), noise, noise.weight_noise_beta * cfg.weight_spec.full_range
+
+    def _run_cell_draws(self, cfg, w, sigma, x):
+        """(DRAWS, B, 4n) noisy pre-activations of one step on input x (B, m)."""
+        seen = []
+        rng = np.random.default_rng(71)
+        for _ in range(self.DRAWS):
+            run_cell(x[None], w, weight_spec=cfg.weight_spec, dac_spec=cfg.dac_spec,
+                     weight_noise=(rng, sigma), on_preact=lambda a: seen.append(a.copy()),
+                     record=False)
+        return np.stack(seen)
+
+    def _oracle_draws(self, cfg, arr, noise, x_row, seed):
+        """(DRAWS, 4n) pre-ADC reads of the same step through crossbar.vmm."""
+        h0 = np.zeros(self.N)  # run_cell's initial hidden state, DAC-snapped
+        codes = to_code(np.concatenate([x_row, h0]), cfg.dac_spec)
+        rng = np.random.default_rng(seed)
+        return np.stack([vmm(arr, codes, cfg, noise=noise, rng=rng, return_pre_adc=True)[2]
+                         for _ in range(self.DRAWS)])
+
+    def _assert_same_distribution(self, got, want):
+        k = self.DRAWS
+        mean_g, mean_w = got.mean(axis=0), want.mean(axis=0)
+        var_g, var_w = got.var(axis=0, ddof=1), want.var(axis=0, ddof=1)
+        se_mean = np.sqrt(var_g / k + var_w / k)
+        se_var = np.sqrt(2 * (var_g**2 + var_w**2) / (k - 1))
+        assert np.all(np.abs(mean_g - mean_w) <= self.TOL * se_mean)
+        assert np.all(np.abs(var_g - var_w) <= self.TOL * se_var)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_per_column_mean_and_variance_match_the_oracle(self, batch):
+        cfg, w, arr, noise, sigma = self._setup()
+        rng = np.random.default_rng(72)
+        x = rng.uniform(-1, 1, size=(batch, self.M))
+        if batch > 1:
+            x[1] = x[0]  # rows 0 and 1 read the same input
+        got = self._run_cell_draws(cfg, w, sigma, x)
+        for b in range(batch):
+            want = self._oracle_draws(cfg, arr, noise, x[b], seed=73 + b)
+            self._assert_same_distribution(got[:, b], want)
+        if batch > 1:
+            r = [np.corrcoef(got[:, 0, j], got[:, 1, j])[0, 1] for j in range(4 * self.N)]
+            assert np.max(np.abs(r)) <= self.TOL / np.sqrt(self.DRAWS)
 
 
 def per_gate_converter(a, specs, luts, n):
@@ -363,6 +490,17 @@ class TestFusedConverter:
             assert gates[-1, col] == lut.entries[-1] and not mask[-1, col]
             assert mask[np.flatnonzero(halves == 0)[0], col]            # v_min
             assert mask[np.flatnonzero(halves == 2 * (levels - 1))[0], col]  # v_max
+
+    def test_values_near_the_float_limit_raise_no_warning(self):
+        # unclipped, (a - v_min) / step would overflow to +-inf here
+        specs = tuple(QuantSpec.symmetric(16, r) for r in (4.0, 1.0, 2.0, 3.0))
+        n = 2
+        a = np.tile([-1.7e308, 1.7e308], (2, 4 * n // 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gates, _ = assert_fused_equals_per_gate(a, specs, n)
+        ends = [lut.entries[[0, -1]] for lut in gate_luts(specs, 16)]
+        np.testing.assert_array_equal(gates[0], np.concatenate(ends))
 
     def test_non_finite_input_raises(self):
         specs = tuple(QuantSpec.symmetric(4, r) for r in (1.0, 2.0, 3.0, 4.0))

@@ -5,6 +5,7 @@ nearest one, breaking ties toward +inf, without reusing any library code.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ class TestSpecValidation:
     def test_range_order(self):
         with pytest.raises(ValueError):
             QuantSpec(4, 1.0, -1.0)
+
+    @pytest.mark.parametrize("bits, lo, hi", [
+        (4, -1e308, 1e308),     # the range, so the step, overflows
+        (16, 0.0, 1e-320),      # the step is a subnormal without precision
+    ])
+    def test_range_must_be_a_usable_float_grid(self, bits, lo, hi):
+        # to_code clips to [v_min, v_max] before dividing by the step, so
+        # v_max must land exactly on the top code
+        with pytest.raises(ValueError, match="not a usable"):
+            QuantSpec(bits, lo, hi)
+        QuantSpec(bits, -1.7e308, 0.0)  # wide but finite: accepted
 
     def test_grid_contains_endpoints(self):
         for spec in SPECS:
@@ -216,10 +228,13 @@ class TestCodes:
 
 
 def ref_to_code(x, spec: QuantSpec) -> np.ndarray:
-    """The code law as one expression, with np.clip."""
+    """The code law as one expression, with np.clip.  Finite values far
+    outside the range may overflow to +-inf on the way, which clips to
+    the end codes."""
     x = np.asarray(x, dtype=np.float64)
-    return np.clip(np.floor((x - spec.v_min) / spec.step + 0.5), 0,
-                   spec.levels - 1).astype(np.int64)
+    with np.errstate(over="ignore"):
+        return np.clip(np.floor((x - spec.v_min) / spec.step + 0.5), 0,
+                       spec.levels - 1).astype(np.int64)
 
 
 def assert_bitwise(got, want):
@@ -251,12 +266,11 @@ def law_inputs(spec: QuantSpec) -> np.ndarray:
     ])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestCodeLaw:
     """to_code and quantize bit for bit against the reference formulas:
     the clipped floor((x - v_min)/step + 0.5) and from_code(to_code(x)).
-    Values near the float limit overflow to inf on the way, which clips to
-    the top code."""
+    Values near the float limit overflow to inf in the reference formula
+    and clip to the end code; to_code clips first and stays silent."""
 
     @pytest.mark.parametrize("spec", LAW_SPECS, ids=lambda s: f"{s.bits}bit-{s.v_min}")
     def test_arrays(self, spec):
@@ -278,6 +292,18 @@ class TestCodeLaw:
                 q = quantize(x, spec)
                 assert type(q) is float
                 assert_bitwise(np.float64(q), from_code(ref_to_code(x, spec), spec))
+
+    def test_values_near_the_float_limit_raise_no_warning(self):
+        spec = QuantSpec(16, -4.0, 4.0)
+        x = np.array([-1.7e308, -1e300, 1e300, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = to_code(x, spec)
+            q = quantize(x, spec)
+            scalar = to_code(1.7e308, spec)
+        np.testing.assert_array_equal(codes, [0, 0, spec.levels - 1, spec.levels - 1])
+        np.testing.assert_array_equal(q, [spec.v_min, spec.v_min, spec.v_max, spec.v_max])
+        assert scalar == spec.levels - 1
 
     def test_exact_midpoint_ties_round_up(self):
         spec = QuantSpec(4, -7.5, 7.5)
