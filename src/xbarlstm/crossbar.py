@@ -13,9 +13,7 @@ units (v_read = 1 V by default, so data values are the row voltages).
 Two noise sources can be injected per read:
 
 * weight noise, Gaussian with sigma = beta * (w_max - w_min), applied in
-  weight units before the conductance map and redrawn on every read
-  (`resample_per_read`); a fixed draw at programming time models
-  programming error instead (`with_programming_noise`);
+  weight units before the conductance map and redrawn on every read;
 * ADC quantization noise, Gaussian with sigma = full_scale/(2^N * sqrt(12)),
   added to the pre-activation before the ADC snaps it to its grid.
 
@@ -27,7 +25,7 @@ BLAS matmuls instead (same arithmetic, different summation order).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +42,6 @@ __all__ = [
     "column_currents",
     "vmm",
     "quantized_lstm_step",
-    "with_programming_noise",
     "save_array",
     "load_array",
     "gate_luts",
@@ -60,7 +57,6 @@ class NoiseConfig:
 
     adc_noise_enabled: bool = False
     weight_noise_beta: float = 0.0
-    resample_per_read: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.weight_noise_beta <= MAX_WEIGHT_NOISE_BETA):
@@ -189,26 +185,13 @@ def read_back(arr: ProgrammedArray) -> np.ndarray:
     return from_code(arr.source_codes, arr.weight_spec)
 
 
-def with_programming_noise(arr: ProgrammedArray, noise: NoiseConfig,
-                           rng: np.random.Generator) -> ProgrammedArray:
-    """One-shot Gaussian perturbation of the conductances, in weight units:
-    the fixed-per-inference (programming error) noise interpretation."""
-    if noise.weight_noise_beta == 0.0:
-        return arr
-    sigma = noise.weight_noise_beta * arr.weight_spec.full_range
-    z = rng.normal(0.0, sigma, size=arr.g_eff.shape)
-    g = arr.g_eff + z / arr.w_absmax * arr.g_span
-    g.setflags(write=False)
-    return replace(arr, g_eff=g)
-
-
 def _read_conductances(arr: ProgrammedArray, noise: NoiseConfig | None,
                        rng: np.random.Generator | None) -> np.ndarray:
     if noise is None or not noise.any_enabled:
         return arr.g_eff
     if rng is None:
         raise ValueError("noise is enabled but no rng_state was provided")
-    if noise.weight_noise_beta > 0.0 and noise.resample_per_read:
+    if noise.weight_noise_beta > 0.0:
         sigma = noise.weight_noise_beta * arr.weight_spec.full_range
         z = rng.normal(0.0, sigma, size=arr.g_eff.shape)
         return arr.g_eff + z / arr.w_absmax * arr.g_span

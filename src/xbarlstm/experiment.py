@@ -130,41 +130,41 @@ _BOOLS = {"on": True, "true": True, "yes": True, "1": True,
 
 
 def _coerce(value, target_type, key: str):
-    if isinstance(value, str):
-        value = value.strip()
-        if target_type is bool:
-            if value.lower() not in _BOOLS:
-                raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-            return _BOOLS[value.lower()]
+    """`value` as an int, float or bool by the INI rules, also for JSON
+    input: a JSON number or boolean is read as the text an INI file would
+    hold, so 2.7 is no int, 5 no boolean and true no number.  Other target
+    types take the value as given."""
     if target_type not in (int, float, bool):
-        return value
+        return value.strip() if isinstance(value, str) else value
+    text = str(value).strip()
+    if target_type is bool:
+        if text.lower() not in _BOOLS:
+            raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+        return _BOOLS[text.lower()]
     try:
-        return target_type(value)
-    except (TypeError, ValueError) as exc:
+        return target_type(text)
+    except ValueError as exc:
         raise ConfigError(f"{key}: expected {target_type.__name__}, got {value!r}") from exc
 
 
 def _parse_list(value, item, key: str):
     parts = value if isinstance(value, (list, tuple)) else str(value).replace(",", " ").split()
-    try:
-        return tuple(item(p) for p in parts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: expected a list of {item.__name__}, got {value!r}") from exc
+    return tuple(_coerce(p, item, key) for p in parts)
 
 
-def _sections_from_ini(path: Path) -> dict:
+def _sections_from_ini(text: str, path: Path) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_string(text, source=str(path))
+        # values are interpolated as they are read
+        return {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return {name: dict(parser[name]) for name in parser.sections()}
 
 
-def _sections_from_json(path: Path) -> dict:
+def _sections_from_json(text: str, path: Path) -> dict:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -185,6 +185,8 @@ _NOISE_KEY_TYPES = {
     "adc_noise": ("adc_noise_enabled", bool),
     "adc_noise_enabled": ("adc_noise_enabled", bool),
     "weight_noise_beta": ("weight_noise_beta", float),
+    # parsed, then dropped: weight noise is redrawn on every read, and
+    # older manifests all carry `true`
     "resample_per_read": ("resample_per_read", bool),
 }
 
@@ -201,6 +203,8 @@ def _build_train_overrides(sec: dict, noise_sec: dict) -> dict:
 
     noise_kwargs = {}
     inline_noise = sec.pop("noise", None)
+    if not (_is_unset(inline_noise) or isinstance(inline_noise, dict)):
+        raise ConfigError(f"noise: expected a section of noise keys, got {inline_noise!r}")
     for source in (noise_sec, inline_noise if isinstance(inline_noise, dict) else {}):
         for key, raw in source.items():
             if key == "seed":
@@ -210,6 +214,10 @@ def _build_train_overrides(sec: dict, noise_sec: dict) -> dict:
             name, typ = _NOISE_KEY_TYPES[key]
             noise_kwargs[name] = _coerce(raw, typ, key)
     if noise_kwargs:
+        if (not noise_kwargs.pop("resample_per_read", True)
+                and noise_kwargs.get("weight_noise_beta", 0.0) > 0.0):
+            raise ConfigError("resample_per_read = false (one fixed programming-noise "
+                              "draw) is not modelled; weight noise is redrawn on every read")
         try:
             overrides["noise"] = NoiseConfig(**noise_kwargs)
         except ValueError as exc:
@@ -262,6 +270,8 @@ def _build_sweep(sec: dict) -> SweepConfig:
     for key, raw in sec.items():
         if key in ("weight_bits", "adc_bits", "seeds"):
             kwargs[key] = _parse_list(raw, int, key)
+            if key != "seeds" and not all(1 <= b <= 16 for b in kwargs[key]):
+                raise ConfigError(f"{key}: bit widths must be in [1, 16], got {raw!r}")
         elif key == "betas":
             kwargs[key] = _parse_list(raw, float, key)
         elif key == "adc_noise_grid":
@@ -279,11 +289,14 @@ def load_config(path, out_dir=None, seed=None, threads=None) -> ExperimentConfig
     """Parse an INI or JSON config file into a validated ExperimentConfig.
     Explicit arguments override the file's values."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8").lstrip()
-    sections = (_sections_from_json(path) if text.startswith("{")
-                else _sections_from_ini(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    sections = (_sections_from_json(text, path) if text.lstrip().startswith("{")
+                else _sections_from_ini(text, path))
     exp = dict(sections.get("experiment", {}))
     command = exp.pop("command", None)
     if command is None:
@@ -421,12 +434,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     _write_manifest(cfg, out)
 
     if cfg.command == "cost":
-        rep = cost_report(cfg.hw)
+        try:
+            rep = cost_report(cfg.hw)
+        except OverflowError as exc:  # e.g. 2.0 ** (2 * enob) for a huge adc_bits
+            raise ConfigError(f"hw params overflow the cost model: {exc}") from exc
         report = rep.as_dict()
         d = report
         rows = [

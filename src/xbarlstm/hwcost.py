@@ -20,6 +20,7 @@ Conventions that matter when reading the numbers:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 
 __all__ = [
@@ -75,10 +76,10 @@ class HwParams:
     parallel_arrays: int = 1
 
     def __post_init__(self):
-        numeric = {k: v for k, v in asdict(self).items()}
-        for name, value in numeric.items():
-            if value <= 0:
-                raise ValueError(f"HwParams.{name} must be positive, got {value}")
+        for name, value in asdict(self).items():
+            # NaN fails both comparisons; an int too large for a float fails the second
+            if not 0 < value <= sys.float_info.max:
+                raise ValueError(f"HwParams.{name} must be positive and finite, got {value}")
         if self.cols % self.num_adcs != 0:
             raise ValueError(f"num_adcs ({self.num_adcs}) must divide cols ({self.cols})")
 

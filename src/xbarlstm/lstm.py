@@ -8,14 +8,14 @@ hidden state is h_t = o*tanh(c_t).  The memory cell is never quantized.
 
 `run_cell` is the one batched step loop behind every forward pass:
 `forward_sequence` here and the fp, calibration and quantized forwards of
-`network.LSTMNetwork`.  Its stages are switched on by the data passed to
-it: the weight read (latent, snapped to the device grid, or snapped plus
-per-sample read noise), the pre-activation (optional ADC noise, then an
-optional sink such as the ADC-range calibration), the converter
-(sigmoid/tanh or per-gate ADC + LUT) and the DAC (identity, or inputs and
-the recycled hidden state snapped to its grid).  The scalar
-`lstm_step_ref` stays separate as the reference the loop is checked
-against.
+`network.LSTMNetwork`.  It reads the weight array it is given, latent or
+programmed.  Its stages are switched on by the data passed to it: the
+weight read (optional per-sample read noise), the pre-activation
+(optional ADC noise, then an optional sink such as the ADC-range
+calibration), the converter (sigmoid/tanh or per-gate ADC + LUT) and the
+DAC (identity, or inputs and the recycled hidden state snapped to its
+grid).  The scalar `lstm_step_ref` stays separate as the reference the
+loop is checked against.
 
 Weight read noise follows the hardware: every sample's VMM is a read of
 its own, through an array with fresh i.i.d. N(0, sigma^2) noise Z_b.
@@ -40,8 +40,8 @@ results are bit-identical to them.
 The backward pass operates on the recorded `SequenceCache` of any
 forward mode.  Quantizer nodes backpropagate as clipped identity
 (straight-through): the cache carries boolean pass masks for the ADC and
-the hidden-state DAC, and a weight mask derived from the latent weights,
-all `None` in full-precision mode.
+the hidden-state DAC, and the caller may set a weight mask derived from
+the latent weights; all are `None` in full-precision mode.
 Local derivatives of the gate nonlinearities are evaluated at the
 continuous pre-ADC values, i.e. the quantized activation unit is treated
 as out-quantizer(fn(ADC(a))) with both quantizers backpropagating
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantizer import ActivationLUT, QuantSpec, _check_finite, quantize, ste_mask, to_code
+from .quantizer import ActivationLUT, QuantSpec, _check_finite, ste_mask, to_code
 
 __all__ = [
     "LSTMParams",
@@ -271,7 +271,6 @@ class FusedConverter:
 
 
 def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
-             weight_spec: QuantSpec | None = None,
              weight_noise: tuple[np.random.Generator, float] | None = None,
              adc_noise: tuple[np.random.Generator, np.ndarray] | None = None,
              on_preact: Callable[[np.ndarray], None] | None = None,
@@ -283,15 +282,15 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
 
     Runs a (T, B, m) sequence through the cell with the (m+n) x 4n
     concatenated weights `w` and returns the hidden states (T, B, n) and
-    the recorded cache (None when `record` is false).  Each stage is off
-    when its argument is None:
+    the recorded cache (None when `record` is false), whose `w_used` is
+    `w` as given; a caller that snapped `w` sets the cache's `w_mask`.
+    Each stage is off when its argument is None:
 
-    weight read: `w` as given, snapped to `weight_spec` (the cache then
-        carries the latent weights' STE mask), plus per-sample read noise
-        from `weight_noise = (rng, sigma)`: each step draws a (B, 4n)
-        standard normal and adds row b times sigma |u_b| to `u @ w`,
-        which is u_b @ (w + Z_b) in distribution for a fresh noise
-        matrix Z_b of i.i.d. N(0, sigma^2) entries per sample and step.
+    weight read: `u @ w`, plus per-sample read noise from
+        `weight_noise = (rng, sigma)`: each step draws a (B, 4n) standard
+        normal and adds row b times sigma |u_b| to `u @ w`, which is
+        u_b @ (w + Z_b) in distribution for a fresh noise matrix Z_b of
+        i.i.d. N(0, sigma^2) entries per sample and step.
     pre-activation: `adc_noise = (rng, per-column sigma)` is added, then
         `on_preact(a)` sees the result (the calibration sink).
     converter: sigmoid/tanh, or per-gate ADC + LUT from
@@ -308,14 +307,7 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
     if m != w.shape[0] - n:
         raise ValueError(f"input dim {m} does not match m={w.shape[0] - n}")
 
-    w_mask = None
-    if weight_spec is not None:
-        latent = w
-        w = np.asarray(quantize(latent, weight_spec))
-        if record:
-            w_mask = ste_mask(latent, weight_spec)
-    cache = SequenceCache(input_size=m, hidden_size=n, w_mask=w_mask,
-                          w_used=w) if record else None
+    cache = SequenceCache(input_size=m, hidden_size=n, w_used=w) if record else None
     if dac_spec is None:
         h = np.zeros((batch, n))
     else:

@@ -2,10 +2,10 @@
 
 The network keeps latent full-precision weights and runs every forward
 through the one step loop `lstm.run_cell`; the three modes differ only in
-the stages they hand it.  The full-precision forward ('fp') is the 32-bit
-baseline and turns every stage off.  The calibration forward snaps the
-weights to the device grid and the inputs and recycled hidden state to
-the DAC grid, keeps ideal sigmoid/tanh converters, and feeds the
+the array and the stages they hand it.  The full-precision forward ('fp')
+is the 32-bit baseline: latent weights, every stage off.  The calibration
+forward reads the programmed array, snaps the inputs and recycled hidden
+state to the DAC grid, keeps ideal sigmoid/tanh converters, and feeds the
 pre-activations to the ADC-range collector.  The quantized forward
 mirrors the crossbar pipeline batch-wise: the same snaps, per-gate ADCs
 with ranges frozen from the calibration pass, LUT activations on the ADC
@@ -13,23 +13,20 @@ codes, and optional weight and ADC read noise.  Training forwards record
 a SequenceCache so lstm_backward computes straight-through gradients
 against the latent weights; evaluation forwards record nothing.
 
-Training forwards snap the latent weights to the device grid every time,
-because every step changes them.  An evaluation split programs the array
-once: `programmed_weights` snaps it, and each of the split's unrecorded
-forwards reads that array (with fresh per-sample read noise every step
-when noise is on) instead of snapping again.  Nothing keeps the programmed
-array beyond the call that asked for it, so writes to `w` between calls
-are always seen.
+Only the network turns the latent weights into the array a read sees:
+`programmed_weights` snaps them to the device grid, and a recorded
+forward keeps their STE mask for backward.  Training forwards program
+the array every time, since every step changes the weights; an
+evaluation split programs it once for all its forwards.  Nothing keeps
+the programmed array beyond the call that asked for it, so writes to `w`
+between calls are always seen.
 
 The batched matmuls here use BLAS; the single-vector crossbar ops in
 `crossbar` accumulate row by row instead.  Same arithmetic, different
 floating-point summation order.  Every sample's read in every time step
 has weight noise of its own: one (B, 4n) standard-normal draw per step,
 row b scaled by sigma |u_b| (see `lstm.run_cell`), which matches the
-full-matrix draw of the single-vector `crossbar.vmm` in distribution.  A
-fixed programming-noise draw (`NoiseConfig.resample_per_read = False`) is
-modelled only by the single-vector `crossbar.with_programming_noise`, so
-the network rejects it.
+full-matrix draw of the single-vector `crossbar.vmm` in distribution.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import numpy as np
 from .crossbar import CrossbarConfig, NoiseConfig, gate_luts
 from .hwcost import quantization_noise_v
 from .lstm import SequenceCache, lstm_backward, run_cell
-from .quantizer import QuantSpec, quantize
+from .quantizer import QuantSpec, quantize, ste_mask
 from .seeding import derive_rng
 
 __all__ = ["LSTMNetwork"]
@@ -64,10 +61,6 @@ class LSTMNetwork:
         self.output_size = output_size
         self.crossbar = crossbar
         self.noise = noise if noise is not None else NoiseConfig()
-        if self.noise.weight_noise_beta > 0.0 and not self.noise.resample_per_read:
-            raise ValueError("weight noise with resample_per_read = False (one fixed "
-                             "programming draw) is not supported by LSTMNetwork, "
-                             "which redraws the weight noise on every read")
 
         scale = init_scale if init_scale is not None else 1.0 / np.sqrt(input_size + hidden_size)
         rng_l = derive_rng(seed, "init-lstm")
@@ -142,10 +135,10 @@ class LSTMNetwork:
         comes back as None.  Logits, hidden states and noise draws are the
         same either way.
 
-        `programmed` is the array from `programmed_weights()`, for
-        unrecorded forwards only: the weights are then read as given and
-        not snapped again.  Recorded forwards snap the latent weights
-        themselves, since the backward pass needs their STE mask.
+        The forward reads `programmed` when given (an array programmed
+        once for many forwards), else the latent weights in 'fp' mode and
+        `programmed_weights()` in the others.  A recorded non-fp forward
+        stores the latent weights' STE mask in its cache for backward.
         """
         if mode not in ("fp", "calibrate", "quantized"):
             raise ValueError(f"unknown forward mode {mode!r}")
@@ -154,7 +147,7 @@ class LSTMNetwork:
             if self.crossbar is None:
                 raise RuntimeError(f"{mode} forward requires a crossbar configuration")
             cfg = self.crossbar
-            stages = {"weight_spec": cfg.weight_spec, "dac_spec": cfg.dac_spec}
+            stages = {"dac_spec": cfg.dac_spec}
         if mode == "calibrate" and self._collecting:
             stages["on_preact"] = self._record_calibration
         if mode == "quantized":
@@ -171,14 +164,11 @@ class LSTMNetwork:
                 stages["adc_noise"] = (rng_adc_noise, np.concatenate([
                     np.full(self.hidden_size, quantization_noise_v(s.full_range, s.bits))
                     for s in self.gate_adc_specs]))
-        w = self.w
-        if programmed is not None:
-            if record:
-                raise ValueError("a programmed array is for unrecorded forwards; "
-                                 "recorded forwards snap the latent weights")
-            w = programmed
-            stages.pop("weight_spec", None)
-        h_seq, cache = run_cell(x_seq, w, record=record, **stages)
+        if programmed is None:
+            programmed = self.w if mode == "fp" else self.programmed_weights()
+        h_seq, cache = run_cell(x_seq, programmed, record=record, **stages)
+        if record and mode != "fp":
+            cache.w_mask = ste_mask(self.w, cfg.weight_spec)
         return self._head(h_seq), h_seq, cache
 
     def programmed_weights(self) -> np.ndarray:

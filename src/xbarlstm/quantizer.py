@@ -127,9 +127,7 @@ def quantize(x, spec: QuantSpec):
 def ste_backward(upstream_grad, x, spec: QuantSpec):
     """Clipped straight-through estimator: the quantizer backpropagates as
     identity for inputs inside [v_min, v_max] and blocks gradient outside."""
-    x = np.asarray(x, dtype=np.float64)
-    mask = (x >= spec.v_min) & (x <= spec.v_max)
-    out = np.asarray(upstream_grad, dtype=np.float64) * mask
+    out = np.asarray(upstream_grad, dtype=np.float64) * ste_mask(x, spec)
     if np.ndim(upstream_grad) == 0 and np.ndim(x) == 0:
         return float(out)
     return out

@@ -39,7 +39,6 @@ class TaskBundle:
     valid: SequenceDataset
     hidden_size: int
     defaults: TrainConfig
-    weight_range: float
     higher_is_better: bool
 
     @property
@@ -75,8 +74,6 @@ def build_task(name: str, seed: int, **config_overrides) -> TaskBundle:
     overrides replace any TrainConfig field."""
     if name not in _TASK_DEFAULTS:
         raise ValueError(f"unknown task {name!r}; expected one of {TASK_NAMES}")
-    d = dict(_TASK_DEFAULTS[name])
-    weight_range = d.pop("weight_range")
 
     if name == "har":
         full = synth_har(derive_seed(seed, "har-gen"), n_sequences=900)
@@ -86,13 +83,12 @@ def build_task(name: str, seed: int, **config_overrides) -> TaskBundle:
         full = load_word_corpus(bundled_corpus_path("sentences.txt"))
     train_ds, valid_ds = split_dataset(full, valid_fraction=1 / 3, seed=seed)
 
-    cfg = TrainConfig(seed=seed, weight_range=weight_range, **d)
+    cfg = TrainConfig(seed=seed, **_TASK_DEFAULTS[name])
     if config_overrides:
         cfg = replace(cfg, **config_overrides)
     hidden = cfg.hidden_size if cfg.hidden_size is not None else _HIDDEN[name]
     return TaskBundle(name=name, train=train_ds, valid=valid_ds, hidden_size=hidden,
-                      defaults=cfg, weight_range=cfg.weight_range,
-                      higher_is_better=(name == "har"))
+                      defaults=cfg, higher_is_better=(name == "har"))
 
 
 def build_network(bundle: TaskBundle, cfg: TrainConfig | None = None) -> LSTMNetwork:

@@ -82,8 +82,13 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.input_drive not in ("matched", "antipodal"):
             raise ValueError(f"unknown input_drive {self.input_drive!r}")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        # the comparisons below also reject NaN
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not (self.init_scale is None or 0 <= self.init_scale < math.inf):
+            raise ValueError("init_scale must be finite and >= 0")
+        if not 0 <= self.adc_range_percentile <= 100:
+            raise ValueError("adc_range_percentile must be in [0, 100]")
         if not 0 < self.lr_decay <= 1:
             raise ValueError("lr_decay must be in (0, 1]")
         if self.epochs < 1 or self.batch_size < 1 or self.bptt_length < 1:
@@ -93,6 +98,17 @@ class TrainConfig:
             if len(bw) != 3 or any(not 1 <= b <= 16 for b in bw):
                 raise ValueError("bitwidths must be three integers in [1, 16]")
             object.__setattr__(self, "bitwidths", bw)
+        if self.adc_range_override is not None:
+            ranges = np.asarray(self.adc_range_override, dtype=np.float64)
+            try:
+                # each range must make a grid at the finest ADC width, the
+                # hardest to fit in float64; so it is also finite and > 0
+                specs = [QuantSpec.symmetric(16, float(r)) for r in ranges.ravel()]
+            except ValueError:
+                specs = []
+            if ranges.ndim > 1 or len(specs) not in (1, 4):
+                raise ValueError("adc_range_override must be one value or four, each "
+                                 f"finite and > 0, got {self.adc_range_override!r}")
 
     def as_dict(self) -> dict:
         d = asdict(self)

@@ -14,7 +14,6 @@ from xbarlstm.crossbar import (
     read_back,
     save_array,
     vmm,
-    with_programming_noise,
 )
 from xbarlstm.lstm import LSTMParams, LSTMState, lstm_step_ref
 from xbarlstm.quantizer import QuantSpec, from_code, quantize, to_code
@@ -160,16 +159,6 @@ class TestNoise:
             NoiseConfig(weight_noise_beta=0.25)
         NoiseConfig(weight_noise_beta=0.2)  # boundary allowed
 
-    def test_weight_noise_std_programming(self):
-        # 10^5 cells perturbed once: empirical sigma within 2% of beta*range
-        cfg = make_cfg(100, 1000, w_bits=4, num_adcs=1000)
-        arr = program(np.zeros((100, 1000)), cfg)
-        noise = NoiseConfig(weight_noise_beta=0.1, resample_per_read=False)
-        noisy = with_programming_noise(arr, noise, np.random.default_rng(23))
-        pert_w = (noisy.g_eff - arr.g_eff) * arr.w_absmax / arr.g_span
-        sigma_ref = 0.1 * cfg.weight_spec.full_range
-        assert abs(pert_w.std() / sigma_ref - 1) < 0.02
-
     def test_weight_noise_std_per_read(self):
         # single-row array: pre-activation of column j is v * (w + z_j), so
         # with v = 1 and w = 0 the pre-ADC value is the injected noise itself
@@ -217,26 +206,6 @@ class TestNoise:
         _, clean = vmm(arr, codes, cfg)
         _, off = vmm(arr, codes, cfg, noise=NoiseConfig(), rng=np.random.default_rng(1))
         assert np.array_equal(clean, off)
-
-    def test_fixed_per_inference_mode_reads_are_stable(self):
-        # resample_per_read=False: the perturbation lives in the programmed
-        # array; reads draw nothing and repeat bit-identically
-        cfg = make_cfg(4, 8, adc_bits=16, adc_range=4.0)
-        arr = program(np.random.default_rng(47).normal(size=(4, 8)), cfg)
-        noise = NoiseConfig(weight_noise_beta=0.1, resample_per_read=False)
-        noisy = with_programming_noise(arr, noise, np.random.default_rng(48))
-        codes = to_code(np.random.default_rng(49).uniform(-1, 1, 4), cfg.dac_spec)
-        _, a = vmm(noisy, codes, cfg, noise=noise, rng=np.random.default_rng(1))
-        _, b = vmm(noisy, codes, cfg, noise=noise, rng=np.random.default_rng(2))
-        assert np.array_equal(a, b)
-        _, clean = vmm(arr, codes, cfg)
-        assert not np.array_equal(a, clean)
-
-    def test_programming_noise_beta_zero_is_identity(self):
-        cfg = make_cfg(3, 3)
-        arr = program(np.zeros((3, 3)), cfg)
-        same = with_programming_noise(arr, NoiseConfig(), np.random.default_rng(1))
-        assert same is arr
 
 
 class TestQuantizedStep:

@@ -36,7 +36,10 @@ hidden_size = 8
 
 def write(tmp_path, text, name="exp.ini"):
     p = tmp_path / name
-    p.write_text(text)
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
     return p
 
 
@@ -88,6 +91,70 @@ class TestConfigParsing:
         assert cfg.out_dir == "elsewhere"
         assert cfg.seed == 99
         assert cfg.threads == 3
+
+
+class TestConfigParserProperty:
+    """Any INI or JSON text over the known sections and keys, with junk
+    values, either loads or raises ConfigError: nothing else escapes."""
+
+    WORDS = ["on", "off", "true", "0", "1", "4", "2.7", "-3", "0.1", "fp", "none", "nan",
+             "inf", "1e400", str(10**400), "train", "sweep", "cost", "noise-sweep", "char_lm",
+             "word_lm", "adam", "antipodal", "1 2", "4, 4, 4", "off, on", "%(x)s", "%", ""]
+
+    def test_load_config_returns_a_config_or_raises_config_error(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        from dataclasses import fields
+
+        from xbarlstm.hwcost import HwParams
+
+        keys = {
+            "experiment": ["command", "task", "out", "seed", "threads"],
+            "train": sorted(exp._TRAIN_KEY_TYPES) + [
+                "bitwidths", "weight_bits", "adc_bits", "dac_bits", "adc_range_override",
+                "noise", "seed"],
+            "noise": sorted(exp._NOISE_KEY_TYPES) + ["seed"],
+            "hw": [f.name for f in fields(HwParams)] + ["adc_area_4bit_mm2",
+                                                        "residual_area_mm2"],
+            "sweep": [f.name for f in fields(exp.SweepConfig)],
+        }
+        words = st.sampled_from(self.WORDS)
+        scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), words,
+                            st.sampled_from([10**400, -(10**400)]), st.text(max_size=10))
+        json_values = st.recursive(scalars, lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.dictionaries(st.sampled_from(keys["noise"]) | st.text(max_size=6), kids,
+                            max_size=3)), max_leaves=8)
+        ini_values = st.one_of(words, st.text(max_size=12), st.integers().map(str),
+                               st.floats().map(repr))
+        path = tmp_path / "cfg"
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            as_json = data.draw(st.booleans())
+            values = json_values if as_json else ini_values
+            sections = {}
+            for name, known in keys.items():
+                if data.draw(st.booleans()):
+                    sections[name] = data.draw(st.dictionaries(
+                        st.sampled_from(known + ["bogus"]), values, max_size=4))
+            if data.draw(st.booleans()):  # a valid command reaches the later checks
+                sections.setdefault("experiment", {})["command"] = data.draw(
+                    st.sampled_from(exp.COMMANDS))
+            if as_json:
+                text = json.dumps(sections)
+            else:
+                text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items())
+                               for name, sec in sections.items())
+            path.write_text(text, encoding="utf-8")
+            try:
+                cfg = load_config(path)
+            except ConfigError:
+                return
+            assert isinstance(cfg, exp.ExperimentConfig)
+
+        check()
 
 
 class TestExitCodes:
@@ -144,9 +211,31 @@ epochs = 1
          "train", None),
         ("[experiment]\ncommand = cost\n", "cost", ""),
         (None, "cost", ""),
+        ('{"experiment": {"command": "train", "task": "word_lm", "seed": 1e400}}',
+         "train", "dir"),
+        ("[experiment]\ncommand = sweep\ntask = word_lm\n[sweep]\nweight_bits = 0\n",
+         "sweep", "dir"),
+        (FAST_TRAIN + "adc_range_override = 1 2\n", "train", "dir"),
+        ("[experiment]\ncommand = train\ntask = word_lm\n# caf\xe9\n".encode("latin-1"),
+         "train", "dir"),
+        ("[experiment]\ncommand = cost\n[hw]\nt_read = nan\n", "cost", "dir"),
+        ('{"experiment": {"command": "cost"}, "hw": {"t_read": Infinity}}', "cost", "dir"),
+        (json.dumps({"experiment": {"command": "train", "task": "word_lm"},
+                     "train": {"epochs": 2.7}}), "train", "dir"),
+        (json.dumps({"experiment": {"command": "train", "task": "word_lm"},
+                     "noise": {"adc_noise": 5}}), "train", "dir"),
+        (FAST_TRAIN + "learning_rate = inf\n", "train", "dir"),
+        (FAST_TRAIN + "init_scale = nan\n", "train", "dir"),
+        (FAST_TRAIN + "adc_range_percentile = 150\n", "train", "dir"),
+        (FAST_TRAIN + "noise = on\n", "train", "dir"),
+        (json.dumps({"experiment": {"command": "cost", "out": "a\x00b"}}), "cost", None),
     ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero",
             "ini-out-empty", "json-out-empty", "cost-config-out-flag-empty",
-            "cost-out-flag-empty"])
+            "cost-out-flag-empty", "json-seed-overflows", "sweep-weight-bits-zero",
+            "adc-range-override-two-values", "not-utf-8", "hw-t-read-nan",
+            "json-hw-t-read-infinity", "json-epochs-not-int", "json-adc-noise-not-bool",
+            "learning-rate-inf", "init-scale-nan", "adc-range-percentile-150",
+            "inline-noise-not-a-section", "json-out-nul-byte"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, config, command, out):
         # anything written to a relative path lands in tmp_path
         monkeypatch.chdir(tmp_path)
@@ -160,8 +249,15 @@ epochs = 1
             argv += ["--config", str(write(tmp_path, config))]
         assert cli_main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
-        assert not (tmp_path / "manifest.json").exists()
+        assert not list(tmp_path.rglob("manifest.json"))
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("hw", [f"rows = {10**306}", "adc_bits = 2000"],
+                             ids=["rows-times-cols", "adc-energy"])
+    def test_cost_model_overflow_exit_2(self, tmp_path, capsys, hw):
+        p = write(tmp_path, f"[experiment]\ncommand = cost\n[hw]\n{hw}\n")
+        assert run(p, out_dir=tmp_path / "out") == EXIT_CONFIG
+        assert "overflow" in capsys.readouterr().err
 
     def test_fixed_weight_noise_draw_exit_2(self, tmp_path, capsys):
         p = write(tmp_path, FAST_TRAIN + """
@@ -171,6 +267,22 @@ resample_per_read = false
 """)
         assert run(p, out_dir=tmp_path / "out") == EXIT_CONFIG
         assert "resample_per_read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", [
+        "weight_noise_beta = 0.1\nresample_per_read = true\n",
+        "adc_noise = on\nresample_per_read = false\n",
+    ], ids=["true-with-weight-noise", "false-without-weight-noise"])
+    def test_resample_per_read_accepted_and_dropped(self, tmp_path, noise):
+        # weight noise is always redrawn on every read: the key changes nothing
+        key = "resample_per_read"
+        with_key = write(tmp_path, f"{FAST_TRAIN}[noise]\n{noise}", "with.ini")
+        without = write(tmp_path, FAST_TRAIN + "[noise]\n" + noise.split(key)[0], "without.ini")
+        assert run(with_key, out_dir=tmp_path / "a") == EXIT_OK
+        assert run(without, out_dir=tmp_path / "b") == EXIT_OK
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
+               (tmp_path / "b" / "metrics.csv").read_bytes()
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert key not in manifest["train"]["noise"]
 
     def test_success_exit_0(self, tmp_path):
         p = write(tmp_path, FAST_TRAIN)
@@ -289,12 +401,14 @@ class TestReproducibility:
         assert a == b
 
     def test_older_manifest_noise_seed_ignored(self, tmp_path):
-        # older manifests record a "seed" in train.noise; noise streams
-        # derive from the train seed, so a re-run ignores it
+        # older manifests record a "seed" in train.noise (noise streams
+        # derive from the train seed) and "resample_per_read": true (weight
+        # noise is redrawn on every read), so a re-run ignores both
         p = write(tmp_path, FAST_TRAIN + "[noise]\nadc_noise = on\n")
         assert run(p, out_dir=tmp_path / "a") == EXIT_OK
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         manifest["train"]["noise"]["seed"] = 7
+        manifest["train"]["noise"]["resample_per_read"] = True
         older = write(tmp_path, json.dumps(manifest), "older-manifest.json")
         assert run(older, out_dir=tmp_path / "b") == EXIT_OK
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == \

@@ -399,7 +399,7 @@ class TestReadNoiseAgainstCrossbarOracle:
         seen = []
         rng = np.random.default_rng(71)
         for _ in range(self.DRAWS):
-            run_cell(x[None], w, weight_spec=cfg.weight_spec, dac_spec=cfg.dac_spec,
+            run_cell(x[None], quantize(w, cfg.weight_spec), dac_spec=cfg.dac_spec,
                      weight_noise=(rng, sigma), on_preact=lambda a: seen.append(a.copy()),
                      record=False)
         return np.stack(seen)

@@ -289,25 +289,35 @@ class TestRecordSwitch:
         x = np.random.default_rng(65).uniform(-1, 1, size=(6, 3, 5))
         self._pair(net, "quantized", x, noisy=noise.any_enabled)
 
-    def test_recorded_forward_rejects_programmed_array(self):
-        # backward needs the STE mask of the latent weights, which only a
-        # forward that snaps them itself can record
-        cfg = CrossbarConfig.for_lstm(5, 4, weight_bits=4, adc_bits=4, dac_bits=4)
-        net = LSTMNetwork(5, 4, 3, seed=69, crossbar=cfg)
-        net.freeze_adc_ranges(override=1.0)
-        with pytest.raises(ValueError, match="unrecorded"):
-            net.forward_sequence(np.zeros((2, 1, 5)), mode="quantized",
-                                 programmed=net.programmed_weights())
 
+class TestProgrammedArray:
+    """A recorded forward given `programmed_weights()` is the forward that
+    programs the array itself, bit for bit, down to the gradients."""
 
-class TestResamplePerRead:
-    def test_fixed_draw_with_weight_noise_rejected(self):
-        cfg = CrossbarConfig.for_lstm(3, 3, weight_bits=4, adc_bits=4, dac_bits=4)
-        with pytest.raises(ValueError, match="resample_per_read"):
-            LSTMNetwork(3, 3, 2, seed=1, crossbar=cfg,
-                        noise=NoiseConfig(weight_noise_beta=0.1, resample_per_read=False))
-
-    def test_fixed_draw_without_weight_noise_accepted(self):
-        cfg = CrossbarConfig.for_lstm(3, 3, weight_bits=4, adc_bits=4, dac_bits=4)
-        LSTMNetwork(3, 3, 2, seed=1, crossbar=cfg,
-                    noise=NoiseConfig(adc_noise_enabled=True, resample_per_read=False))
+    @pytest.mark.parametrize("noise", [
+        NoiseConfig(),
+        NoiseConfig(weight_noise_beta=0.2, adc_noise_enabled=True),
+    ])
+    def test_recorded_forward_reads_the_given_array(self, noise):
+        cfg = CrossbarConfig.for_lstm(5, 4, weight_bits=4, adc_bits=4, dac_bits=4, w_max=0.5)
+        net = LSTMNetwork(5, 4, 3, seed=69, crossbar=cfg, noise=noise)
+        net.freeze_adc_ranges(override=(1.0, 1.5, 2.0, 2.5))
+        x = np.random.default_rng(70).uniform(-1, 1, size=(6, 3, 5))
+        runs = []
+        for programmed in (None, net.programmed_weights()):
+            logits, h_seq, cache = net.forward_sequence(
+                x, mode="quantized", rng_weight_noise=np.random.default_rng(71),
+                rng_adc_noise=np.random.default_rng(72), programmed=programmed)
+            d_logits = np.random.default_rng(73).normal(size=logits.shape)
+            runs.append((logits, h_seq, cache, net.backward(cache, h_seq, d_logits)))
+        (logits, h_seq, cache, grads), (logits_p, h_seq_p, cache_p, grads_p) = runs
+        assert np.array_equal(logits, logits_p)
+        assert np.array_equal(h_seq, h_seq_p)
+        assert not cache.w_mask.all()  # some latent weights lie outside the grid
+        assert np.array_equal(cache.w_mask, cache_p.w_mask)
+        assert np.array_equal(cache.w_used, cache_p.w_used)
+        for rec, rec_p in zip(cache.records, cache_p.records, strict=True):
+            assert np.array_equal(rec.adc_mask, rec_p.adc_mask)
+            assert np.array_equal(rec.h_mask, rec_p.h_mask)
+        for key in grads:
+            assert np.array_equal(grads[key], grads_p[key])

@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import xbarlstm.lstm
 import xbarlstm.network
 import xbarlstm.training
 from xbarlstm.crossbar import CrossbarConfig, NoiseConfig
@@ -56,6 +55,17 @@ class TestConfig:
 
     def test_zero_learning_rate_allowed(self):
         TrainConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("override", [1.0, (1.0,), (1.0, 1.5, 2.0, 2.5)])
+    def test_adc_range_override_one_value_or_four(self, override):
+        TrainConfig(adc_range_override=override)
+
+    @pytest.mark.parametrize("override", [
+        (1.0, 2.0), (1.0, 1.0, 1.0), ((1.0, 1.0), (1.0, 1.0)), (), 0.0, -1.0,
+        float("nan"), float("inf"), 1e308, 1e-320, (1.0, 1.0, 1.0, float("nan"))])
+    def test_adc_range_override_rejected(self, override):
+        with pytest.raises(ValueError, match="adc_range_override"):
+            TrainConfig(adc_range_override=override)
 
 
 class TestMetrics:
@@ -312,14 +322,14 @@ class TestEvaluationSnap:
     def test_weights_snapped_once_per_split(self, monkeypatch, quantized, snaps):
         model = self._model(quantized)
         shapes = []
-        for module in (xbarlstm.network, xbarlstm.lstm):
-            real = module.quantize
+        real = xbarlstm.network.quantize
 
-            def counting(x, spec, real=real):
-                shapes.append(np.shape(x))
-                return real(x, spec)
+        def counting(x, spec):
+            shapes.append(np.shape(x))
+            return real(x, spec)
 
-            monkeypatch.setattr(module, "quantize", counting)
+        # the network is the only batched-path code that snaps the weights
+        monkeypatch.setattr(xbarlstm.network, "quantize", counting)
         evaluate(model, tiny_lm_dataset(), self.CFG)
         assert shapes.count(model.w.shape) == snaps
 
