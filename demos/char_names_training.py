@@ -8,10 +8,10 @@ from dataclasses import replace
 from xbarlstm import build_network, build_task, train
 
 bundle = build_task("char_lm", seed=1)
+hidden = bundle.defaults.hidden_size
 print(f"Names corpus: {len(bundle.train)} train / {len(bundle.valid)} valid names,")
-print(f"alphabet padded to {bundle.input_dim} channels, hidden size {bundle.hidden_size}")
-print(f"-> concatenated weight array {bundle.input_dim + bundle.hidden_size}"
-      f"x{4 * bundle.hidden_size}\n")
+print(f"alphabet padded to {bundle.input_dim} channels, hidden size {hidden}")
+print(f"-> concatenated weight array {bundle.input_dim + hidden}x{4 * hidden}\n")
 
 for bits in (None, (4, 4, 4), (1, 1, 1)):
     label = "32-bit float" if bits is None else "%d-bit W, %d-bit ADC/DAC" % (bits[0], bits[1])

@@ -71,9 +71,6 @@ class SweepConfig:
     betas: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2)
     adc_noise_grid: tuple[str, ...] = ()  # e.g. ('off', 'on')
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ExperimentConfig:
@@ -101,12 +98,23 @@ class ExperimentConfig:
             raise ConfigError("out must name a directory, got an empty value")
         # surface invalid values now, before any compute starts
         try:
-            TrainConfig(**self.train_overrides)
+            for overrides in [self.train_overrides, *(o for _, o, _ in self.cells())]:
+                TrainConfig(**overrides)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid train config: {exc}") from exc
+            raise ConfigError(f"invalid {self.command} config: {exc}") from exc
 
     def seeds(self) -> tuple[int, ...]:
         return self.sweep.seeds if self.sweep.seeds else (self.seed,)
+
+    def cells(self) -> list[tuple[dict, dict, int]]:
+        """(row labels, train overrides, seed) of each cell of a sweep
+        command's grid; `train` and `cost` have no grid."""
+        s, base = self.sweep, self.train_overrides
+        if self.command == "sweep":
+            return _bitwidth_cells(s.weight_bits, s.adc_bits, base, self.seeds())
+        if self.command == "noise-sweep":
+            return _noise_cells(s.betas, s.adc_noise_grid, s.adc_bits, base, self.seeds())
+        return []
 
     def as_dict(self) -> dict:
         train = dict(self.train_overrides)
@@ -119,7 +127,7 @@ class ExperimentConfig:
                            "out": self.out_dir, "seed": self.seed, "threads": self.threads},
             "train": train,
             "hw": asdict(self.hw),
-            "sweep": self.sweep.as_dict(),
+            "sweep": asdict(self.sweep),
         }
 
 
@@ -270,8 +278,6 @@ def _build_sweep(sec: dict) -> SweepConfig:
     for key, raw in sec.items():
         if key in ("weight_bits", "adc_bits", "seeds"):
             kwargs[key] = _parse_list(raw, int, key)
-            if key != "seeds" and not all(1 <= b <= 16 for b in kwargs[key]):
-                raise ConfigError(f"{key}: bit widths must be in [1, 16], got {raw!r}")
         elif key == "betas":
             kwargs[key] = _parse_list(raw, float, key)
         elif key == "adc_noise_grid":
@@ -327,6 +333,42 @@ def load_config(path, out_dir=None, seed=None, threads=None) -> ExperimentConfig
 
 # --- sweep operations -----------------------------------------------------------
 
+def _bitwidth_cells(weight_bits, adc_bits, base: dict, seeds) -> list[tuple[dict, dict, int]]:
+    """The sweep grid: each (weight bits, ADC/DAC bits) pair for each seed.
+    It sets every cell's bit widths, so `base` may not."""
+    if "bitwidths" in base:
+        raise ValueError("the grid sets the bit widths; set none in [train]")
+    cells = [({"weight_bits": wb, "adc_bits": ab, "seed": seed},
+              {**base, "bitwidths": (wb, ab, ab)}, seed)
+             for wb in weight_bits for ab in adc_bits for seed in seeds]
+    if not cells:
+        raise ValueError("the grid is empty; weight_bits and adc_bits each need a value")
+    return cells
+
+
+def _noise_cells(betas, adc_noise_grid, adc_bits, base: dict,
+                 seeds) -> list[tuple[dict, dict, int]]:
+    """The noise-sweep grid: a cell per beta, then per ADC noise state and
+    ADC bits, each for each seed.  It sets every cell's noise and ties its
+    DAC bits to its ADC bits, so `base` may set neither."""
+    if "noise" in base:
+        raise ValueError("the grid sets the noise; remove the [noise] section")
+    wb, base_ab, db = base.get("bitwidths") or (4, 4, 4)
+    if db != base_ab:
+        raise ValueError(f"the grid sets the DAC bits to the ADC bits, {base_ab}, not {db}")
+    points = [("weight_noise", float(beta), "off", base_ab) for beta in betas]
+    points += [("adc_noise", 0.0, state, int(ab))
+               for state in adc_noise_grid for ab in (tuple(adc_bits) or (base_ab,))]
+    cells = [({"kind": kind, "beta": beta, "adc_noise": state, "weight_bits": wb,
+               "adc_bits": ab, "seed": seed},
+              {**base, "bitwidths": (wb, ab, ab), "noise": NoiseConfig(
+                  adc_noise_enabled=(state == "on"), weight_noise_beta=beta)}, seed)
+             for kind, beta, state, ab in points for seed in seeds]
+    if not cells:
+        raise ValueError("the grid is empty; betas or adc_noise_grid needs a value")
+    return cells
+
+
 def _train_cell(task: str, overrides: dict, seed: int) -> EvalReport:
     """One train+evaluate with the task defaults overlaid by `overrides`."""
     bundle = build_task(task, seed=seed)
@@ -340,72 +382,47 @@ def _train_cell(task: str, overrides: dict, seed: int) -> EvalReport:
     return report
 
 
+def _train_cells(task: str, cells, threads: int) -> list[dict]:
+    """Each cell's labels, then its final metric's name and value."""
+    def result(cell):
+        labels, overrides, seed = cell
+        report = _train_cell(task, overrides, seed)
+        return {**labels, "metric_name": report.metric_name, "metric": report.metric}
+
+    if threads <= 1 or len(cells) <= 1:
+        return [result(cell) for cell in cells]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(result, cells))
+
+
 def sweep_bitwidths(task: str, weight_bits, adc_bits, base_overrides: dict | None = None,
                     seeds=(1, 2, 3), threads: int = 1) -> dict:
     """Train+evaluate every (weight bits, ADC/DAC bits) cell with shared
     seeds; returns cells plus the seed-mean metric matrix."""
-    base = dict(base_overrides or {})
-    grid = [(wb, ab, seed) for wb in weight_bits for ab in adc_bits for seed in seeds]
-
-    def cell(args):
-        wb, ab, seed = args
-        rep = _train_cell(task, {**base, "bitwidths": (wb, ab, ab)}, seed)
-        return {"weight_bits": wb, "adc_bits": ab, "seed": seed,
-                "metric_name": rep.metric_name, "metric": rep.metric}
-
-    results = _map_maybe_parallel(cell, grid, threads)
-    matrix = np.zeros((len(weight_bits), len(adc_bits)))
-    for i, wb in enumerate(weight_bits):
-        for j, ab in enumerate(adc_bits):
-            vals = [r["metric"] for r in results
-                    if r["weight_bits"] == wb and r["adc_bits"] == ab]
-            matrix[i, j] = float(np.mean(vals))
+    cells = _bitwidth_cells(weight_bits, adc_bits, base_overrides or {}, seeds)
+    results = _train_cells(task, cells, threads)
+    matrix = [[float(np.mean([r["metric"] for r in results
+                              if (r["weight_bits"], r["adc_bits"]) == (wb, ab)]))
+               for ab in adc_bits] for wb in weight_bits]
     return {"task": task, "weight_bits": list(weight_bits), "adc_bits": list(adc_bits),
-            "seeds": list(seeds), "cells": results, "mean_matrix": matrix.tolist(),
-            "metric_name": results[0]["metric_name"] if results else None}
+            "seeds": list(seeds), "cells": results, "mean_matrix": matrix,
+            "metric_name": results[0]["metric_name"]}
 
 
 def noise_sweep(task: str, betas, base_overrides: dict | None = None, seeds=(1,),
                 adc_noise_grid=(), adc_bits_grid=(), threads: int = 1) -> dict:
     """One full train+evaluate per grid point with shared seeds.
 
-    Produces the metric-vs-beta table (weight noise, ADC noise off) and,
-    when `adc_noise_grid` names 'on'/'off' states, a metric-vs-ADC-bits
-    table for each state.  Beta values must lie within the supported
-    [0, 0.2] range.
+    Produces the metric-vs-beta rows (weight noise, ADC noise off) and,
+    when `adc_noise_grid` names 'on'/'off' states, metric-vs-ADC-bits rows
+    for each state, at the base bit widths or 4/4/4.  Raises ValueError
+    for an empty grid, a beta outside [0, 0.2], or base overrides that
+    set the noise or DAC bits other than the ADC bits.
     """
-    base = dict(base_overrides or {})
-    base_bits = tuple(base.get("bitwidths") or (4, 4, 4))
-    jobs = []
-    for beta in betas:
-        for seed in seeds:
-            jobs.append(("weight_noise", float(beta), "off", base_bits[1], seed))
-    bits_list = tuple(adc_bits_grid) or (base_bits[1],)
-    for state in adc_noise_grid:
-        for ab in bits_list:
-            for seed in seeds:
-                jobs.append(("adc_noise", 0.0, state, int(ab), seed))
-
-    def cell(job):
-        kind, beta, adc_state, ab, seed = job
-        noise = NoiseConfig(adc_noise_enabled=(adc_state == "on"), weight_noise_beta=beta)
-        bits = (base_bits[0], ab, ab)
-        rep = _train_cell(task, {**base, "noise": noise, "bitwidths": bits}, seed)
-        return {"kind": kind, "beta": beta, "adc_noise": adc_state,
-                "weight_bits": bits[0], "adc_bits": bits[1],
-                "seed": seed, "metric_name": rep.metric_name, "metric": rep.metric}
-
-    results = _map_maybe_parallel(cell, jobs, threads)
+    cells = _noise_cells(betas, adc_noise_grid, adc_bits_grid, base_overrides or {}, seeds)
     return {"task": task, "betas": [float(b) for b in betas],
             "adc_noise_grid": list(adc_noise_grid), "seeds": list(seeds),
-            "cells": results}
-
-
-def _map_maybe_parallel(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+            "cells": _train_cells(task, cells, threads)}
 
 
 # --- artifact writing -----------------------------------------------------------
@@ -470,29 +487,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         rows += [[e, "valid", report_obj.metric_name, v] for e, v in report_obj.curve]
         _write_csv(out / "metrics.csv", ["epoch", "split", "metric", "value"], rows)
 
-    elif cfg.command == "sweep":
-        report = sweep_bitwidths(cfg.task, cfg.sweep.weight_bits, cfg.sweep.adc_bits,
-                                 cfg.train_overrides, seeds=cfg.seeds(),
-                                 threads=cfg.threads)
-        rows = [[c["weight_bits"], c["adc_bits"], c["seed"], c["metric_name"], c["metric"]]
-                for c in report["cells"]]
-        _write_csv(out / "metrics.csv",
-                   ["weight_bits", "adc_bits", "seed", "metric", "value"], rows)
-
-    else:  # noise-sweep
-        for beta in cfg.sweep.betas:
-            if not 0.0 <= beta <= 0.2:
-                raise ConfigError(f"beta {beta} outside the supported [0, 0.2] range")
-        report = noise_sweep(cfg.task, cfg.sweep.betas, cfg.train_overrides,
-                             seeds=cfg.seeds(),
-                             adc_noise_grid=cfg.sweep.adc_noise_grid,
-                             adc_bits_grid=cfg.sweep.adc_bits if cfg.sweep.adc_noise_grid else (),
-                             threads=cfg.threads)
-        rows = [[c["kind"], c["beta"], c["adc_noise"], c["weight_bits"], c["adc_bits"],
-                 c["seed"], c["metric_name"], c["metric"]] for c in report["cells"]]
-        _write_csv(out / "metrics.csv",
-                   ["kind", "beta", "adc_noise", "weight_bits", "adc_bits",
-                    "seed", "metric", "value"], rows)
+    else:
+        s, base, seeds = cfg.sweep, cfg.train_overrides, cfg.seeds()
+        if cfg.command == "sweep":
+            report = sweep_bitwidths(cfg.task, s.weight_bits, s.adc_bits, base, seeds,
+                                     cfg.threads)
+        else:
+            report = noise_sweep(cfg.task, s.betas, base, seeds, s.adc_noise_grid,
+                                 s.adc_bits, cfg.threads)
+        # a row is a cell's labels, then its metric name and value
+        cells = report["cells"]
+        _write_csv(out / "metrics.csv", [*cells[0]][:-2] + ["metric", "value"],
+                   [list(c.values()) for c in cells])
 
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     return report

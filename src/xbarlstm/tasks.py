@@ -8,13 +8,16 @@ Three desk-scale tasks mirror the benchmark shapes:
 * ``word_lm``  next-word prediction over the bundled sentences corpus,
                64-entry vocabulary, m = n = 64 (128x256 array)
 
-Learning rates and epoch counts were tuned once on the full-precision
-baseline of each task and stay fixed for every bit-width configuration.
+Each task's ``TrainConfig`` defaults, its hidden size included, live in
+one table; a config overrides any of them, and ``build_network`` sizes
+the network from the ``TrainConfig`` it is given.  Learning rates and
+epoch counts were tuned once on the full-precision baseline of each task
+and stay fixed for every bit-width configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .crossbar import CrossbarConfig
 from .datasets import (
@@ -37,7 +40,6 @@ class TaskBundle:
     name: str
     train: SequenceDataset
     valid: SequenceDataset
-    hidden_size: int
     defaults: TrainConfig
     higher_is_better: bool
 
@@ -56,22 +58,19 @@ class TaskBundle:
 # the TrainConfig default.
 _TASK_DEFAULTS = {
     "har": dict(optimizer="adam", learning_rate=0.01, lr_decay=0.93, epochs=12,
-                batch_size=32, bptt_length=32, weight_range=1.0),
+                batch_size=32, bptt_length=32, weight_range=1.0, hidden_size=32),
     "char_lm": dict(optimizer="adam", learning_rate=0.01, lr_decay=0.93, epochs=8,
-                    batch_size=32, bptt_length=16, weight_range=0.2),
+                    batch_size=32, bptt_length=16, weight_range=0.2, hidden_size=256),
     "word_lm": dict(optimizer="adam", learning_rate=0.01, lr_decay=0.93, epochs=30,
-                    batch_size=16, bptt_length=16, weight_range=0.75,
+                    batch_size=16, bptt_length=16, weight_range=0.75, hidden_size=64,
                     input_drive="antipodal"),
 }
 
 TASK_NAMES = tuple(_TASK_DEFAULTS)
 
-_HIDDEN = {"har": 32, "char_lm": 256, "word_lm": 64}
 
-
-def build_task(name: str, seed: int, **config_overrides) -> TaskBundle:
-    """Datasets plus a TrainConfig seeded with the task defaults; keyword
-    overrides replace any TrainConfig field."""
+def build_task(name: str, seed: int) -> TaskBundle:
+    """Datasets plus a TrainConfig seeded with the task defaults."""
     if name not in _TASK_DEFAULTS:
         raise ValueError(f"unknown task {name!r}; expected one of {TASK_NAMES}")
 
@@ -82,25 +81,22 @@ def build_task(name: str, seed: int, **config_overrides) -> TaskBundle:
     else:
         full = load_word_corpus(bundled_corpus_path("sentences.txt"))
     train_ds, valid_ds = split_dataset(full, valid_fraction=1 / 3, seed=seed)
-
-    cfg = TrainConfig(seed=seed, **_TASK_DEFAULTS[name])
-    if config_overrides:
-        cfg = replace(cfg, **config_overrides)
-    hidden = cfg.hidden_size if cfg.hidden_size is not None else _HIDDEN[name]
-    return TaskBundle(name=name, train=train_ds, valid=valid_ds, hidden_size=hidden,
-                      defaults=cfg, higher_is_better=(name == "har"))
+    return TaskBundle(name=name, train=train_ds, valid=valid_ds,
+                      defaults=TrainConfig(seed=seed, **_TASK_DEFAULTS[name]),
+                      higher_is_better=(name == "har"))
 
 
-def build_network(bundle: TaskBundle, cfg: TrainConfig | None = None) -> LSTMNetwork:
-    """Network for a task; quantized (with its crossbar geometry) when the
-    config names bit widths, pure full precision otherwise."""
-    cfg = cfg if cfg is not None else bundle.defaults
+def build_network(bundle: TaskBundle, cfg: TrainConfig) -> LSTMNetwork:
+    """Network for a task with `cfg.hidden_size` units (the task default
+    when unset); quantized (with its crossbar geometry) when the config
+    names bit widths, pure full precision otherwise."""
+    hidden = cfg.hidden_size if cfg.hidden_size is not None else bundle.defaults.hidden_size
     crossbar = None
     if cfg.bitwidths is not None:
         wb, ab, db = cfg.bitwidths
         crossbar = CrossbarConfig.for_lstm(
-            bundle.input_dim, bundle.hidden_size, weight_bits=wb, adc_bits=ab,
+            bundle.input_dim, hidden, weight_bits=wb, adc_bits=ab,
             dac_bits=db, w_max=cfg.weight_range)
-    return LSTMNetwork(bundle.input_dim, bundle.hidden_size, bundle.output_size,
+    return LSTMNetwork(bundle.input_dim, hidden, bundle.output_size,
                        seed=cfg.seed, crossbar=crossbar, noise=cfg.noise,
                        init_scale=cfg.init_scale)

@@ -25,7 +25,7 @@ almost no drive at 4 bits and the encoding degrades to antipodal +-1 at
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class TrainConfig:
     weight_range: float = 1.0
     adc_range_percentile: float = 99.9
     adc_range_override: float | tuple | None = None
-    hidden_size: int | None = None
+    hidden_size: int | None = None   # None: the task's default
     init_scale: float | None = None
     input_drive: str = "matched"  # one-hot DAC signaling: 'matched' | 'antipodal'
 
@@ -93,10 +93,12 @@ class TrainConfig:
             raise ValueError("lr_decay must be in (0, 1]")
         if self.epochs < 1 or self.batch_size < 1 or self.bptt_length < 1:
             raise ValueError("epochs, batch_size and bptt_length must be >= 1")
+        if self.hidden_size is not None and self.hidden_size < 1:
+            raise ValueError("hidden_size must be >= 1")
         if self.bitwidths is not None:
             bw = tuple(int(b) for b in self.bitwidths)
             if len(bw) != 3 or any(not 1 <= b <= 16 for b in bw):
-                raise ValueError("bitwidths must be three integers in [1, 16]")
+                raise ValueError(f"bitwidths must be three integers in [1, 16], got {bw}")
             object.__setattr__(self, "bitwidths", bw)
         if self.adc_range_override is not None:
             ranges = np.asarray(self.adc_range_override, dtype=np.float64)
@@ -109,11 +111,6 @@ class TrainConfig:
             if ranges.ndim > 1 or len(specs) not in (1, 4):
                 raise ValueError("adc_range_override must be one value or four, each "
                                  f"finite and > 0, got {self.adc_range_override!r}")
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["bitwidths"] = list(self.bitwidths) if self.bitwidths else None
-        return d
 
 
 @dataclass

@@ -8,6 +8,7 @@ import pytest
 
 import xbarlstm.experiment as exp
 from xbarlstm.cli import main as cli_main
+from xbarlstm.crossbar import NoiseConfig
 from xbarlstm.experiment import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -17,7 +18,7 @@ from xbarlstm.experiment import (
     load_config,
     run,
 )
-from xbarlstm.training import TrainingDiverged
+from xbarlstm.training import EvalReport, TrainingDiverged
 
 FAST_TRAIN = """
 [experiment]
@@ -229,13 +230,30 @@ epochs = 1
         (FAST_TRAIN + "adc_range_percentile = 150\n", "train", "dir"),
         (FAST_TRAIN + "noise = on\n", "train", "dir"),
         (json.dumps({"experiment": {"command": "cost", "out": "a\x00b"}}), "cost", None),
+        (FAST_TRAIN.replace("hidden_size = 8", "hidden_size = 0"), "train", "dir"),
+        ("[experiment]\ncommand = sweep\ntask = word_lm\n[sweep]\nweight_bits =\n",
+         "sweep", "dir"),
+        ("[experiment]\ncommand = sweep\ntask = word_lm\n[sweep]\nadc_bits =\n",
+         "sweep", "dir"),
+        ("[experiment]\ncommand = noise-sweep\ntask = word_lm\n"
+         "[sweep]\nbetas =\nadc_noise_grid =\n", "noise-sweep", "dir"),
+        ("[experiment]\ncommand = noise-sweep\ntask = word_lm\n[sweep]\nbetas = 0\n"
+         "[noise]\nweight_noise_beta = 0.2\nadc_noise = on\n", "noise-sweep", "dir"),
+        (FAST_TRAIN.replace("command = train", "command = sweep"), "sweep", "dir"),
+        ("[experiment]\ncommand = noise-sweep\ntask = word_lm\n[sweep]\nbetas = 0, 0.3\n",
+         "noise-sweep", "dir"),
+        (FAST_TRAIN.replace("dac_bits = 4", "dac_bits = 2") + "[sweep]\nbetas = 0\n",
+         "noise-sweep", "dir"),
     ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero",
             "ini-out-empty", "json-out-empty", "cost-config-out-flag-empty",
             "cost-out-flag-empty", "json-seed-overflows", "sweep-weight-bits-zero",
             "adc-range-override-two-values", "not-utf-8", "hw-t-read-nan",
             "json-hw-t-read-infinity", "json-epochs-not-int", "json-adc-noise-not-bool",
             "learning-rate-inf", "init-scale-nan", "adc-range-percentile-150",
-            "inline-noise-not-a-section", "json-out-nul-byte"])
+            "inline-noise-not-a-section", "json-out-nul-byte", "hidden-size-zero",
+            "sweep-weight-bits-empty", "sweep-adc-bits-empty", "noise-sweep-grid-empty",
+            "noise-sweep-noise-section", "sweep-train-bitwidths", "noise-sweep-beta-0.3",
+            "noise-sweep-dac-bits-not-adc-bits"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, config, command, out):
         # anything written to a relative path lands in tmp_path
         monkeypatch.chdir(tmp_path)
@@ -287,6 +305,62 @@ resample_per_read = false
     def test_success_exit_0(self, tmp_path):
         p = write(tmp_path, FAST_TRAIN)
         assert run(p, out_dir=tmp_path / "out") == EXIT_OK
+
+
+# a value for each [train] key, none of them word_lm's default
+TRAIN_VALUES = {
+    "optimizer": "sgd", "learning_rate": 0.02, "lr_decay": 0.5, "epochs": 3,
+    "batch_size": 4, "bptt_length": 8, "grad_clip": 1.5, "weight_range": 0.5,
+    "adc_range_percentile": 95.0, "hidden_size": 8, "init_scale": 0.3,
+    "input_drive": "matched",
+}
+# resample_per_read is accepted and dropped on purpose (tested above)
+NOISE_VALUES = {
+    "adc_noise": ("on", NoiseConfig(adc_noise_enabled=True)),
+    "adc_noise_enabled": ("on", NoiseConfig(adc_noise_enabled=True)),
+    "weight_noise_beta": ("0.1", NoiseConfig(weight_noise_beta=0.1)),
+}
+# (config lines, TrainConfig field, the value every cell must see)
+CELL_KEYS = {
+    **{key: (f"[train]\n{key} = {TRAIN_VALUES[key]}\n", key, TRAIN_VALUES[key])
+       for key in sorted(exp._TRAIN_KEY_TYPES)},
+    "bit widths": ("[train]\nweight_bits = 3\nadc_bits = 2\ndac_bits = 2\n",
+                   "bitwidths", (3, 2, 2)),
+    "adc_range_override": ("[train]\nadc_range_override = 1.5\n", "adc_range_override", 1.5),
+    **{f"noise.{key}": (f"[noise]\n{key} = {text}\n", "noise", noise)
+       for key, (text, noise) in NOISE_VALUES.items()},
+}
+GRIDS = {"train": "", "sweep": "[sweep]\nweight_bits = 2\nadc_bits = 2\n",
+         "noise-sweep": "[sweep]\nbetas = 0\n"}
+# the keys each grid sets itself; configuring them exits 2 (tested above)
+GRID_OWNED = {"sweep": {"bit widths"}, "noise-sweep": {f"noise.{k}" for k in NOISE_VALUES}}
+
+
+class TestConfigReachesCells:
+    """Every configured train, bit-width and noise key reaches the
+    TrainConfig each cell trains with, and hidden_size sizes the network."""
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command in GRIDS for key in CELL_KEYS
+        if key not in GRID_OWNED.get(command, ())])
+    def test_key_reaches_every_cell(self, tmp_path, monkeypatch, command, key):
+        lines, name, value = CELL_KEYS[key]
+        seen = []
+
+        def fake_train(model, dataset, cfg, valid_dataset=None, task_name="lm"):
+            seen.append((model, cfg))
+            return model, EvalReport(task=task_name, accuracy=0.5, perplexity=2.0,
+                                     metric_name="perplexity", metric=2.0)
+
+        monkeypatch.setattr(exp, "train", fake_train)
+        p = write(tmp_path, f"[experiment]\ncommand = {command}\ntask = word_lm\n"
+                            f"{lines}{GRIDS[command]}")
+        assert run(p, out_dir=tmp_path / "out") == EXIT_OK
+        assert seen
+        for model, cfg in seen:
+            assert getattr(cfg, name) == value
+            if key == "hidden_size":
+                assert model.hidden_size == value
 
 
 class TestArtifacts:
