@@ -7,20 +7,24 @@ from pathlib import Path
 
 import numpy as np
 
-from xbarlstm import CrossbarConfig, NoiseConfig, load_array, program, read_back, save_array, vmm
+from xbarlstm import (CrossbarConfig, HwParams, NoiseConfig, load_array, program, read_back,
+                      save_array, vmm)
 from xbarlstm.quantizer import QuantSpec, to_code
 
 rng = np.random.default_rng(42)
 cfg = CrossbarConfig(
-    rows=8, cols=8, num_adcs=4,
+    rows=8, cols=8,
     weight_spec=QuantSpec.symmetric(4, 1.0),
     dac_spec=QuantSpec.symmetric(8, 1.0),
     adc_spec=QuantSpec.symmetric(8, 4.0),
 )
+# the ADC bank and its timing are the cost model's
+hw = HwParams(rows=cfg.rows, cols=cfg.cols, num_adcs=4, adc_bits=cfg.adc_spec.bits)
+hw.check_feasible()
 print(f"Array: {cfg.rows}x{cfg.cols}, conductance window "
-      f"[{cfg.g_min*1e6:.0f}, {cfg.g_max*1e6:.0f}] uS, "
-      f"{cfg.num_adcs} ADCs (mux ratio {cfg.mux_ratio}, "
-      f"read latency {cfg.read_latency*1e9:.1f} ns)\n")
+      f"[{cfg.g_min*1e6:.0f}, {cfg.g_max*1e6:.0f}] uS; the cost model's "
+      f"{hw.num_adcs} ADCs (mux ratio {hw.mux_ratio}) at {hw.f_sample/1e6:.0f} MS/s "
+      f"convert every column within the {hw.t_read*1e9:.0f} ns read\n")
 
 w = rng.normal(0, 0.4, size=(8, 8))
 arr = program(w, cfg)

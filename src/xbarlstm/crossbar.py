@@ -1,5 +1,7 @@
-"""Behavioral model of the NVM weight array with DACs, column-multiplexed
-ADCs and injected read noise.
+"""Behavioral model of the NVM weight array with DACs, ADCs and injected
+read noise.  The model is the signal chain of one read; how many ADCs
+share the columns and how long a read takes are the cost model's facts
+(`hwcost.HwParams`).
 
 Signed weights use one effective conductance per cell (the difference of a
 device pair), mapped linearly from the quantized weight:
@@ -17,9 +19,11 @@ Two noise sources can be injected per read:
 * ADC quantization noise, Gaussian with sigma = full_scale/(2^N * sqrt(12)),
   added to the pre-activation before the ADC snaps it to its grid.
 
-The single-vector `vmm` accumulates column currents row by row so its
-result is bit-identical to a scalar summation loop; batched training uses
-BLAS matmuls instead (same arithmetic, different summation order).
+`vmm` and `quantized_lstm_step` share one analog read and differ only in
+their ADC snap: one ADC grid over all columns, or one per gate block.  The
+read accumulates column currents row by row so its result is bit-identical
+to a scalar summation loop; batched training uses BLAS matmuls instead
+(same arithmetic, different summation order).
 """
 
 from __future__ import annotations
@@ -72,7 +76,8 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class CrossbarConfig:
-    """Array geometry, device conductance window and converter specs."""
+    """Array geometry, device conductance window and converter specs.  The
+    ADC bank and its timing belong to the cost model (`hwcost.HwParams`)."""
 
     rows: int
     cols: int
@@ -82,14 +87,10 @@ class CrossbarConfig:
     g_min: float = 1e-6   # siemens
     g_max: float = 51e-6
     v_read: float = 1.0
-    num_adcs: int = 64
-    t_col: float = 6.25e-9  # per-column conversion latency (s)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("array must have at least one row and column")
-        if self.cols % self.num_adcs != 0:
-            raise ValueError(f"num_adcs ({self.num_adcs}) must divide cols ({self.cols})")
         if not 0 <= self.g_min <= self.g_max:
             raise ValueError("need 0 <= g_min <= g_max")
         if self.g_min == self.g_max:
@@ -99,40 +100,15 @@ class CrossbarConfig:
         if max(abs(self.dac_spec.v_min), abs(self.dac_spec.v_max)) > self.v_read * (1 + 1e-12):
             raise ValueError("dac grid exceeds the +-v_read drive range")
 
-    @property
-    def mux_ratio(self) -> int:
-        return self.cols // self.num_adcs
-
-    @property
-    def g_span(self) -> float:
-        return self.g_max - self.g_min
-
-    @property
-    def w_absmax(self) -> float:
-        return max(abs(self.weight_spec.v_min), abs(self.weight_spec.v_max))
-
-    @property
-    def read_latency(self) -> float:
-        """Seconds to digitize all columns, mux_ratio conversions per ADC."""
-        return self.mux_ratio * self.t_col
-
     @classmethod
     def for_lstm(cls, input_size: int, hidden_size: int, weight_bits: int,
                  adc_bits: int, dac_bits: int, w_max: float = 1.0,
                  adc_range: float = 4.0, **kwargs) -> "CrossbarConfig":
         """Geometry and specs for one concatenated LSTM weight array:
         (m+n) rows by 4n columns in [f | i | o | c] block order."""
-        cols = 4 * hidden_size
-        if "num_adcs" not in kwargs:
-            # largest column count per ADC that still divides evenly,
-            # targeting a bank of at most 64 ADCs
-            mux = max(1, -(-cols // 64))
-            while cols % mux:
-                mux += 1
-            kwargs["num_adcs"] = cols // mux
         return cls(
             rows=input_size + hidden_size,
-            cols=cols,
+            cols=4 * hidden_size,
             weight_spec=QuantSpec.symmetric(weight_bits, w_max),
             dac_spec=QuantSpec.symmetric(dac_bits, kwargs.get("v_read", 1.0)),
             adc_spec=QuantSpec.symmetric(adc_bits, adc_range),
@@ -162,6 +138,19 @@ class ProgrammedArray:
     def w_absmax(self) -> float:
         return max(abs(self.weight_spec.v_min), abs(self.weight_spec.v_max))
 
+    @classmethod
+    def _from_codes(cls, codes: np.ndarray, weight_spec: QuantSpec,
+                    g_min: float, g_max: float) -> "ProgrammedArray":
+        """The read-only array whose cells hold `codes` on `weight_spec`."""
+        g_eff = from_code(codes, weight_spec)
+        arr = cls(g_eff=g_eff, source_codes=codes, weight_spec=weight_spec,
+                  g_min=g_min, g_max=g_max)
+        g_eff /= arr.w_absmax  # in place: g_eff = w_q / w_absmax * g_span
+        g_eff *= arr.g_span
+        g_eff.setflags(write=False)
+        codes.setflags(write=False)
+        return arr
+
 
 def program(weights: np.ndarray, cfg: CrossbarConfig) -> ProgrammedArray:
     """Quantize weights onto the device grid and map them to conductances."""
@@ -170,32 +159,14 @@ def program(weights: np.ndarray, cfg: CrossbarConfig) -> ProgrammedArray:
         raise ValueError(f"weights shape {weights.shape} != array {cfg.rows}x{cfg.cols}")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
-    codes = to_code(weights, cfg.weight_spec)
-    w_q = from_code(codes, cfg.weight_spec)
-    g_eff = w_q / cfg.w_absmax * cfg.g_span
-    g_eff.setflags(write=False)
-    codes.setflags(write=False)
-    return ProgrammedArray(g_eff=g_eff, source_codes=codes,
-                           weight_spec=cfg.weight_spec, g_min=cfg.g_min, g_max=cfg.g_max)
+    return ProgrammedArray._from_codes(to_code(weights, cfg.weight_spec), cfg.weight_spec,
+                                       cfg.g_min, cfg.g_max)
 
 
 def read_back(arr: ProgrammedArray) -> np.ndarray:
     """Weight-unit view of the programmed array; equals quantize(W, weight_spec)
     of the original weights exactly (codes are stored, not re-derived)."""
     return from_code(arr.source_codes, arr.weight_spec)
-
-
-def _read_conductances(arr: ProgrammedArray, noise: NoiseConfig | None,
-                       rng: np.random.Generator | None) -> np.ndarray:
-    if noise is None or not noise.any_enabled:
-        return arr.g_eff
-    if rng is None:
-        raise ValueError("noise is enabled but no rng_state was provided")
-    if noise.weight_noise_beta > 0.0:
-        sigma = noise.weight_noise_beta * arr.weight_spec.full_range
-        z = rng.normal(0.0, sigma, size=arr.g_eff.shape)
-        return arr.g_eff + z / arr.w_absmax * arr.g_span
-    return arr.g_eff
 
 
 def column_currents(g: np.ndarray, voltages: np.ndarray) -> np.ndarray:
@@ -207,30 +178,44 @@ def column_currents(g: np.ndarray, voltages: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _analog_read(arr: ProgrammedArray, u_codes: np.ndarray, cfg: CrossbarConfig,
+                 noise: NoiseConfig | None, rng: np.random.Generator | None,
+                 adc_specs: tuple[QuantSpec, ...]) -> np.ndarray:
+    """The analog half of one read, shared by `vmm` and `quantized_lstm_step`:
+    DAC decode, per-read weight noise, the Ohm's-law column sums, the rescale
+    to weight units and ADC noise.  `adc_specs` split the columns into equal
+    blocks; the ADC noise is one draw over all columns, each with the sigma
+    of its block's ADC.  Returns the pre-ADC vector in weight units."""
+    v = from_code(u_codes, cfg.dac_spec)
+    noisy = noise is not None and noise.any_enabled
+    if noisy and rng is None:
+        raise ValueError("noise is enabled but no rng_state was provided")
+    g = arr.g_eff
+    if noisy and noise.weight_noise_beta > 0.0:
+        sigma = noise.weight_noise_beta * arr.weight_spec.full_range
+        z = rng.normal(0.0, sigma, size=g.shape)
+        g = g + z / arr.w_absmax * arr.g_span
+    pre = column_currents(g, v) * (arr.w_absmax / arr.g_span)
+    if noisy and noise.adc_noise_enabled:
+        sigma = np.repeat([quantization_noise_v(s.full_range, s.bits) for s in adc_specs],
+                          pre.size // len(adc_specs))
+        pre = pre + rng.normal(0.0, sigma)
+    return pre
+
+
 def vmm(arr: ProgrammedArray, x_codes: np.ndarray, cfg: CrossbarConfig,
         noise: NoiseConfig | None = None, rng: np.random.Generator | None = None,
         return_pre_adc: bool = False):
     """One analog read: DAC decode, Ohm's-law column sum, optional noise,
     ADC snap.  Returns (adc codes, dequantized pre-activation values), both
     length cols; with return_pre_adc also the noisy pre-ADC vector in weight
-    units.  Columns are converted in mux groups of size mux_ratio, which
-    affects timing accounting only (see CrossbarConfig.read_latency).
+    units.  Whether an ADC bank can convert every column within the read
+    window is the cost model's question (see `hwcost.HwParams.check_feasible`).
     """
     x_codes = np.asarray(x_codes)
     if x_codes.shape != (cfg.rows,):
         raise ValueError(f"input codes shape {x_codes.shape} != rows {cfg.rows}")
-    v = from_code(x_codes, cfg.dac_spec)
-
-    g = _read_conductances(arr, noise, rng)
-    currents = column_currents(g, v)
-    pre = currents * (arr.w_absmax / arr.g_span)  # back to weight units
-
-    if noise is not None and noise.adc_noise_enabled:
-        if rng is None:
-            raise ValueError("noise is enabled but no rng_state was provided")
-        sigma = quantization_noise_v(cfg.adc_spec.full_range, cfg.adc_spec.bits)
-        pre = pre + rng.normal(0.0, sigma, size=pre.shape)
-
+    pre = _analog_read(arr, x_codes, cfg, noise, rng, (cfg.adc_spec,))
     codes = to_code(pre, cfg.adc_spec)
     if return_pre_adc:
         return codes, from_code(codes, cfg.adc_spec), pre
@@ -272,21 +257,9 @@ def quantized_lstm_step(arr: ProgrammedArray, x: np.ndarray, state: LSTMState,
         luts = gate_luts(gate_adc_specs, cfg.adc_spec.bits)
 
     u_codes = np.concatenate([to_code(x, cfg.dac_spec), to_code(state.h, cfg.dac_spec)])
-    v = from_code(u_codes, cfg.dac_spec)
-
-    g = _read_conductances(arr, noise, rng)
-    pre = column_currents(g, v) * (arr.w_absmax / arr.g_span)
-
-    gates = []
-    for b, (spec, lut) in enumerate(zip(gate_adc_specs, luts)):
-        block = pre[b * n:(b + 1) * n]
-        if noise is not None and noise.adc_noise_enabled:
-            if rng is None:
-                raise ValueError("noise is enabled but no rng_state was provided")
-            sigma = quantization_noise_v(spec.full_range, spec.bits)
-            block = block + rng.normal(0.0, sigma, size=block.shape)
-        gates.append(lut(to_code(block, spec)))
-    f, i, o, c_tilde = gates
+    pre = _analog_read(arr, u_codes, cfg, noise, rng, gate_adc_specs)
+    f, i, o, c_tilde = (lut(to_code(pre[b * n:(b + 1) * n], spec))
+                        for b, (spec, lut) in enumerate(zip(gate_adc_specs, luts)))
 
     c = f * state.c + i * c_tilde
     h = np.asarray(quantize(o * np.tanh(c), cfg.dac_spec))
@@ -364,10 +337,4 @@ def load_array(path) -> ProgrammedArray:
             codes[r] = [int(c) for c in line]
         except ValueError:
             raise ValueError(f"line {6 + r}: malformed code in row {r}") from None
-    w_q = from_code(codes, spec)
-    w_absmax = max(abs(spec.v_min), abs(spec.v_max))
-    g_eff = w_q / w_absmax * (g_max - g_min)
-    g_eff.setflags(write=False)
-    codes.setflags(write=False)
-    return ProgrammedArray(g_eff=g_eff, source_codes=codes, weight_spec=spec,
-                           g_min=g_min, g_max=g_max)
+    return ProgrammedArray._from_codes(codes, spec, g_min, g_max)

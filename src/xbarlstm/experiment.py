@@ -233,7 +233,10 @@ def _build_train_overrides(sec: dict, noise_sec: dict) -> dict:
 
     bits = sec.pop("bitwidths", None)
     wb, ab, db = (sec.pop(k, None) for k in ("weight_bits", "adc_bits", "dac_bits"))
-    if bits is None and any(v is not None for v in (wb, ab, db)):
+    if any(v is not None for v in (wb, ab, db)):
+        if bits is not None:
+            raise ConfigError("set either bitwidths or weight_bits, adc_bits, dac_bits, "
+                              "not both")
         if not all(v is not None for v in (wb, ab, db)):
             raise ConfigError("set all of weight_bits, adc_bits, dac_bits (or none for FP)")
         bits = (wb, ab, db)

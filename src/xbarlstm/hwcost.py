@@ -54,7 +54,9 @@ class InfeasibleHardware(ValueError):
 @dataclass(frozen=True)
 class HwParams:
     """Hardware operating point.  Defaults describe the 356x1024 array used
-    for the character-prediction task with 64 time-multiplexed 4-bit ADCs."""
+    for the character-prediction task with 64 time-multiplexed 4-bit ADCs.
+    The ADC bank and the read timing are described here only; the
+    simulated read (`crossbar`) has no notion of them."""
 
     rows: int = 356
     cols: int = 1024

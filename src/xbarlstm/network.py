@@ -207,7 +207,3 @@ class LSTMNetwork:
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "w_head": self.w_head}
-
-    def set_parameters(self, params: dict[str, np.ndarray]):
-        self.w = np.array(params["w"], dtype=np.float64)
-        self.w_head = np.array(params["w_head"], dtype=np.float64)

@@ -400,8 +400,7 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
             global_step += 1
 
         if calibrating:
-            model.freeze_adc_ranges(percentile=cfg.adc_range_percentile,
-                                    override=cfg.adc_range_override)
+            model.freeze_adc_ranges(percentile=cfg.adc_range_percentile)
         train_curve.append((epoch, nll_sum / count))
         if valid_dataset is not None:
             rep = evaluate(model, valid_dataset, cfg, epoch_tag=epoch, task_name=task_name)

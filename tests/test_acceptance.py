@@ -86,7 +86,7 @@ def test_criterion3_oracle_equivalence():
         rows = int(rng.integers(1, 65))
         cols = int(rng.integers(1, 257))
         cfg = CrossbarConfig(
-            rows=rows, cols=cols, num_adcs=cols,
+            rows=rows, cols=cols,
             weight_spec=QuantSpec.symmetric(int(rng.integers(1, 9)), 1.0),
             dac_spec=QuantSpec.symmetric(int(rng.integers(1, 9)), 1.0),
             adc_spec=QuantSpec.symmetric(16, 64.0))

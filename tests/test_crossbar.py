@@ -8,6 +8,7 @@ from xbarlstm.crossbar import (
     CrossbarConfig,
     NoiseConfig,
     column_currents,
+    gate_luts,
     load_array,
     program,
     quantized_lstm_step,
@@ -20,13 +21,12 @@ from xbarlstm.quantizer import QuantSpec, from_code, quantize, to_code
 
 
 def make_cfg(rows, cols, w_bits=4, adc_bits=12, dac_bits=12, w_max=1.0,
-             adc_range=4.0, num_adcs=None, **kw):
+             adc_range=4.0, **kw):
     return CrossbarConfig(
         rows=rows, cols=cols,
         weight_spec=QuantSpec.symmetric(w_bits, w_max),
         dac_spec=QuantSpec.symmetric(dac_bits, 1.0),
-        adc_spec=QuantSpec.symmetric(adc_bits, adc_range),
-        num_adcs=num_adcs or cols, **kw,
+        adc_spec=QuantSpec.symmetric(adc_bits, adc_range), **kw,
     )
 
 
@@ -47,7 +47,7 @@ class TestProgram:
     def test_zero_weight_maps_to_zero_conductance(self):
         # grid must contain zero for this to be a pure linear-map statement:
         # [-2, 1] at 2 bits has levels {-2, -1, 0, 1}
-        cfg = CrossbarConfig(rows=2, cols=2, num_adcs=2,
+        cfg = CrossbarConfig(rows=2, cols=2,
                              weight_spec=QuantSpec(2, -2.0, 1.0),
                              dac_spec=QuantSpec.symmetric(8, 1.0),
                              adc_spec=QuantSpec.symmetric(8, 4.0))
@@ -84,7 +84,7 @@ class TestProgram:
 class TestVMM:
     def test_ohms_law_1x1(self):
         # 1 V across 1 uS must read 1 uA
-        cfg = CrossbarConfig(rows=1, cols=1, num_adcs=1,
+        cfg = CrossbarConfig(rows=1, cols=1,
                              weight_spec=QuantSpec.symmetric(4, 1.0),
                              dac_spec=QuantSpec.symmetric(12, 1.0),
                              adc_spec=QuantSpec.symmetric(16, 2.0),
@@ -162,7 +162,7 @@ class TestNoise:
     def test_weight_noise_std_per_read(self):
         # single-row array: pre-activation of column j is v * (w + z_j), so
         # with v = 1 and w = 0 the pre-ADC value is the injected noise itself
-        cfg = make_cfg(1, 500, w_bits=4, adc_bits=16, adc_range=2.0, num_adcs=500)
+        cfg = make_cfg(1, 500, w_bits=4, adc_bits=16, adc_range=2.0)
         arr = program(np.zeros((1, 500)), cfg)
         noise = NoiseConfig(weight_noise_beta=0.1)
         rng = np.random.default_rng(29)
@@ -176,7 +176,7 @@ class TestNoise:
 
     def test_adc_noise_std(self):
         # zero array: the pre-ADC value is exactly the injected ADC noise
-        cfg = make_cfg(1, 500, adc_bits=2, adc_range=1.0, num_adcs=500)
+        cfg = make_cfg(1, 500, adc_bits=2, adc_range=1.0)
         arr = program(np.zeros((1, 500)), cfg)
         noise = NoiseConfig(adc_noise_enabled=True)
         rng = np.random.default_rng(31)
@@ -212,7 +212,6 @@ class TestQuantizedStep:
     def test_har_geometry(self):
         cfg = CrossbarConfig.for_lstm(32, 32, weight_bits=4, adc_bits=4, dac_bits=4)
         assert (cfg.rows, cfg.cols) == (64, 128)
-        assert cfg.mux_ratio * cfg.num_adcs == cfg.cols
 
     def test_matches_reference_at_12bit(self):
         rng = np.random.default_rng(45)
@@ -237,6 +236,32 @@ class TestQuantizedStep:
                 assert np.max(np.abs(got - want)) <= tol
             assert np.max(np.abs(state_q.c - state_r.c)) <= 4 * tol
             assert np.max(np.abs(state_q.h - state_r.h)) <= 4 * tol
+
+    @pytest.mark.parametrize("noise", [None, NoiseConfig(adc_noise_enabled=True,
+                                                         weight_noise_beta=0.1)],
+                             ids=["noise-off", "noise-on"])
+    @pytest.mark.parametrize("m, n", [(3, 3), (2, 5)], ids=["6x12", "7x20"])
+    def test_step_is_one_vmm_read(self, noise, m, n):
+        # all four gates on cfg.adc_spec: the step's gates are the LUTs of
+        # vmm's codes, bit for bit, noise draws included; no bank of 64 ADCs
+        # divides either column count
+        cfg = make_cfg(m + n, 4 * n, w_bits=4, adc_bits=4, dac_bits=4, w_max=0.5)
+        rng = np.random.default_rng(71)
+        arr = program(rng.normal(0, 0.4, size=(cfg.rows, cfg.cols)), cfg)
+        luts = gate_luts((cfg.adc_spec,) * 4, cfg.adc_spec.bits)
+        moved = False
+        for seed in range(8):
+            x = rng.uniform(-1, 1, m)
+            h = np.asarray(quantize(rng.uniform(-1, 1, n), cfg.dac_spec))
+            _, gates = quantized_lstm_step(arr, x, LSTMState(h=h, c=np.zeros(n)), cfg,
+                                           noise=noise, rng=np.random.default_rng(seed))
+            u_codes = to_code(np.concatenate([x, h]), cfg.dac_spec)
+            codes, _ = vmm(arr, u_codes, cfg, noise=noise, rng=np.random.default_rng(seed))
+            got = (gates.f, gates.i, gates.o, gates.c_tilde)
+            for b, lut in enumerate(luts):
+                assert got[b].tobytes() == lut(codes[b * n:(b + 1) * n]).tobytes()
+            moved |= not np.array_equal(codes, vmm(arr, u_codes, cfg)[0])
+        assert moved == (noise is not None)
 
     def test_zero_array_matches_zero_weight_reference(self):
         m = n = 4
@@ -317,13 +342,9 @@ class TestDumpFormat:
 
 
 class TestConfigValidation:
-    def test_mux_divisibility(self):
-        with pytest.raises(ValueError):
-            make_cfg(4, 6, num_adcs=4)
-
     def test_conductance_window(self):
         with pytest.raises(ValueError):
-            CrossbarConfig(rows=2, cols=2, num_adcs=2,
+            CrossbarConfig(rows=2, cols=2,
                            weight_spec=QuantSpec.symmetric(4, 1.0),
                            dac_spec=QuantSpec.symmetric(4, 1.0),
                            adc_spec=QuantSpec.symmetric(4, 1.0),
@@ -331,7 +352,7 @@ class TestConfigValidation:
 
     def test_dac_within_drive_range(self):
         with pytest.raises(ValueError):
-            CrossbarConfig(rows=2, cols=2, num_adcs=2,
+            CrossbarConfig(rows=2, cols=2,
                            weight_spec=QuantSpec.symmetric(4, 1.0),
                            dac_spec=QuantSpec.symmetric(4, 2.0),
                            adc_spec=QuantSpec.symmetric(4, 1.0),

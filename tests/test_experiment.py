@@ -244,6 +244,11 @@ epochs = 1
          "noise-sweep", "dir"),
         (FAST_TRAIN.replace("dac_bits = 4", "dac_bits = 2") + "[sweep]\nbetas = 0\n",
          "noise-sweep", "dir"),
+        (FAST_TRAIN.replace("weight_bits = 4", "bitwidths = 4 4 4\nweight_bits = 2")
+         .replace("adc_bits = 4", "adc_bits = 2").replace("dac_bits = 4", "dac_bits = 2"),
+         "train", "dir"),
+        (json.dumps({"experiment": {"command": "train", "task": "word_lm"},
+                     "train": {"bitwidths": [4, 4, 4], "adc_bits": 2}}), "train", "dir"),
     ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero",
             "ini-out-empty", "json-out-empty", "cost-config-out-flag-empty",
             "cost-out-flag-empty", "json-seed-overflows", "sweep-weight-bits-zero",
@@ -253,7 +258,8 @@ epochs = 1
             "inline-noise-not-a-section", "json-out-nul-byte", "hidden-size-zero",
             "sweep-weight-bits-empty", "sweep-adc-bits-empty", "noise-sweep-grid-empty",
             "noise-sweep-noise-section", "sweep-train-bitwidths", "noise-sweep-beta-0.3",
-            "noise-sweep-dac-bits-not-adc-bits"])
+            "noise-sweep-dac-bits-not-adc-bits", "bitwidths-and-bit-keys",
+            "json-bitwidths-and-adc-bits"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, config, command, out):
         # anything written to a relative path lands in tmp_path
         monkeypatch.chdir(tmp_path)
