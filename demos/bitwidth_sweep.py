@@ -9,7 +9,7 @@ from xbarlstm import sweep_bitwidths
 
 t0 = time.time()
 result = sweep_bitwidths("word_lm", weight_bits=(1, 2, 4), adc_bits=(1, 2, 4),
-                         seeds=(1,), threads=1)
+                         seeds=(1,))
 matrix = result["mean_matrix"]
 
 print("Validation perplexity per word (lower is better), seed-mean:\n")

@@ -14,6 +14,9 @@ Commands:
     noise-sweep  weight-noise beta sweep and/or ADC-noise on/off sweep
     cost         hardware cost report plus the comparison tables
 
+A sweep trains its cells one after another in the calling thread.  The
+`threads` value older configs and callers give is checked, then dropped.
+
 Exit codes: 0 success, 2 config error, 3 training divergence,
 4 infeasible hardware parameters.
 """
@@ -24,7 +27,6 @@ import configparser
 import json
 import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -72,6 +74,11 @@ class SweepConfig:
     adc_noise_grid: tuple[str, ...] = ()  # e.g. ('off', 'on')
 
 
+# the [sweep] keys each command reads; `train` and `cost` read none
+SWEEP_KEYS = {"sweep": ("weight_bits", "adc_bits", "seeds"),
+              "noise-sweep": ("betas", "adc_noise_grid", "adc_bits", "seeds")}
+
+
 @dataclass
 class ExperimentConfig:
     """A resolved experiment.  `train_overrides` holds exactly the train
@@ -82,7 +89,6 @@ class ExperimentConfig:
     task: str = "char_lm"
     out_dir: str = "runs/out"
     seed: int = 1
-    threads: int = 1
     train_overrides: dict = field(default_factory=dict)
     hw: HwParams = field(default_factory=HwParams)
     sweep: SweepConfig = field(default_factory=SweepConfig)
@@ -92,8 +98,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
         if self.command != "cost" and self.task not in TASK_NAMES:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASK_NAMES}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        # older manifests carry every field at its default; any other
+        # value of a key the command does not read would be dropped
+        default, read = SweepConfig(), SWEEP_KEYS.get(self.command, ())
+        unread = [f.name for f in fields(SweepConfig) if f.name not in read
+                  and getattr(self.sweep, f.name) != getattr(default, f.name)]
+        if unread:
+            raise ConfigError(f"{self.command} does not read [sweep] {', '.join(unread)}")
         if not str(self.out_dir).strip():
             raise ConfigError("out must name a directory, got an empty value")
         # surface invalid values now, before any compute starts
@@ -122,12 +133,13 @@ class ExperimentConfig:
             train["noise"] = asdict(train["noise"])
         if train.get("bitwidths") is not None:
             train["bitwidths"] = list(train["bitwidths"])
+        read = SWEEP_KEYS.get(self.command, ())
         return {
             "experiment": {"command": self.command, "task": self.task,
-                           "out": self.out_dir, "seed": self.seed, "threads": self.threads},
+                           "out": self.out_dir, "seed": self.seed},
             "train": train,
             "hw": asdict(self.hw),
-            "sweep": asdict(self.sweep),
+            "sweep": {k: v for k, v in asdict(self.sweep).items() if k in read},
         }
 
 
@@ -294,9 +306,19 @@ def _build_sweep(sec: dict) -> SweepConfig:
     return SweepConfig(**kwargs)
 
 
-def load_config(path, out_dir=None, seed=None, threads=None) -> ExperimentConfig:
+def _check_threads(value):
+    """Older configs and callers set a cell thread count; an int >= 1 is
+    accepted and dropped, since cells run one after another."""
+    if value is not None and _coerce(value, int, "threads") < 1:
+        raise ConfigError("threads must be >= 1")
+
+
+def load_config(path, out_dir=None, seed=None, threads=None,
+                command=None) -> ExperimentConfig:
     """Parse an INI or JSON config file into a validated ExperimentConfig.
-    Explicit arguments override the file's values."""
+    Explicit arguments override the file's values, and the config is
+    validated for the command that runs; `threads` and the file's
+    `[experiment] threads` are checked, then dropped."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -307,8 +329,9 @@ def load_config(path, out_dir=None, seed=None, threads=None) -> ExperimentConfig
     sections = (_sections_from_json(text, path) if text.lstrip().startswith("{")
                 else _sections_from_ini(text, path))
     exp = dict(sections.get("experiment", {}))
-    command = exp.pop("command", None)
-    if command is None:
+    file_command = exp.pop("command", None)
+    command = command if command is not None else file_command
+    if file_command is None:
         raise ConfigError(f"{path}: missing command in [experiment]")
     task = exp.pop("task", "char_lm")
     file_out = exp.pop("out", None)
@@ -316,6 +339,7 @@ def load_config(path, out_dir=None, seed=None, threads=None) -> ExperimentConfig
     file_threads = exp.pop("threads", None)
     if exp:
         raise ConfigError(f"unknown [experiment] keys: {sorted(exp)}")
+    _check_threads(threads if threads is not None else file_threads)
 
     root_seed = seed if seed is not None else (
         _coerce(file_seed, int, "seed") if file_seed is not None else 1)
@@ -326,8 +350,6 @@ def load_config(path, out_dir=None, seed=None, threads=None) -> ExperimentConfig
         out_dir=str(out_dir if out_dir is not None else (
             file_out if file_out is not None else "runs/out")),
         seed=root_seed,
-        threads=_coerce(threads if threads is not None else (
-            file_threads if file_threads is not None else 1), int, "threads"),
         train_overrides=_build_train_overrides(train_sec, sections.get("noise", {})),
         hw=_build_hw(sections.get("hw", {})),
         sweep=_build_sweep(sections.get("sweep", {})),
@@ -385,25 +407,22 @@ def _train_cell(task: str, overrides: dict, seed: int) -> EvalReport:
     return report
 
 
-def _train_cells(task: str, cells, threads: int) -> list[dict]:
-    """Each cell's labels, then its final metric's name and value."""
-    def result(cell):
-        labels, overrides, seed = cell
+def _train_cells(task: str, cells) -> list[dict]:
+    """Each cell's labels, then its final metric's name and value, training
+    the cells one after another."""
+    results = []
+    for labels, overrides, seed in cells:
         report = _train_cell(task, overrides, seed)
-        return {**labels, "metric_name": report.metric_name, "metric": report.metric}
-
-    if threads <= 1 or len(cells) <= 1:
-        return [result(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(result, cells))
+        results.append({**labels, "metric_name": report.metric_name, "metric": report.metric})
+    return results
 
 
 def sweep_bitwidths(task: str, weight_bits, adc_bits, base_overrides: dict | None = None,
-                    seeds=(1, 2, 3), threads: int = 1) -> dict:
+                    seeds=(1, 2, 3)) -> dict:
     """Train+evaluate every (weight bits, ADC/DAC bits) cell with shared
     seeds; returns cells plus the seed-mean metric matrix."""
     cells = _bitwidth_cells(weight_bits, adc_bits, base_overrides or {}, seeds)
-    results = _train_cells(task, cells, threads)
+    results = _train_cells(task, cells)
     matrix = [[float(np.mean([r["metric"] for r in results
                               if (r["weight_bits"], r["adc_bits"]) == (wb, ab)]))
                for ab in adc_bits] for wb in weight_bits]
@@ -413,7 +432,7 @@ def sweep_bitwidths(task: str, weight_bits, adc_bits, base_overrides: dict | Non
 
 
 def noise_sweep(task: str, betas, base_overrides: dict | None = None, seeds=(1,),
-                adc_noise_grid=(), adc_bits_grid=(), threads: int = 1) -> dict:
+                adc_noise_grid=(), adc_bits_grid=()) -> dict:
     """One full train+evaluate per grid point with shared seeds.
 
     Produces the metric-vs-beta rows (weight noise, ADC noise off) and,
@@ -425,7 +444,7 @@ def noise_sweep(task: str, betas, base_overrides: dict | None = None, seeds=(1,)
     cells = _noise_cells(betas, adc_noise_grid, adc_bits_grid, base_overrides or {}, seeds)
     return {"task": task, "betas": [float(b) for b in betas],
             "adc_noise_grid": list(adc_noise_grid), "seeds": list(seeds),
-            "cells": _train_cells(task, cells, threads)}
+            "cells": _train_cells(task, cells)}
 
 
 # --- artifact writing -----------------------------------------------------------
@@ -493,11 +512,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     else:
         s, base, seeds = cfg.sweep, cfg.train_overrides, cfg.seeds()
         if cfg.command == "sweep":
-            report = sweep_bitwidths(cfg.task, s.weight_bits, s.adc_bits, base, seeds,
-                                     cfg.threads)
+            report = sweep_bitwidths(cfg.task, s.weight_bits, s.adc_bits, base, seeds)
         else:
             report = noise_sweep(cfg.task, s.betas, base, seeds, s.adc_noise_grid,
-                                 s.adc_bits, cfg.threads)
+                                 s.adc_bits)
         # a row is a cell's labels, then its metric name and value
         cells = report["cells"]
         _write_csv(out / "metrics.csv", [*cells[0]][:-2] + ["metric", "value"],
@@ -508,7 +526,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def run(config_path, out_dir=None, seed=None, threads=None) -> int:
-    """Load a config file and execute it; returns the process exit code."""
+    """Load a config file and execute it; returns the process exit code.
+    `threads` is checked and dropped, as `load_config` does."""
     return exit_code(lambda: run_experiment(
         load_config(config_path, out_dir=out_dir, seed=seed, threads=threads)))
 

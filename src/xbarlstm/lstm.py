@@ -37,32 +37,36 @@ grid built once per forward.  Both apply the same IEEE operations to
 every element as the per-gate `to_code` / LUT / `quantize` calls, so
 results are bit-identical to them.
 
-The backward pass operates on the recorded `SequenceCache` of any
-forward mode.  Quantizer nodes backpropagate as clipped identity
-(straight-through): the cache carries boolean pass masks for the ADC and
-the hidden-state DAC, and the caller may set a weight mask derived from
-the latent weights; all are `None` in full-precision mode.
-Local derivatives of the gate nonlinearities are evaluated at the
-continuous pre-ADC values, i.e. the quantized activation unit is treated
-as out-quantizer(fn(ADC(a))) with both quantizers backpropagating
-straight through.
+A recorded forward writes each step into the sequence-major buffers of
+a `SequenceCache`: step t of every buffer is index t, and the
+DAC-snapped hidden state goes straight into the next step's VMM input
+row.  The backward pass operates on the recorded cache of any forward
+mode and sums the weight gradient in one GEMM over the stacked input
+rows.  Quantizer nodes backpropagate as clipped identity
+(straight-through): the cache carries the ADC's boolean pass mask, and
+the caller may set a weight mask derived from the latent weights; both
+are `None` in full-precision mode.  The DAC range must cover [-1, 1],
+the range of |h| = |o tanh(c)| <= 1, so the hidden state's pass mask
+would be all true and is never built.  Local derivatives of the gate
+nonlinearities are evaluated at the continuous pre-ADC values, i.e. the
+quantized activation unit is treated as out-quantizer(fn(ADC(a))) with
+both quantizers backpropagating straight through.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import ActivationLUT, QuantSpec, _check_finite, ste_mask, to_code
+from .quantizer import ActivationLUT, QuantSpec, _check_finite, to_code
 
 __all__ = [
     "LSTMParams",
     "LSTMState",
     "GateActivations",
     "OpCounter",
-    "StepRecord",
     "SequenceCache",
     "lstm_step_ref",
     "run_cell",
@@ -75,8 +79,15 @@ __all__ = [
 GATE_ORDER = ("f", "i", "o", "c")  # column-block order in the concatenated array
 
 
-def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
+def sigmoid(z, out: np.ndarray | None = None):
+    """1 / (1 + exp(-z)), computed in `out` or in one new buffer."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.negative(z, out=np.empty(z.shape) if out is None else out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    # 0-d input returns a numpy float, not a 0-d array
+    return out if out.ndim else out[()]
 
 
 @dataclass
@@ -184,34 +195,26 @@ def lstm_step_ref(params: LSTMParams, x: np.ndarray, state: LSTMState,
 
 
 @dataclass
-class StepRecord:
-    """Everything the backward pass needs about one time step (batch-first)."""
-
-    inputs: np.ndarray            # (B, m+n) values fed to the VMM
-    preact: np.ndarray            # (B, 4n) pre-activation entering the ADCs
-    gates: np.ndarray             # (B, 4n) post-activation gate values
-    c_prev: np.ndarray            # (B, n)
-    c: np.ndarray                 # (B, n)
-    tanh_c: np.ndarray            # (B, n)
-    adc_mask: np.ndarray | None = None   # (B, 4n) STE pass mask at the ADC
-    h_mask: np.ndarray | None = None     # (B, n) STE pass mask at the output DAC
-    noise_eps: np.ndarray | None = None    # (B, 4n) standard normals of the weight read
-    noise_scale: np.ndarray | None = None  # (B,) sigma * |u_b| scaling row b's normals
-
-
-@dataclass
 class SequenceCache:
-    """Recorded forward pass over one (batched) sequence."""
+    """Recorded forward pass over one (batched) sequence of T steps, held
+    sequence-major: index t of each buffer is step t."""
 
     input_size: int
     hidden_size: int
-    records: list[StepRecord] = field(default_factory=list)
+    inputs: np.ndarray                 # (T, B, m+n) values fed to the VMM
+    preact: np.ndarray                 # (T, B, 4n) pre-activation entering the ADCs
+    gates: np.ndarray                  # (T, B, 4n) post-activation gate values
+    c: np.ndarray                      # (T+1, B, n) memory cell; c[0] is the zero state
+    tanh_c: np.ndarray                 # (T, B, n)
+    adc_mask: np.ndarray | None = None     # (T, B, 4n) STE pass mask at the ADC
+    noise_eps: np.ndarray | None = None    # (T, B, 4n) standard normals of the weight read
+    noise_scale: np.ndarray | None = None  # (T, B) sigma * |u_b| scaling row b's normals
     w_used: np.ndarray | None = None     # (m+n, 4n) array the VMM read
     w_mask: np.ndarray | None = None     # STE pass mask from the latent weights
 
     @property
     def steps(self) -> int:
-        return len(self.records)
+        return len(self.preact)
 
 
 def forward_sequence(params: LSTMParams, x_seq: np.ndarray) -> tuple[np.ndarray, SequenceCache]:
@@ -297,7 +300,11 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         `adc = (specs, luts)` in one `FusedConverter` pass, which records
         the ADC pass mask.
     DAC: identity, or inputs and the recycled hidden state snapped to
-        `dac_spec`, which records the hidden state's pass mask.
+        `dac_spec`, whose range must cover [-1, 1] (ValueError otherwise).
+
+    A recorded forward keeps every step in the sequence-major buffers of
+    the cache it returns; an unrecorded one reuses a single step of them,
+    so `on_preact` must copy what it keeps.
     """
     x_seq = np.asarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3:
@@ -306,8 +313,12 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
     n = w.shape[1] // 4
     if m != w.shape[0] - n:
         raise ValueError(f"input dim {m} does not match m={w.shape[0] - n}")
+    if dac_spec is not None and not (dac_spec.v_min <= -1.0 and dac_spec.v_max >= 1.0):
+        # |h| <= 1, so a DAC over [-1, 1] never clips h and backward needs
+        # no pass mask for it
+        raise ValueError(f"the DAC range [{dac_spec.v_min}, {dac_spec.v_max}] must "
+                         "cover the hidden state's range [-1, 1]")
 
-    cache = SequenceCache(input_size=m, hidden_size=n, w_used=w) if record else None
     if dac_spec is None:
         h = np.zeros((batch, n))
     else:
@@ -316,20 +327,38 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         x_seq = dac_grid[to_code(x_seq, dac_spec)]
         h = np.full((batch, n), dac_grid[to_code(0.0, dac_spec)])
     converter = None if adc is None else FusedConverter(*adc, n)
-    c = np.zeros((batch, n))
+    # a recorded forward keeps every step for backward; an unrecorded one
+    # cycles through buffers one step long (two for the memory cell), as
+    # fresh sequence-long buffers would cost page faults on every call.
+    # Step t uses index t modulo a buffer's length.
+    span = t_steps if record else min(t_steps, 1)
+    gate_shape = (span, batch, 4 * n)
+    cache = SequenceCache(
+        input_size=m, hidden_size=n, w_used=w,
+        inputs=np.empty((span, batch, m + n)), preact=np.empty(gate_shape),
+        gates=np.empty(gate_shape), c=np.zeros((span + 1, batch, n)),
+        tanh_c=np.empty((span, batch, n)),
+        adc_mask=(np.empty(gate_shape, dtype=bool)
+                  if record and converter is not None else None),
+        noise_eps=None if weight_noise is None else np.empty(gate_shape),
+        noise_scale=None if weight_noise is None else np.empty((span, batch)))
+    if t_steps:
+        cache.inputs[0, :, m:] = h
     h_seq = np.empty((t_steps, batch, n))
 
     for t in range(t_steps):
-        u = np.concatenate([x_seq[t], h], axis=1)
-        a = u @ w
-        eps = noise_scale = None
+        k = t % span
+        u = cache.inputs[k]
+        u[:, :m] = x_seq[t]
+        a = np.matmul(u, w, out=cache.preact[k])
         if weight_noise is not None:
             # u_b @ (W + Z_b), Z_b i.i.d. N(0, sigma^2), is distributed as
             # u_b @ W + sigma |u_b| eps_b, eps_b ~ N(0, I): one (B, 4n) draw
             rng, sigma = weight_noise
-            eps = rng.normal(size=a.shape)
-            noise_scale = sigma * np.sqrt(np.einsum("ij,ij->i", u, u))
-            a += eps * noise_scale[:, None]
+            eps, scale = cache.noise_eps[k], cache.noise_scale[k]
+            eps[...] = rng.normal(size=a.shape)
+            np.multiply(sigma, np.sqrt(np.einsum("ij,ij->i", u, u)), out=scale)
+            a += eps * scale[:, None]
         if adc_noise is not None:
             rng, sigma = adc_noise
             z = rng.normal(size=a.shape)
@@ -338,107 +367,92 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         if on_preact is not None:
             on_preact(a)
 
-        adc_mask = None
+        gates = cache.gates[k]
         if converter is None:
-            gates = np.concatenate([sigmoid(a[:, :3 * n]), np.tanh(a[:, 3 * n:])], axis=1)
+            sigmoid(a[:, :3 * n], out=gates[:, :3 * n])
+            np.tanh(a[:, 3 * n:], out=gates[:, 3 * n:])
         else:
             # the LUT is out-quantizer(fn(ADC(a))): both quantizers backprop
             # straight-through, so the cache records the continuous pre-ADC
             # value for the fn' evaluation plus the ADC pass mask
-            gates, adc_mask = converter(a, record)
+            gates[...], adc_mask = converter(a, record)
+            if record:
+                cache.adc_mask[k] = adc_mask
 
         f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n]
-        c_new = f * c + i * gates[:, 3 * n:]
-        tanh_c = np.tanh(c_new)
-        h = o * tanh_c
-        if record:
-            cache.records.append(StepRecord(
-                inputs=u, preact=a, gates=gates, c_prev=c, c=c_new, tanh_c=tanh_c,
-                adc_mask=adc_mask,
-                h_mask=None if dac_spec is None else ste_mask(h, dac_spec),
-                noise_eps=eps, noise_scale=noise_scale))
+        c_prev, c = cache.c[t % (span + 1)], cache.c[(t + 1) % (span + 1)]
+        np.multiply(f, c_prev, out=c)
+        c += i * gates[:, 3 * n:]
+        h = o * np.tanh(c, out=cache.tanh_c[k])
         if dac_spec is not None:
             h = dac_grid[to_code(h, dac_spec)]
-        c = c_new
         h_seq[t] = h
-    return h_seq, cache
+        if t + 1 < t_steps:
+            cache.inputs[(t + 1) % span, :, m:] = h
+    return h_seq, cache if record else None
 
 
-@dataclass
-class LSTMGrads:
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_o: np.ndarray
-    w_c: np.ndarray
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.w_f, self.w_i, self.w_o, self.w_c], axis=1)
-
-
-def lstm_backward(cache: SequenceCache, d_h: list[np.ndarray] | np.ndarray) -> LSTMGrads:
+def lstm_backward(cache: SequenceCache, d_h: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Backpropagate through the recorded sequence.
 
     `d_h[t]` is the upstream loss gradient into h_t, shape (B, n) per step.
-    Returns gradients w.r.t. the (latent) gate weight matrices; quantizer
-    nodes pass gradient through where the cache masks allow.
+    Returns the (m+n) x 4n gradient w.r.t. the (latent) concatenated
+    weights, gate blocks in [f | i | o | c] order; quantizer nodes pass
+    gradient through where the cache masks allow.
     """
     if cache.steps == 0:
         raise ValueError("cache holds no recorded steps")
     if len(d_h) != cache.steps:
         raise ValueError(f"need one upstream gradient per step ({cache.steps}), got {len(d_h)}")
-
     if cache.w_used is None:
         raise ValueError("cache is missing the weight matrix used in the forward pass")
     m, n = cache.input_size, cache.hidden_size
     w_hidden = cache.w_used[m:]
-    last = cache.records[-1]
+    preact, gates, c_seq = cache.preact, cache.gates, cache.c
     # each step's gate-input gradient goes into one buffer, so d_w is a
     # single GEMM over the stacked (T*B) rows after the recurrence
-    da_seq = np.empty((cache.steps,) + last.preact.shape)
-    dh_next = np.zeros_like(last.c)
+    da_seq = np.empty(preact.shape)
+    dh_next = np.zeros(c_seq.shape[1:])
     dc_next = np.zeros_like(dh_next)
 
     for t in range(cache.steps - 1, -1, -1):
-        rec = cache.records[t]
         dh = np.asarray(d_h[t], dtype=np.float64) + dh_next
-        if rec.h_mask is not None:
-            dh = dh * rec.h_mask
-        f, i, o = rec.gates[:, 0:n], rec.gates[:, n:2 * n], rec.gates[:, 2 * n:3 * n]
-        c_tilde = rec.gates[:, 3 * n:]
+        g = gates[t]
+        f, i, o, c_tilde = g[:, 0:n], g[:, n:2 * n], g[:, 2 * n:3 * n], g[:, 3 * n:]
 
-        da = da_seq[t]
-        dc = dc_next + dh * o * (1.0 - rec.tanh_c**2)
-        np.multiply(dc, rec.c_prev, out=da[:, 0:n])               # df
+        da, tanh_c = da_seq[t], cache.tanh_c[t]
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        np.multiply(dc, c_seq[t], out=da[:, 0:n])                 # df
         np.multiply(dc, c_tilde, out=da[:, n:2 * n])              # di
-        np.multiply(dh, rec.tanh_c, out=da[:, 2 * n:3 * n])       # do
+        np.multiply(dh, tanh_c, out=da[:, 2 * n:3 * n])           # do
         np.multiply(dc, i, out=da[:, 3 * n:])                     # dc_tilde
         dc_next = dc * f
 
-        # nonlinearity derivatives at the pre-activation values of this pass
-        s = sigmoid(rec.preact[:, :3 * n])
-        th = np.tanh(rec.preact[:, 3 * n:])
+        # nonlinearity derivatives at the pre-activation values of this
+        # pass, step by step: sequence-wide factor buffers were measured
+        # slower (memory traffic and page faults on the 356x1024 array)
+        s = sigmoid(preact[t][:, :3 * n])
         da[:, :3 * n] *= s
-        da[:, :3 * n] *= 1.0 - s
-        da[:, 3 * n:] *= 1.0 - th**2
-        if rec.adc_mask is not None:
-            da *= rec.adc_mask
+        da[:, :3 * n] *= np.subtract(1.0, s, out=s)
+        th = np.tanh(preact[t][:, 3 * n:])
+        da[:, 3 * n:] *= np.subtract(1.0, np.square(th, out=th), out=th)
+        if cache.adc_mask is not None:
+            da *= cache.adc_mask[t]
 
         if t > 0:
             # only the hidden slice of du feeds the recurrence
             dh_next = da @ w_hidden.T
-            if rec.noise_eps is not None:
+            if cache.noise_eps is not None:
                 # the read noise sigma |u_b| eps_b adds
                 # sigma (da_b . eps_b) u_b / |u_b| to du_b, zero at u_b = 0
-                u = rec.inputs
+                u = cache.inputs[t]
                 sq = np.einsum("ij,ij->i", u, u)
-                gain = np.einsum("ij,ij->i", da, rec.noise_eps) * rec.noise_scale
+                gain = np.einsum("ij,ij->i", da, cache.noise_eps[t]) * cache.noise_scale[t]
                 np.divide(gain, sq, out=gain, where=sq > 0)
                 dh_next += gain[:, None] * u[:, m:]
 
-    inputs = np.concatenate([rec.inputs for rec in cache.records])
-    d_w = inputs.T @ da_seq.reshape(inputs.shape[0], -1)
+    rows = cache.steps * da_seq.shape[1]
+    d_w = cache.inputs.reshape(rows, -1).T @ da_seq.reshape(rows, -1)
     if cache.w_mask is not None:
         d_w *= cache.w_mask
-    return LSTMGrads(
-        w_f=d_w[:, 0:n], w_i=d_w[:, n:2 * n], w_o=d_w[:, 2 * n:3 * n], w_c=d_w[:, 3 * n:],
-    )
+    return d_w

@@ -194,14 +194,12 @@ class LSTMNetwork:
                  d_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of the loss w.r.t. the latent weights and the head,
         given d(loss)/d(logits) per step."""
-        t_steps = len(cache.records)
         d_head = np.zeros_like(self.w_head)
         d_h = []
-        for t in range(t_steps):
+        for t in range(cache.steps):
             d_head += h_seq[t].T @ d_logits[t]
             d_h.append(d_logits[t] @ self.w_head.T)
-        grads = lstm_backward(cache, d_h)
-        return {"w": grads.concat(), "w_head": d_head}
+        return {"w": lstm_backward(cache, d_h), "w_head": d_head}
 
     # --- parameter access ----------------------------------------------------
 

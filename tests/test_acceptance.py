@@ -141,7 +141,7 @@ def test_criterion4_gradient_correctness():
 
     h_seq, cache = forward_sequence(params, x_seq)
     d_h = [h_seq[t] - targets[t] for t in range(t_steps)]
-    grads = lstm_backward(cache, d_h)
+    grads = LSTMParams.from_concat(lstm_backward(cache, d_h))
 
     def loss(p):
         hs, _ = forward_sequence(p, x_seq)

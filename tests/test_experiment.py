@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, exit codes, output artifacts,
 manifest closure and byte-identical reproduction."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -88,10 +89,34 @@ class TestConfigParsing:
             load_config(write(tmp_path, "[experiment]\ncommand = train\n[noise]\nweight_noise_beta = 0.5\n"))
 
     def test_flag_overrides(self, tmp_path):
+        # threads: accepted from older callers and dropped
         cfg = load_config(write(tmp_path, FAST_TRAIN), out_dir="elsewhere", seed=99, threads=3)
         assert cfg.out_dir == "elsewhere"
         assert cfg.seed == 99
-        assert cfg.threads == 3
+        assert not hasattr(cfg, "threads")
+
+    @pytest.mark.parametrize("command, sweep", [
+        ("sweep", "betas = 0.1"),
+        ("sweep", "adc_noise_grid = off, on"),
+        ("noise-sweep", "weight_bits = 2"),
+        ("train", "seeds = 1, 2"),
+        ("cost", "adc_bits = 4"),
+    ])
+    def test_unread_sweep_keys_rejected(self, tmp_path, command, sweep):
+        p = write(tmp_path, f"[experiment]\ncommand = {command}\ntask = word_lm\n"
+                            f"[sweep]\n{sweep}\n")
+        with pytest.raises(ConfigError, match="does not read"):
+            load_config(p)
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "noise-sweep", "cost"])
+    def test_unread_sweep_keys_at_their_defaults_accepted(self, tmp_path, command):
+        # older manifests write every [sweep] field at its default
+        defaults = {k: list(v) for k, v in dataclasses.asdict(exp.SweepConfig()).items()}
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps({"experiment": {"command": command, "task": "word_lm"},
+                                 "sweep": defaults}))
+        cfg = load_config(p)
+        assert sorted(cfg.as_dict()["sweep"]) == sorted(exp.SWEEP_KEYS.get(command, ()))
 
 
 class TestConfigParserProperty:
@@ -249,6 +274,8 @@ epochs = 1
          "train", "dir"),
         (json.dumps({"experiment": {"command": "train", "task": "word_lm"},
                      "train": {"bitwidths": [4, 4, 4], "adc_bits": 2}}), "train", "dir"),
+        ("[experiment]\ncommand = noise-sweep\ntask = word_lm\n[sweep]\nbetas = 0.1\n",
+         "sweep", "dir"),
     ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero",
             "ini-out-empty", "json-out-empty", "cost-config-out-flag-empty",
             "cost-out-flag-empty", "json-seed-overflows", "sweep-weight-bits-zero",
@@ -259,7 +286,7 @@ epochs = 1
             "sweep-weight-bits-empty", "sweep-adc-bits-empty", "noise-sweep-grid-empty",
             "noise-sweep-noise-section", "sweep-train-bitwidths", "noise-sweep-beta-0.3",
             "noise-sweep-dac-bits-not-adc-bits", "bitwidths-and-bit-keys",
-            "json-bitwidths-and-adc-bits"])
+            "json-bitwidths-and-adc-bits", "sweep-unread-betas"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, config, command, out):
         # anything written to a relative path lands in tmp_path
         monkeypatch.chdir(tmp_path)
@@ -501,8 +528,10 @@ class TestReproducibility:
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
                (tmp_path / "b" / "metrics.csv").read_bytes()
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        base = """
+    def test_older_sweep_manifest_with_threads_reruns_identically(self, tmp_path):
+        # older manifests carry `threads` and every [sweep] field; cells now
+        # train one after another, so the value is checked and dropped
+        p = write(tmp_path, """
 [experiment]
 command = sweep
 task = word_lm
@@ -516,12 +545,17 @@ hidden_size = 8
 weight_bits = 2, 4
 adc_bits = 4
 seeds = 1
-"""
-        p = write(tmp_path, base)
-        run(p, out_dir=tmp_path / "t1", threads=1)
-        run(p, out_dir=tmp_path / "t2", threads=4)
-        assert (tmp_path / "t1" / "metrics.csv").read_bytes() == \
-               (tmp_path / "t2" / "metrics.csv").read_bytes()
+""")
+        assert run(p, out_dir=tmp_path / "a") == EXIT_OK
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert "threads" not in manifest["experiment"]
+        assert sorted(manifest["sweep"]) == ["adc_bits", "seeds", "weight_bits"]
+        manifest["experiment"]["threads"] = 4
+        manifest["sweep"].update(betas=[0.0, 0.05, 0.1, 0.2], adc_noise_grid=[])
+        older = write(tmp_path, json.dumps(manifest), "older-manifest.json")
+        assert run(older, out_dir=tmp_path / "b") == EXIT_OK
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
+               (tmp_path / "b" / "metrics.csv").read_bytes()
 
 
 class TestCLI:
@@ -531,6 +565,14 @@ class TestCLI:
 
     def test_train_requires_config(self, capsys):
         assert cli_main(["train"]) == EXIT_CONFIG
+
+    def test_threads_flag_removed(self, tmp_path, capsys):
+        p = write(tmp_path, "[experiment]\ncommand = sweep\ntask = word_lm\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--config", str(p), "--threads", "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_subcommand_overrides_config_command(self, tmp_path):
         p = write(tmp_path, FAST_TRAIN)

@@ -16,7 +16,6 @@ from xbarlstm.lstm import (
     LSTMParams,
     LSTMState,
     OpCounter,
-    SequenceCache,
     forward_sequence,
     lstm_backward,
     lstm_step_ref,
@@ -141,11 +140,11 @@ class TestStepRef:
 
 
 def quadratic_loss_grads(params, x_seq, targets):
-    """L = 0.5 * sum_t |h_t - tgt_t|^2; returns (loss, grads via BPTT)."""
+    """L = 0.5 * sum_t |h_t - tgt_t|^2; returns (loss, per-gate grads via BPTT)."""
     h_seq, cache = forward_sequence(params, x_seq)
     d_h = [h_seq[t] - targets[t] for t in range(len(targets))]
     loss = 0.5 * sum(float(np.sum(d**2)) for d in d_h)
-    return loss, lstm_backward(cache, d_h)
+    return loss, LSTMParams.from_concat(lstm_backward(cache, d_h))
 
 
 def fd_loss(params, x_seq, targets):
@@ -189,8 +188,8 @@ class TestBackward:
         x_seq = np.random.default_rng(31).normal(size=(5, 2, 3))
         _, cache = forward_sequence(params, x_seq)
         grads = lstm_backward(cache, [np.zeros((2, 3))] * 5)
-        for name in ("w_f", "w_i", "w_o", "w_c"):
-            np.testing.assert_array_equal(getattr(grads, name), 0.0)
+        assert grads.shape == (6, 12)
+        np.testing.assert_array_equal(grads, 0.0)
 
     def test_cache_mismatch_errors(self):
         params = random_params(3, 3, seed=33)
@@ -198,7 +197,8 @@ class TestBackward:
         _, cache = forward_sequence(params, x_seq)
         with pytest.raises(ValueError):
             lstm_backward(cache, [np.zeros((1, 3))] * 3)  # wrong step count
-        empty = SequenceCache(input_size=3, hidden_size=3)
+        _, empty = forward_sequence(params, np.zeros((0, 1, 3)))
+        assert empty.steps == 0
         with pytest.raises(ValueError):
             lstm_backward(empty, [])
 
@@ -231,6 +231,20 @@ class TestForwardSequence:
             h_one, _ = forward_sequence(params, x_seq[:, b:b + 1, :])
             np.testing.assert_allclose(h_all[:, b], h_one[:, 0], rtol=1e-12, atol=1e-16)
 
+    @pytest.mark.parametrize("amplitude, covers", [(0.5, False), (1.0, True), (2.0, True)])
+    def test_dac_range_must_cover_the_hidden_state(self, amplitude, covers):
+        # |h| <= 1, so backward needs no DAC pass mask only if the DAC spans [-1, 1]
+        w = random_params(3, 2, seed=44).concat()
+        x_seq = np.random.default_rng(45).uniform(-1, 1, size=(3, 2, 3))
+        dac = QuantSpec.symmetric(4, amplitude)
+        if not covers:
+            with pytest.raises(ValueError, match="DAC range"):
+                run_cell(x_seq, w, dac_spec=dac)
+            return
+        h_seq, cache = run_cell(x_seq, w, dac_spec=dac)
+        assert np.all(np.abs(h_seq) <= 1.0)
+        assert np.all(np.isfinite(lstm_backward(cache, list(h_seq))))
+
 
 def per_step_backward(cache, d_h):
     """BPTT with d_w accumulated one step at a time and the full du
@@ -239,30 +253,28 @@ def per_step_backward(cache, d_h):
     sigma (da_b . eps_b) u_b / |u_b| to du_b (nothing at u_b = 0)."""
     m, n = cache.input_size, cache.hidden_size
     d_w = np.zeros((m + n, 4 * n))
-    dh_next = np.zeros_like(cache.records[-1].c)
+    dh_next = np.zeros_like(cache.c[0])
     dc_next = np.zeros_like(dh_next)
     for t in range(cache.steps - 1, -1, -1):
-        rec = cache.records[t]
+        u, preact, tanh_c = cache.inputs[t], cache.preact[t], cache.tanh_c[t]
         dh = d_h[t] + dh_next
-        if rec.h_mask is not None:
-            dh = dh * rec.h_mask
-        f, i, o, ct = (rec.gates[:, k * n:(k + 1) * n] for k in range(4))
-        dc = dc_next + dh * o * (1.0 - rec.tanh_c**2)
-        s = 1.0 / (1.0 + np.exp(-rec.preact[:, :3 * n]))
-        th = np.tanh(rec.preact[:, 3 * n:])
+        f, i, o, ct = (cache.gates[t][:, k * n:(k + 1) * n] for k in range(4))
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        s = 1.0 / (1.0 + np.exp(-preact[:, :3 * n]))
+        th = np.tanh(preact[:, 3 * n:])
         da = np.concatenate([
-            np.concatenate([dc * rec.c_prev, dc * ct, dh * rec.tanh_c], axis=1) * s * (1 - s),
+            np.concatenate([dc * cache.c[t], dc * ct, dh * tanh_c], axis=1) * s * (1 - s),
             dc * i * (1.0 - th**2)], axis=1)
-        if rec.adc_mask is not None:
-            da = da * rec.adc_mask
-        d_w += rec.inputs.T @ da
+        if cache.adc_mask is not None:
+            da = da * cache.adc_mask[t]
+        d_w += u.T @ da
         du = da @ cache.w_used.T
-        if rec.noise_eps is not None:
+        if cache.noise_eps is not None:
             for b in range(du.shape[0]):
-                norm = np.linalg.norm(rec.inputs[b])
+                norm = np.linalg.norm(u[b])
                 if norm > 0:
-                    sigma = rec.noise_scale[b] / norm
-                    du[b] += sigma * np.dot(da[b], rec.noise_eps[b]) * rec.inputs[b] / norm
+                    sigma = cache.noise_scale[t, b] / norm
+                    du[b] += sigma * np.dot(da[b], cache.noise_eps[t, b]) * u[b] / norm
         dh_next = du[:, m:]
         dc_next = dc * f
     if cache.w_mask is not None:
@@ -279,7 +291,7 @@ class TestBackwardAgainstPerStep:
     def _check(self, cache, seed):
         rng = np.random.default_rng(seed)
         d_h = [rng.normal(size=(self.B, self.N)) for _ in range(self.T)]
-        got = lstm_backward(cache, d_h).concat()
+        got = lstm_backward(cache, d_h)
         ref = per_step_backward(cache, d_h)
         assert np.any(got != 0.0)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
@@ -305,8 +317,8 @@ class TestBackwardAgainstPerStep:
 
     def test_quantized_mask_cache(self):
         _, _, cache = self._network().forward_sequence(self._x(53), mode="quantized")
-        assert cache.w_mask is not None and cache.records[0].adc_mask is not None
-        assert not cache.records[0].adc_mask.all()  # some ADC clipping is exercised
+        assert cache.w_mask is not None and cache.adc_mask is not None
+        assert not cache.adc_mask.all()  # some ADC clipping is exercised
         self._check(cache, seed=54)
 
     def test_noisy_read_cache(self):
@@ -319,11 +331,12 @@ class TestBackwardAgainstPerStep:
         rows, cols = self.M + self.N, 4 * self.N
         # the cache holds one array of the read's shape: the programmed one
         assert np.array_equal(cache.w_used, quantize(net.w, net.crossbar.weight_spec))
-        for rec in cache.records:
-            assert all(np.shape(v) != (rows, cols) for v in vars(rec).values())
-            assert rec.noise_eps.shape == (self.B, cols)
-            assert rec.noise_scale.shape == (self.B,)
-        eps = np.stack([rec.noise_eps for rec in cache.records])
+        for name, value in vars(cache).items():
+            if name not in ("w_used", "w_mask"):
+                assert np.shape(value)[-2:] != (rows, cols), name
+        assert cache.noise_eps.shape == (self.T, self.B, cols)
+        assert cache.noise_scale.shape == (self.T, self.B)
+        eps = cache.noise_eps
         assert len({row.tobytes() for row in eps.reshape(-1, cols)}) == self.T * self.B
         self._check(cache, seed=58)
 
@@ -350,7 +363,7 @@ class TestWeightReadNoise:
             return 0.5 * float(np.sum((h_seq - targets) ** 2))
 
         h_seq, cache = forward(w)
-        grads = lstm_backward(cache, list(h_seq - targets)).concat()
+        grads = lstm_backward(cache, list(h_seq - targets))
         step = 1e-5
         fd = np.zeros_like(w)
         for idx in np.ndindex(*w.shape):
@@ -369,10 +382,9 @@ class TestWeightReadNoise:
         x_seq = np.zeros((3, 2, m))
         x_seq[:, 1] = 0.5
         _, cache = run_cell(x_seq, w, weight_noise=(np.random.default_rng(63), 0.4))
-        first = cache.records[0]
-        assert first.noise_scale[0] == 0.0 and first.noise_scale[1] > 0.0
-        np.testing.assert_array_equal(first.preact[0], 0.0)
-        grads = lstm_backward(cache, [np.ones((2, n))] * 3).concat()
+        assert cache.noise_scale[0, 0] == 0.0 and cache.noise_scale[0, 1] > 0.0
+        np.testing.assert_array_equal(cache.preact[0, 0], 0.0)
+        grads = lstm_backward(cache, [np.ones((2, n))] * 3)
         assert np.all(np.isfinite(grads))
 
 

@@ -205,8 +205,8 @@ class TestCalibration:
                                            mode="calibrate")
         # the collector sees exactly the pre-activations the loop recorded
         for b in range(4):
-            want = [np.abs(rec.preact[:, b * n:(b + 1) * n]).astype(np.float32).ravel()
-                    for rec in cache.records]
+            want = [np.abs(a[:, b * n:(b + 1) * n]).astype(np.float32).ravel()
+                    for a in cache.preact]
             assert np.array_equal(np.concatenate(net._calib[b]), np.concatenate(want))
         net.freeze_adc_ranges(percentile=99.9)
         assert net.calibrated
@@ -266,6 +266,10 @@ class TestRecordSwitch:
             outs.append(net.forward_sequence(x, mode=mode, record=record, **rngs))
         (logits, h_seq, cache), (logits_nr, h_seq_nr, cache_nr) = outs
         assert cache is not None and cache.steps == x.shape[0]
+        # step t + 1 reads the hidden state step t returned, and the memory
+        # cell starts from zero
+        assert np.array_equal(cache.inputs[1:, :, net.input_size:], h_seq[:-1])
+        assert not cache.c[0].any()
         assert cache_nr is None
         assert np.array_equal(logits, logits_nr)
         assert np.array_equal(h_seq, h_seq_nr)
@@ -316,8 +320,6 @@ class TestProgrammedArray:
         assert not cache.w_mask.all()  # some latent weights lie outside the grid
         assert np.array_equal(cache.w_mask, cache_p.w_mask)
         assert np.array_equal(cache.w_used, cache_p.w_used)
-        for rec, rec_p in zip(cache.records, cache_p.records, strict=True):
-            assert np.array_equal(rec.adc_mask, rec_p.adc_mask)
-            assert np.array_equal(rec.h_mask, rec_p.h_mask)
+        assert np.array_equal(cache.adc_mask, cache_p.adc_mask)
         for key in grads:
             assert np.array_equal(grads[key], grads_p[key])
