@@ -13,6 +13,14 @@ codes, and optional weight and ADC read noise.  Training forwards record
 a SequenceCache so lstm_backward computes straight-through gradients
 against the latent weights; evaluation forwards record nothing.
 
+The calibration percentile is set when calibration begins.  The collector
+counts the |pre-activations| it is shown, up to a cap, but holds only each gate's top
+tail: the values that can still be one of the two order statistics that
+`np.percentile` interpolates (see `_TopTail`).  Freezing pads the held
+tail with zeros to the count seen, so the frozen ranges are bit-identical
+to a percentile over every sample, while a gate holds at most half a
+megabyte at the 99.9th percentile (and everything at low percentiles).
+
 Only the network turns the latent weights into the array a read sees:
 `programmed_weights` snaps them to the device grid, and a recorded
 forward keeps their STE mask for backward.  Training forwards program
@@ -31,6 +39,8 @@ full-matrix draw of the single-vector `crossbar.vmm` in distribution.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .crossbar import CrossbarConfig, NoiseConfig, gate_luts
@@ -41,7 +51,64 @@ from .seeding import derive_rng
 
 __all__ = ["LSTMNetwork"]
 
-MAX_CALIB_SAMPLES = 16_000_000  # per gate block, float32
+# Which samples calibration counts: each gate block takes a whole step's
+# samples while it has counted fewer than this, and its percentile is over
+# exactly those.  Memory is bounded by `_TopTail`, not by this cap.
+MAX_CALIB_SAMPLES = 16_000_000
+PRUNE_FACTOR = 4  # a tail prunes once it holds this many times what it keeps
+
+
+class _TopTail:
+    """The largest values of a stream of float32 magnitudes, enough to read
+    one percentile of the whole stream exactly.
+
+    Values below `floor` are dropped on arrival.  Once more than
+    PRUNE_FACTOR * keep are held, the floor rises to the keep-th largest
+    held value and only the top `keep` stay, so after any prune at least
+    `keep` held values are >= the floor >= every dropped value.  keep is
+    need(N_max), where need(N) = N - floor((N - 1) p / 100) + 1 and
+    N_max = 2 * MAX_CALIB_SAMPLES bounds the count: a step is counted only
+    while fewer than the cap have been, and one step holds at most the
+    cap plus one.
+
+    Proof that `value` is exact.  Linear interpolation over the N sorted
+    values reads positions lo = floor((N - 1) p / 100) and lo + 1, i.e.
+    the (N - lo)-th and (N - lo - 1)-th largest; need(N) = N - lo + 1 adds
+    one for rounding of the virtual index.  need(N) never falls as N grows
+    and N <= N_max, so keep >= need(N).  A dropped value d has at least
+    keep held values >= d, so the need(N) largest values of the stream are
+    held, as a multiset.  Zeros in place of the dropped values sort at or
+    below every magnitude, so the padded buffer has the same N, the same
+    values at lo and lo + 1 and the same interpolation weight: numpy
+    computes the same float.  NaN, which sorts last, is held.
+    """
+
+    def __init__(self, percentile: float):
+        n_max = 2 * MAX_CALIB_SAMPLES
+        self.percentile = percentile
+        self.keep = n_max - math.floor((n_max - 1) * percentile / 100) + 1
+        self.parts: list[np.ndarray] = []
+        self.held = 0
+        self.floor = 0.0
+
+    def add(self, values: np.ndarray):
+        if self.floor > 0:
+            values = values[~(values < self.floor)]
+        self.parts.append(values)
+        self.held += values.size
+        if self.held > PRUNE_FACTOR * self.keep:
+            held = np.concatenate(self.parts)
+            cut = held.size - self.keep
+            held.partition(cut)
+            self.floor = held[cut]
+            self.parts = [held[cut:].copy()]
+            self.held = self.keep
+
+    def value(self, count: int) -> float:
+        """The percentile of all `count` values the stream carried."""
+        buf = np.zeros(count, dtype=np.float32)
+        np.concatenate(self.parts, out=buf[count - self.held:])
+        return float(np.percentile(buf, self.percentile, overwrite_input=True))
 
 
 class LSTMNetwork:
@@ -71,44 +138,50 @@ class LSTMNetwork:
 
         self.gate_adc_specs: tuple[QuantSpec, ...] | None = None
         self.luts = None
-        self._reset_calibration(collecting=False)
+        self._calib: list[_TopTail] | None = None  # None: not collecting
+        self._calib_count = [0, 0, 0, 0]  # samples counted per gate block
 
     # --- ADC range calibration ---------------------------------------------
 
-    def begin_calibration(self):
-        self._reset_calibration(collecting=True)
-
-    def _reset_calibration(self, collecting: bool):
-        self._collecting = collecting
-        self._calib: list[list[np.ndarray]] = [[], [], [], []]
-        self._calib_count = [0, 0, 0, 0]  # samples held per gate block
+    def begin_calibration(self, percentile: float):
+        """Collect pre-activation magnitudes for `freeze_adc_ranges`, which
+        sets each gate's range at this percentile of them (in [0, 100])."""
+        if not 0 <= percentile <= 100:
+            raise ValueError(f"percentile must be in [0, 100], got {percentile!r}")
+        self._calib = [_TopTail(percentile) for _ in range(4)]
+        self._calib_count = [0, 0, 0, 0]
 
     def _record_calibration(self, a: np.ndarray):
         n = self.hidden_size
+        if a.shape[0] * n > MAX_CALIB_SAMPLES + 1:
+            raise ValueError(f"a calibration step of {a.shape[0] * n} samples per gate "
+                             f"exceeds MAX_CALIB_SAMPLES + 1")
         for b in range(4):
             if self._calib_count[b] < MAX_CALIB_SAMPLES:
                 block = np.abs(a[:, b * n:(b + 1) * n]).astype(np.float32).ravel()
-                self._calib[b].append(block)
+                self._calib[b].add(block)
                 self._calib_count[b] += block.size
 
-    def freeze_adc_ranges(self, percentile: float = 99.9,
-                          override: float | tuple | None = None):
+    def freeze_adc_ranges(self, override: float | tuple | None = None):
         """Fix the per-gate ADC full-scale ranges (symmetric, +-range) either
-        from the collected pre-activation magnitudes or from an override."""
+        from an override or at the percentile given to `begin_calibration`
+        of the pre-activation magnitudes collected since.  Each gate fills
+        one zeroed float32 buffer of the count seen with its held tail and
+        takes the percentile in place (exact; see `_TopTail`)."""
         if self.crossbar is None:
             raise RuntimeError("network has no crossbar configuration")
         bits = self.crossbar.adc_spec.bits
         if override is not None:
             ranges = [float(r) for r in (override if np.ndim(override) else [override] * 4)]
         else:
-            if not any(self._calib):
+            if self._calib is None or not any(self._calib_count):
                 raise RuntimeError("no calibration samples collected; run a "
                                    "calibration pass or pass an override")
-            ranges = [max(float(np.percentile(np.concatenate(block), percentile)), 1e-6)
-                      for block in self._calib]
+            ranges = [max(tail.value(count), 1e-6)
+                      for tail, count in zip(self._calib, self._calib_count)]
         self.gate_adc_specs = tuple(QuantSpec.symmetric(bits, r) for r in ranges)
         self.luts = gate_luts(self.gate_adc_specs, bits)
-        self._reset_calibration(collecting=False)
+        self._calib = None
 
     @property
     def calibrated(self) -> bool:
@@ -125,8 +198,9 @@ class LSTMNetwork:
 
         mode 'fp': plain float math (the 32-bit baseline).
         mode 'calibrate': quantized weights and DAC grid but ideal converters;
-            pre-activation magnitudes are collected for freeze_adc_ranges,
-            since what enters the ADCs is a read of the *programmed* array.
+            after begin_calibration, pre-activation magnitudes are collected
+            for freeze_adc_ranges, since what enters the ADCs is a read of
+            the *programmed* array.
         mode 'quantized': the full crossbar pipeline; `x_seq` must live in
             the DAC domain and is snapped to its grid on entry.
 
@@ -148,7 +222,7 @@ class LSTMNetwork:
                 raise RuntimeError(f"{mode} forward requires a crossbar configuration")
             cfg = self.crossbar
             stages = {"dac_spec": cfg.dac_spec}
-        if mode == "calibrate" and self._collecting:
+        if mode == "calibrate" and self._calib is not None:
             stages["on_preact"] = self._record_calibration
         if mode == "quantized":
             if not self.calibrated:

@@ -25,6 +25,7 @@ almost no drive at 4 bits and the encoding degrades to antipodal +-1 at
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,13 +171,14 @@ def inactive_level(input_drive: str, dac_bits: int | None) -> float:
 
 def make_batches(ds: SequenceDataset, batch_size: int, bptt_length: int,
                  order: np.ndarray, inactive: float = 0.0,
-                 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Pad-and-mask batches in the given sequence order.
 
-    Returns (x (T,B,m), targets (T,B) int, mask (T,B) float) per batch.
-    Language-model inputs put +1 on the active channel and `inactive`
-    elsewhere; classification targets are placed (and masked) at the final
-    step only.
+    Yields (x (T,B,m), targets (T,B) int, mask (T,B) float) one batch at a
+    time, built when it is asked for, so a pass over a split holds one
+    batch rather than all of them.  Language-model inputs put +1 on the
+    active channel and `inactive` elsewhere; classification targets are
+    placed (and masked) at the final step only.
     """
     items = []
     if ds.kind == "classification":
@@ -186,7 +188,6 @@ def make_batches(ds: SequenceDataset, batch_size: int, bptt_length: int,
         for k in order:
             items.extend(_chunk(ds.sequences[k], bptt_length))
 
-    batches = []
     for start in range(0, len(items), batch_size):
         group = items[start:start + batch_size]
         b = len(group)
@@ -210,8 +211,7 @@ def make_batches(ds: SequenceDataset, batch_size: int, bptt_length: int,
                 x[np.arange(t), j, inp] = 1.0
                 targets[:t, j] = tgt
                 mask[:t, j] = 1.0
-        batches.append((x, targets, mask))
-    return batches
+        yield x, targets, mask
 
 
 # --- loss -----------------------------------------------------------------------
@@ -376,7 +376,7 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
     for epoch in range(1, cfg.epochs + 1):
         calibrating = quantized_model and not model.calibrated
         if calibrating:
-            model.begin_calibration()
+            model.begin_calibration(cfg.adc_range_percentile)
             mode = "calibrate"
         else:
             mode = "quantized" if quantized_model else "fp"
@@ -400,7 +400,7 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
             global_step += 1
 
         if calibrating:
-            model.freeze_adc_ranges(percentile=cfg.adc_range_percentile)
+            model.freeze_adc_ranges()
         train_curve.append((epoch, nll_sum / count))
         if valid_dataset is not None:
             rep = evaluate(model, valid_dataset, cfg, epoch_tag=epoch, task_name=task_name)

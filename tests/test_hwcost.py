@@ -138,6 +138,17 @@ class TestEfficiencies:
         ce2, _ = efficiencies(p2)
         assert ce2 == pytest.approx(ce1 / 2)
 
+    def test_headline_ratios_over_the_best_digital_row(self):
+        # the abstract's 2.4x computing and 40x area efficiency are taken
+        # against the best stored digital entries (3027/1278 and 3333/84)
+        digital = COMPARISON_ROWS["digital"]
+        best_ce = max(r["computing_efficiency"] for r in digital)
+        best_ae = max(r["area_efficiency"] for r in digital if r["area_efficiency"] is not None)
+        assert (best_ce, best_ae) == (1278, 84)
+        ce, ae = efficiencies(HwParams())
+        assert round(ce / best_ce, 1) == 2.4
+        assert round(ae / best_ae) == 40
+
 
 class TestNoiseFormulas:
     def test_2bit_pm1v_0144(self):

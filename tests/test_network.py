@@ -181,40 +181,88 @@ class TestQuantizedForward:
             LSTMNetwork(3, 3, 2, seed=1, crossbar=cfg)
 
 
+def _gate_blocks(cache, n):
+    """Per gate, the float32 |pre-activation| block of every recorded step."""
+    return [[np.abs(a[:, b * n:(b + 1) * n]).astype(np.float32).ravel()
+             for a in cache.preact] for b in range(4)]
+
+
+def _counted(blocks, cap):
+    """The samples the collector counts: whole steps while fewer than `cap`."""
+    kept, count = [], 0
+    for block in blocks:
+        if count >= cap:
+            break
+        kept.append(block)
+        count += block.size
+    return np.concatenate(kept)
+
+
+def _expected_range(samples, percentile):
+    return max(float(np.percentile(samples, percentile)), 1e-6)
+
+
 class TestCalibration:
     def test_collector_stops_at_the_sample_cap(self, monkeypatch):
-        # each step adds B*n = 32 samples per gate; the collector appends
-        # while it holds fewer than the cap, so a cap of 50 keeps two steps
+        # each step adds B*n = 32 samples per gate and a step counts while
+        # fewer than the cap have, so a cap of 50 counts the first two steps
+        # of five; at p >= 99 the tail keeps 2-3 values and prunes each step
         monkeypatch.setattr(network, "MAX_CALIB_SAMPLES", 50)
         m, n = 3, 4
         cfg = CrossbarConfig.for_lstm(m, n, weight_bits=6, adc_bits=6, dac_bits=6)
-        net = LSTMNetwork(m, n, 2, seed=29, crossbar=cfg)
-        net.begin_calibration()
-        net.forward_sequence(np.random.default_rng(3).uniform(-1, 1, size=(5, 8, m)),
-                             mode="calibrate")
-        assert [len(block) for block in net._calib] == [2, 2, 2, 2]
-        assert net._calib_count == [64, 64, 64, 64]
+        x = np.random.default_rng(3).uniform(-1, 1, size=(5, 8, m))
+        for p in (0, 50, 99, 99.9, 100):
+            net = LSTMNetwork(m, n, 2, seed=29, crossbar=cfg)
+            net.begin_calibration(p)
+            _, _, cache = net.forward_sequence(x, mode="calibrate")
+            assert net._calib_count == [64, 64, 64, 64]
+            assert all((tail.floor > 0) == (p >= 99) for tail in net._calib)
+            want = [_expected_range(_counted(blocks, 50), p)
+                    for blocks in _gate_blocks(cache, n)]
+            net.freeze_adc_ranges()
+            assert [spec.v_max for spec in net.gate_adc_specs] == want
 
-    def test_percentile_freeze(self):
+    def test_percentile_freeze(self, monkeypatch):
+        # 8 forwards of 12 steps, 32 samples per gate each; the cap is met
+        # in the sixth forward.  The held tail stays under its bound while
+        # the count grows, and the frozen ranges equal the percentile over
+        # every counted sample bit for bit.
+        monkeypatch.setattr(network, "MAX_CALIB_SAMPLES", 2000)
         m = n = 4
         cfg = CrossbarConfig.for_lstm(m, n, weight_bits=6, adc_bits=6, dac_bits=6)
         net = LSTMNetwork(m, n, 2, seed=29, crossbar=cfg)
         rng = np.random.default_rng(31)
-        net.begin_calibration()
-        _, _, cache = net.forward_sequence(rng.uniform(-1, 1, size=(6, 8, m)),
-                                           mode="calibrate")
-        # the collector sees exactly the pre-activations the loop recorded
-        for b in range(4):
-            want = [np.abs(a[:, b * n:(b + 1) * n]).astype(np.float32).ravel()
-                    for a in cache.preact]
-            assert np.array_equal(np.concatenate(net._calib[b]), np.concatenate(want))
-        net.freeze_adc_ranges(percentile=99.9)
+        net.begin_calibration(99.9)
+        bound = network.PRUNE_FACTOR * net._calib[0].keep
+        blocks = [[], [], [], []]
+        for _ in range(8):
+            _, _, cache = net.forward_sequence(rng.uniform(-1, 1, size=(12, 8, m)),
+                                               mode="calibrate")
+            for b, steps in enumerate(_gate_blocks(cache, n)):
+                blocks[b] += steps
+            assert all(0 < tail.held <= bound for tail in net._calib)
+        assert net._calib_count == [2016] * 4
+        want = [_expected_range(_counted(steps, 2000), 99.9) for steps in blocks]
+        net.freeze_adc_ranges()
         assert net.calibrated
-        assert len(net.gate_adc_specs) == 4
+        assert [spec.v_max for spec in net.gate_adc_specs] == want
         for spec in net.gate_adc_specs:
             assert spec.bits == 6
             assert spec.v_max > 0
             assert spec.v_min == -spec.v_max
+
+    def test_collector_rejects_what_it_cannot_freeze_exactly(self, monkeypatch):
+        cfg = CrossbarConfig.for_lstm(3, 4, weight_bits=6, adc_bits=6, dac_bits=6)
+        net = LSTMNetwork(3, 4, 2, seed=29, crossbar=cfg)
+        for p in (-1, 100.5, math.nan):
+            with pytest.raises(ValueError):
+                net.begin_calibration(p)
+        # one step of more than cap + 1 samples per gate would break the
+        # count bound the tail's size rests on
+        monkeypatch.setattr(network, "MAX_CALIB_SAMPLES", 30)
+        net.begin_calibration(99.9)
+        with pytest.raises(ValueError):
+            net.forward_sequence(np.zeros((1, 8, 3)), mode="calibrate")
 
     def test_freeze_without_samples_errors(self):
         cfg = CrossbarConfig.for_lstm(3, 3, weight_bits=4, adc_bits=4, dac_bits=4)

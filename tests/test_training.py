@@ -207,8 +207,8 @@ class TestBatching:
         # mix lengths so padding occurs
         ids = np.array([1, 2, 3], dtype=np.int64)
         ds.sequences.append((ids[:-1], ids[1:]))
-        batches = make_batches(ds, batch_size=6, bptt_length=16,
-                               order=np.arange(len(ds.sequences)))
+        batches = list(make_batches(ds, batch_size=6, bptt_length=16,
+                                    order=np.arange(len(ds.sequences))))
         x, targets, mask = batches[0]
         assert mask.shape == x.shape[:2]
         assert mask.sum() == sum(len(t) for _, t in ds.sequences)
@@ -293,8 +293,8 @@ class TestEvaluationSnap:
         rng_a = derive_rng(self.CFG.seed, f"eval-noise-a-{epoch_tag}")
         inactive = inactive_level(self.CFG.input_drive, None if model.crossbar is None
                                   else model.crossbar.dac_spec.bits)
-        batches = make_batches(ds, self.CFG.batch_size, self.CFG.bptt_length,
-                               np.arange(len(ds)), inactive=inactive)
+        batches = list(make_batches(ds, self.CFG.batch_size, self.CFG.bptt_length,
+                                    np.arange(len(ds)), inactive=inactive))
         assert len(batches) > 1
         logits_all, nll, count, correct = [], 0.0, 0.0, 0.0
         for x, targets, mask in batches:
