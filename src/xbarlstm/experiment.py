@@ -7,6 +7,9 @@ manifest.json is itself a valid JSON config, so any run can be reproduced
 from its manifest alone.  All randomness derives from the one root seed
 through named streams, and metrics.csv is written deterministically, so
 two runs of the same resolved config produce byte-identical metrics.
+Each key of [train], [noise], [hw] and [sweep] sets the field of its name
+(or of its alias) in the dataclass the section fills, typed by that
+field's annotation, and a field is set by one key only.
 
 Commands:
     train        one train+evaluate on a task
@@ -29,6 +32,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -72,6 +76,11 @@ class SweepConfig:
     seeds: tuple[int, ...] = ()          # empty: use the experiment seed
     betas: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2)
     adc_noise_grid: tuple[str, ...] = ()  # e.g. ('off', 'on')
+
+    def __post_init__(self):
+        for state in self.adc_noise_grid:
+            if state not in ("on", "off"):
+                raise ValueError(f"adc_noise_grid entries must be on/off, got {state!r}")
 
 
 # the [sweep] keys each command reads; `train` and `cost` read none
@@ -194,54 +203,86 @@ def _sections_from_json(text: str, path: Path) -> dict:
             if k in ("experiment", "train", "noise", "hw", "sweep") and isinstance(v, dict)}
 
 
-_TRAIN_KEY_TYPES = {
-    "optimizer": str, "learning_rate": float, "lr_decay": float, "epochs": int,
-    "batch_size": int, "bptt_length": int, "grad_clip": float,
-    "weight_range": float, "adc_range_percentile": float, "hidden_size": int,
-    "init_scale": float, "input_drive": str,
-}
-
-_NOISE_KEY_TYPES = {
-    "adc_noise": ("adc_noise_enabled", bool),
-    "adc_noise_enabled": ("adc_noise_enabled", bool),
-    "weight_noise_beta": ("weight_noise_beta", float),
-    # parsed, then dropped: weight noise is redrawn on every read, and
-    # older manifests all carry `true`
-    "resample_per_read": ("resample_per_read", bool),
-}
+_NOISE_ALIASES = {"adc_noise": ("adc_noise_enabled", None)}
+_HW_ALIASES = {"adc_area_4bit_mm2": ("adc_area_4bit", MM2),
+               "residual_area_mm2": ("residual_area", MM2)}
 
 
 def _is_unset(raw) -> bool:
     return raw is None or (isinstance(raw, str) and raw.strip().lower() in ("", "none", "null"))
 
 
+def _typed(raw, hint, key: str):
+    """`raw` coerced to a field annotation: int, float, bool, str,
+    `X | None` (as X) or `tuple[X, ...]`."""
+    args = [a for a in get_args(hint) if a is not type(None)]
+    if get_origin(hint) is tuple:
+        return _parse_list(raw, args[0], key)
+    return _coerce(raw, args[0] if args else hint, key)
+
+
+def _read_fields(cls, section: dict, name: str, aliases: dict | None = None,
+                 skip_unset: bool = False) -> dict:
+    """The keyword arguments `section` gives dataclass `cls`, each value
+    typed by its field's annotation.  A key names a field, or is an alias
+    (field, scale or None) of one; a field may be set by one key only.
+    With `skip_unset`, a known key with an empty or none value sets nothing."""
+    types, aliases = get_type_hints(cls), aliases or {}
+    kwargs, set_by = {}, {}
+    for key, raw in section.items():
+        target, scale = aliases.get(key, (key, None))
+        if target not in types:
+            raise ConfigError(f"unknown [{name}] key {key!r}")
+        if target in set_by:
+            raise ConfigError(f"[{name}] sets {target} twice, by {set_by[target]} and {key}")
+        set_by[target] = key
+        if skip_unset and _is_unset(raw):
+            continue
+        value = _typed(raw, types[target], key)
+        kwargs[target] = value if scale is None else value * scale
+    return kwargs
+
+
+def _build(cls, section: dict, name: str, aliases: dict | None = None):
+    kwargs = _read_fields(cls, section, name, aliases)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [{name}] config: {exc}") from exc
+
+
+def _build_noise(section: dict, inline) -> NoiseConfig | None:
+    """The noise a [noise] section or an inline [train] noise sets, or
+    None when neither sets a key."""
+    if not (_is_unset(inline) or isinstance(inline, dict)):
+        raise ConfigError(f"noise: expected a section of noise keys, got {inline!r}")
+    inline = inline if isinstance(inline, dict) else {}
+    if section and inline:
+        raise ConfigError("set the noise in a [noise] section or as [train] noise, not both")
+    # older configs carry a seed (noise streams derive from the train seed)
+    sec = {k: v for k, v in (section or inline).items() if k != "seed"}
+    if not sec:
+        return None
+    # older manifests all carry `true`: weight noise is redrawn on every read
+    resample = _coerce(sec.pop("resample_per_read", True), bool, "resample_per_read")
+    noise = _build(NoiseConfig, sec, "noise", _NOISE_ALIASES)
+    if not resample and noise.weight_noise_beta > 0.0:
+        raise ConfigError("resample_per_read = false (one fixed programming-noise "
+                          "draw) is not modelled; weight noise is redrawn on every read")
+    return noise
+
+
 def _build_train_overrides(sec: dict, noise_sec: dict) -> dict:
     """Explicitly-set train keys only, coerced; includes 'bitwidths' and
     'noise' when given."""
     sec = dict(sec)
+    if "seed" in sec:
+        raise ConfigError("[train] seed: the experiment seed seeds training; "
+                          "set [experiment] seed")
     overrides: dict = {}
-
-    noise_kwargs = {}
-    inline_noise = sec.pop("noise", None)
-    if not (_is_unset(inline_noise) or isinstance(inline_noise, dict)):
-        raise ConfigError(f"noise: expected a section of noise keys, got {inline_noise!r}")
-    for source in (noise_sec, inline_noise if isinstance(inline_noise, dict) else {}):
-        for key, raw in source.items():
-            if key == "seed":
-                continue  # accepted from older configs; noise streams derive from the train seed
-            if key not in _NOISE_KEY_TYPES:
-                raise ConfigError(f"unknown noise key {key!r}")
-            name, typ = _NOISE_KEY_TYPES[key]
-            noise_kwargs[name] = _coerce(raw, typ, key)
-    if noise_kwargs:
-        if (not noise_kwargs.pop("resample_per_read", True)
-                and noise_kwargs.get("weight_noise_beta", 0.0) > 0.0):
-            raise ConfigError("resample_per_read = false (one fixed programming-noise "
-                              "draw) is not modelled; weight noise is redrawn on every read")
-        try:
-            overrides["noise"] = NoiseConfig(**noise_kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"invalid noise config: {exc}") from exc
+    noise = _build_noise(noise_sec, sec.pop("noise", None))
+    if noise is not None:
+        overrides["noise"] = noise
 
     bits = sec.pop("bitwidths", None)
     wb, ab, db = (sec.pop(k, None) for k in ("weight_bits", "adc_bits", "dac_bits"))
@@ -260,50 +301,8 @@ def _build_train_overrides(sec: dict, noise_sec: dict) -> dict:
         vals = _parse_list(raw_override, float, "adc_range_override")
         overrides["adc_range_override"] = vals[0] if len(vals) == 1 else vals
 
-    for key, raw in sec.items():
-        if key not in _TRAIN_KEY_TYPES:
-            raise ConfigError(f"unknown [train] key {key!r}")
-        if _is_unset(raw):
-            continue
-        overrides[key] = _coerce(raw, _TRAIN_KEY_TYPES[key], key)
+    overrides.update(_read_fields(TrainConfig, sec, "train", skip_unset=True))
     return overrides
-
-
-def _build_hw(sec: dict) -> HwParams:
-    kwargs = {}
-    hmap = {f.name: f for f in fields(HwParams)}
-    for key, raw in sec.items():
-        name = key
-        scale = 1.0
-        if key in ("adc_area_4bit_mm2", "residual_area_mm2"):
-            name = key[:-4]
-            scale = MM2
-        if name not in hmap:
-            raise ConfigError(f"unknown [hw] key {key!r}")
-        typ = int if hmap[name].type == "int" else float
-        kwargs[name] = _coerce(raw, typ, key) * (scale if typ is float else 1)
-    try:
-        return HwParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid hw params: {exc}") from exc
-
-
-def _build_sweep(sec: dict) -> SweepConfig:
-    kwargs = {}
-    for key, raw in sec.items():
-        if key in ("weight_bits", "adc_bits", "seeds"):
-            kwargs[key] = _parse_list(raw, int, key)
-        elif key == "betas":
-            kwargs[key] = _parse_list(raw, float, key)
-        elif key == "adc_noise_grid":
-            grid = _parse_list(raw, str, key)
-            for g in grid:
-                if g not in ("on", "off"):
-                    raise ConfigError(f"adc_noise_grid entries must be on/off, got {g!r}")
-            kwargs[key] = grid
-        else:
-            raise ConfigError(f"unknown [sweep] key {key!r}")
-    return SweepConfig(**kwargs)
 
 
 def _check_threads(value):
@@ -343,16 +342,15 @@ def load_config(path, out_dir=None, seed=None, threads=None,
 
     root_seed = seed if seed is not None else (
         _coerce(file_seed, int, "seed") if file_seed is not None else 1)
-    train_sec = dict(sections.get("train", {}))
-    train_sec.pop("seed", None)  # the experiment seed is authoritative
     return ExperimentConfig(
         command=str(command), task=str(task),
         out_dir=str(out_dir if out_dir is not None else (
             file_out if file_out is not None else "runs/out")),
         seed=root_seed,
-        train_overrides=_build_train_overrides(train_sec, sections.get("noise", {})),
-        hw=_build_hw(sections.get("hw", {})),
-        sweep=_build_sweep(sections.get("sweep", {})),
+        train_overrides=_build_train_overrides(sections.get("train", {}),
+                                               sections.get("noise", {})),
+        hw=_build(HwParams, sections.get("hw", {}), "hw", _HW_ALIASES),
+        sweep=_build(SweepConfig, sections.get("sweep", {}), "sweep"),
     )
 
 
@@ -483,21 +481,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         except OverflowError as exc:  # e.g. 2.0 ** (2 * enob) for a huge adc_bits
             raise ConfigError(f"hw params overflow the cost model: {exc}") from exc
         report = rep.as_dict()
-        d = report
-        rows = [
-            ["vmm_throughput_gops", d["vmm_throughput_gops"]],
-            ["overall_throughput_gops", d["overall_throughput_gops"]],
-            ["power_adc_w", d["power_w"]["adc"]],
-            ["power_array_w", d["power_w"]["array"]],
-            ["power_residual_w", d["power_w"]["residual"]],
-            ["power_total_w", d["power_w"]["total"]],
-            ["area_adc_mm2", d["area_mm2"]["adc"]],
-            ["area_array_mm2", d["area_mm2"]["array"]],
-            ["area_residual_mm2", d["area_mm2"]["residual"]],
-            ["area_total_mm2", d["area_mm2"]["total"]],
-            ["computing_efficiency_gops_per_w", d["computing_efficiency_gops_per_w"]],
-            ["area_efficiency_gops_per_mm2", d["area_efficiency_gops_per_mm2"]],
-        ]
+        rows = []
+        for name, value in report.items():
+            if name == "params":
+                continue
+            if isinstance(value, dict):  # entry k of power_w is the row power_k_w
+                quantity, unit = name.split("_", 1)
+                rows += [[f"{quantity}_{k}_{unit}", v] for k, v in value.items()]
+            else:
+                rows.append([name, value])
         _write_csv(out / "metrics.csv", ["name", "value"], rows)
         (out / "comparison.txt").write_text(render_comparison_tables(cfg.hw))
         (out / "comparison.csv").write_text(render_comparison_tables(cfg.hw, fmt="csv"))

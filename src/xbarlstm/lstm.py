@@ -127,15 +127,6 @@ class LSTMParams:
         n = w.shape[1] // 4
         return cls(*(w[:, k * n:(k + 1) * n].copy() for k in range(4)))
 
-    @classmethod
-    def random(cls, input_size: int, hidden_size: int, rng: np.random.Generator,
-               scale: float | None = None) -> "LSTMParams":
-        if scale is None:
-            scale = 1.0 / np.sqrt(input_size + hidden_size)
-        mats = [rng.normal(0.0, scale, size=(input_size + hidden_size, hidden_size))
-                for _ in range(4)]
-        return cls(*mats)
-
 
 @dataclass
 class LSTMState:

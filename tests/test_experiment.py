@@ -3,6 +3,8 @@ manifest closure and byte-identical reproduction."""
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from xbarlstm.experiment import (
     load_config,
     run,
 )
-from xbarlstm.training import EvalReport, TrainingDiverged
+from xbarlstm.hwcost import MM2, HwParams
+from xbarlstm.training import EvalReport, TrainConfig, TrainingDiverged
 
 FAST_TRAIN = """
 [experiment]
@@ -88,6 +91,36 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, "[experiment]\ncommand = train\n[noise]\nweight_noise_beta = 0.5\n"))
 
+    @pytest.mark.parametrize("text, reason", [
+        (FAST_TRAIN + "seed = 7\n", r"set \[experiment\] seed"),
+        ("[experiment]\ncommand = cost\n[noise]\nadc_noise = on\nadc_noise_enabled = off\n",
+         "twice"),
+        ("[experiment]\ncommand = cost\n[hw]\nadc_area_4bit_mm2 = 0.02\nadc_area_4bit = 2e-8\n",
+         "twice"),
+        ("[experiment]\ncommand = cost\n[hw]\nresidual_area = 5e-7\nresidual_area_mm2 = 0.5\n",
+         "twice"),
+        (json.dumps({"experiment": {"command": "train", "task": "word_lm"},
+                     "train": {"noise": {"adc_noise": True}},
+                     "noise": {"weight_noise_beta": 0.1}}), "not both"),
+    ], ids=["train-seed", "adc-noise-alias", "adc-area-alias", "residual-area-alias",
+            "noise-section-and-inline"])
+    def test_a_value_set_twice_or_in_train_seed_rejected(self, tmp_path, text, reason):
+        with pytest.raises(ConfigError, match=reason):
+            load_config(write(tmp_path, text))
+
+    def test_mm2_aliases_scale_to_square_metres(self, tmp_path):
+        cfg = load_config(write(tmp_path, "[experiment]\ncommand = cost\n[hw]\n"
+                                          "adc_area_4bit_mm2 = 0.02\nresidual_area_mm2 = 0.5\n"))
+        assert cfg.hw.adc_area_4bit == 0.02 * MM2
+        assert cfg.hw.residual_area == 0.5 * MM2
+
+    def test_readme_config_blocks_load(self, tmp_path):
+        # each ```ini block of the README is a whole config for its own command
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```ini\n(.*?)```", text, flags=re.DOTALL)
+        commands = [load_config(write(tmp_path, block)).command for block in blocks]
+        assert sorted(commands) == sorted(exp.COMMANDS)
+
     def test_flag_overrides(self, tmp_path):
         # threads: accepted from older callers and dropped
         cfg = load_config(write(tmp_path, FAST_TRAIN), out_dir="elsewhere", seed=99, threads=3)
@@ -119,60 +152,72 @@ class TestConfigParsing:
         assert sorted(cfg.as_dict()["sweep"]) == sorted(exp.SWEEP_KEYS.get(command, ()))
 
 
+CONFIG_WORDS = ["on", "off", "true", "0", "1", "4", "2.7", "-3", "0.1", "fp", "none", "nan",
+                "inf", "1e400", str(10**400), "train", "sweep", "cost", "noise-sweep",
+                "char_lm", "word_lm", "adam", "antipodal", "1 2", "4, 4, 4", "off, on",
+                "%(x)s", "%", ""]
+ROUND_TRIP_WORDS = ["1", "4", "0.1", "1e-7", "none", "on", "off", "fp", "word_lm", "1, 2",
+                    "off, on", "adam", "nan"]
+
+
+def config_texts(st, words=None):
+    """A hypothesis strategy of INI or JSON config texts over the known
+    sections and keys plus a bogus one, with junk values; or, given
+    `words`, with values drawn from them, no bogus key and always a command."""
+    keys = {
+        "experiment": ["command", "task", "out", "seed", "threads"],
+        "train": [f.name for f in dataclasses.fields(TrainConfig)] + [
+            "weight_bits", "adc_bits", "dac_bits"],
+        "noise": [f.name for f in dataclasses.fields(NoiseConfig)] + sorted(
+            exp._NOISE_ALIASES) + ["resample_per_read", "seed"],
+        "hw": [f.name for f in dataclasses.fields(HwParams)] + sorted(exp._HW_ALIASES),
+        "sweep": [f.name for f in dataclasses.fields(exp.SweepConfig)],
+    }
+    plain = words is not None
+    words = st.sampled_from(words or CONFIG_WORDS)
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), words,
+                        st.sampled_from([10**400, -(10**400)]), st.text(max_size=10))
+    json_values = st.recursive(scalars, lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.sampled_from(keys["noise"]) | st.text(max_size=6), kids,
+                        max_size=3)), max_leaves=8)
+    ini_values = st.one_of(words, st.text(max_size=12), st.integers().map(str),
+                           st.floats().map(repr))
+
+    @st.composite
+    def texts(draw):
+        as_json = draw(st.booleans())
+        values = words if plain else json_values if as_json else ini_values
+        sections = {}
+        for name, known in keys.items():
+            if draw(st.booleans()):
+                sections[name] = draw(st.dictionaries(
+                    st.sampled_from(known if plain else known + ["bogus"]), values,
+                    max_size=4))
+        if plain or draw(st.booleans()):  # a valid command reaches the later checks
+            sections.setdefault("experiment", {})["command"] = draw(
+                st.sampled_from(exp.COMMANDS))
+        if as_json:
+            return json.dumps(sections)
+        return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items())
+                       for name, sec in sections.items())
+
+    return texts()
+
+
 class TestConfigParserProperty:
     """Any INI or JSON text over the known sections and keys, with junk
-    values, either loads or raises ConfigError: nothing else escapes."""
-
-    WORDS = ["on", "off", "true", "0", "1", "4", "2.7", "-3", "0.1", "fp", "none", "nan",
-             "inf", "1e400", str(10**400), "train", "sweep", "cost", "noise-sweep", "char_lm",
-             "word_lm", "adam", "antipodal", "1 2", "4, 4, 4", "off, on", "%(x)s", "%", ""]
+    values, either loads or raises ConfigError: nothing else escapes; and
+    what loads reloads unchanged from its manifest."""
 
     def test_load_config_returns_a_config_or_raises_config_error(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
-        from dataclasses import fields
-
-        from xbarlstm.hwcost import HwParams
-
-        keys = {
-            "experiment": ["command", "task", "out", "seed", "threads"],
-            "train": sorted(exp._TRAIN_KEY_TYPES) + [
-                "bitwidths", "weight_bits", "adc_bits", "dac_bits", "adc_range_override",
-                "noise", "seed"],
-            "noise": sorted(exp._NOISE_KEY_TYPES) + ["seed"],
-            "hw": [f.name for f in fields(HwParams)] + ["adc_area_4bit_mm2",
-                                                        "residual_area_mm2"],
-            "sweep": [f.name for f in fields(exp.SweepConfig)],
-        }
-        words = st.sampled_from(self.WORDS)
-        scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), words,
-                            st.sampled_from([10**400, -(10**400)]), st.text(max_size=10))
-        json_values = st.recursive(scalars, lambda kids: st.one_of(
-            st.lists(kids, max_size=4),
-            st.dictionaries(st.sampled_from(keys["noise"]) | st.text(max_size=6), kids,
-                            max_size=3)), max_leaves=8)
-        ini_values = st.one_of(words, st.text(max_size=12), st.integers().map(str),
-                               st.floats().map(repr))
         path = tmp_path / "cfg"
 
         @hypothesis.settings(max_examples=300, deadline=None)
-        @hypothesis.given(data=st.data())
-        def check(data):
-            as_json = data.draw(st.booleans())
-            values = json_values if as_json else ini_values
-            sections = {}
-            for name, known in keys.items():
-                if data.draw(st.booleans()):
-                    sections[name] = data.draw(st.dictionaries(
-                        st.sampled_from(known + ["bogus"]), values, max_size=4))
-            if data.draw(st.booleans()):  # a valid command reaches the later checks
-                sections.setdefault("experiment", {})["command"] = data.draw(
-                    st.sampled_from(exp.COMMANDS))
-            if as_json:
-                text = json.dumps(sections)
-            else:
-                text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items())
-                               for name, sec in sections.items())
+        @hypothesis.given(text=config_texts(st))
+        def check(text):
             path.write_text(text, encoding="utf-8")
             try:
                 cfg = load_config(path)
@@ -181,6 +226,31 @@ class TestConfigParserProperty:
             assert isinstance(cfg, exp.ExperimentConfig)
 
         check()
+
+    def test_a_loaded_config_reloads_equal_from_its_dict(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        path, again_path = tmp_path / "cfg", tmp_path / "manifest.json"
+        loaded = []
+
+        # values that suit many keys, so that about one config in seven loads
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(text=config_texts(st, ROUND_TRIP_WORDS))
+        def check(text):
+            path.write_text(text, encoding="utf-8")
+            try:
+                cfg = load_config(path)
+            except ConfigError:
+                return
+            loaded.append(cfg)
+            again_path.write_text(json.dumps(cfg.as_dict()), encoding="utf-8")
+            again = load_config(again_path)
+            # repr, not ==: a NaN value (e.g. weight_range) is not equal to itself
+            assert repr(again) == repr(cfg)
+            assert json.dumps(again.as_dict()) == json.dumps(cfg.as_dict())
+
+        check()
+        assert len(loaded) >= 15
 
 
 class TestExitCodes:
@@ -276,6 +346,13 @@ epochs = 1
                      "train": {"bitwidths": [4, 4, 4], "adc_bits": 2}}), "train", "dir"),
         ("[experiment]\ncommand = noise-sweep\ntask = word_lm\n[sweep]\nbetas = 0.1\n",
          "sweep", "dir"),
+        (FAST_TRAIN + "seed = 7\n", "train", "dir"),
+        (FAST_TRAIN + "[noise]\nadc_noise = on\nadc_noise_enabled = off\n", "train", "dir"),
+        ("[experiment]\ncommand = cost\n[hw]\nadc_area_4bit_mm2 = 0.02\n"
+         "adc_area_4bit = 2e-8\n", "cost", "dir"),
+        (json.dumps({"experiment": {"command": "train", "task": "word_lm"},
+                     "train": {"noise": {"weight_noise_beta": 0.2}},
+                     "noise": {"weight_noise_beta": 0.1}}), "train", "dir"),
     ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero",
             "ini-out-empty", "json-out-empty", "cost-config-out-flag-empty",
             "cost-out-flag-empty", "json-seed-overflows", "sweep-weight-bits-zero",
@@ -286,7 +363,8 @@ epochs = 1
             "sweep-weight-bits-empty", "sweep-adc-bits-empty", "noise-sweep-grid-empty",
             "noise-sweep-noise-section", "sweep-train-bitwidths", "noise-sweep-beta-0.3",
             "noise-sweep-dac-bits-not-adc-bits", "bitwidths-and-bit-keys",
-            "json-bitwidths-and-adc-bits", "sweep-unread-betas"])
+            "json-bitwidths-and-adc-bits", "sweep-unread-betas", "train-seed",
+            "noise-alias-twice", "hw-mm2-alias-twice", "noise-section-and-inline"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, config, command, out):
         # anything written to a relative path lands in tmp_path
         monkeypatch.chdir(tmp_path)
@@ -340,7 +418,11 @@ resample_per_read = false
         assert run(p, out_dir=tmp_path / "out") == EXIT_OK
 
 
-# a value for each [train] key, none of them word_lm's default
+# the TrainConfig fields a [train] key of the same name sets; the seed
+# comes from [experiment], and the rest have their own spellings below
+TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - {
+    "seed", "bitwidths", "noise", "adc_range_override"}
+# a value for each of them, none of them word_lm's default
 TRAIN_VALUES = {
     "optimizer": "sgd", "learning_rate": 0.02, "lr_decay": 0.5, "epochs": 3,
     "batch_size": 4, "bptt_length": 8, "grad_clip": 1.5, "weight_range": 0.5,
@@ -356,7 +438,7 @@ NOISE_VALUES = {
 # (config lines, TrainConfig field, the value every cell must see)
 CELL_KEYS = {
     **{key: (f"[train]\n{key} = {TRAIN_VALUES[key]}\n", key, TRAIN_VALUES[key])
-       for key in sorted(exp._TRAIN_KEY_TYPES)},
+       for key in sorted(TRAIN_KEYS)},
     "bit widths": ("[train]\nweight_bits = 3\nadc_bits = 2\ndac_bits = 2\n",
                    "bitwidths", (3, 2, 2)),
     "adc_range_override": ("[train]\nadc_range_override = 1.5\n", "adc_range_override", 1.5),
@@ -372,6 +454,9 @@ GRID_OWNED = {"sweep": {"bit widths"}, "noise-sweep": {f"noise.{k}" for k in NOI
 class TestConfigReachesCells:
     """Every configured train, bit-width and noise key reaches the
     TrainConfig each cell trains with, and hidden_size sizes the network."""
+
+    def test_every_train_key_has_a_test_value(self):
+        assert set(TRAIN_VALUES) == TRAIN_KEYS
 
     @pytest.mark.parametrize("command, key", [
         (command, key) for command in GRIDS for key in CELL_KEYS
