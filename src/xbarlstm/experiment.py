@@ -191,10 +191,23 @@ def _sections_from_ini(text: str, path: Path) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key raises, as a repeated INI
+    option does, instead of the last value winning."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def _sections_from_json(text: str, path: Path) -> dict:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")

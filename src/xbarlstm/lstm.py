@@ -15,7 +15,10 @@ weight read (optional per-sample read noise), the pre-activation
 calibration), the converter (sigmoid/tanh or per-gate ADC + LUT) and the
 DAC (identity, or inputs and the recycled hidden state snapped to its
 grid).  The scalar `lstm_step_ref` stays separate as the reference the
-loop is checked against.
+loop is checked against.  An unrecorded forward may give each row's
+length, rows sorted longest first; each step then runs only the prefix of
+rows still inside their sequence (the packed-sequence layout of cuDNN),
+which is how evaluation skips padding.
 
 Weight read noise follows the hardware: every sample's VMM is a read of
 its own, through an array with fresh i.i.d. N(0, sigma^2) noise Z_b.
@@ -23,8 +26,9 @@ The loop never builds Z_b.  For one sample u_b @ (W + Z_b) has the
 distribution of u_b @ W + sigma |u_b| eps_b with eps_b ~ N(0, I) over
 the 4n columns (local reparameterization, Kingma, Salimans & Welling
 2015), so a step draws one (B, 4n) standard normal.  The cache keeps
-that draw and the per-row scale, and backward adds the noise term's
-derivative with respect to the recycled hidden state.
+that draw, made in place with `standard_normal(out=...)`, and the
+per-row scale, and backward adds the noise term's derivative with
+respect to the recycled hidden state.
 
 The quantized converters cost a fixed number of array operations per
 step, whatever the gate count.  `FusedConverter` holds the four gate
@@ -50,7 +54,9 @@ the range of |h| = |o tanh(c)| <= 1, so the hidden state's pass mask
 would be all true and is never built.  Local derivatives of the gate
 nonlinearities are evaluated at the continuous pre-ADC values, i.e. the
 quantized activation unit is treated as out-quantizer(fn(ADC(a))) with
-both quantizers backpropagating straight through.
+both quantizers backpropagating straight through.  With ideal converters
+the cached gates equal sigmoid/tanh of the cached pre-activations bit for
+bit, so backward reads them instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -271,6 +277,7 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
              adc: tuple[Sequence[QuantSpec], Sequence[ActivationLUT]] | None = None,
              dac_spec: QuantSpec | None = None,
              record: bool = True,
+             lengths: np.ndarray | None = None,
              ) -> tuple[np.ndarray, SequenceCache | None]:
     """The batched step loop behind every forward pass.
 
@@ -296,6 +303,14 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
     A recorded forward keeps every step in the sequence-major buffers of
     the cache it returns; an unrecorded one reuses a single step of them,
     so `on_preact` must copy what it keeps.
+
+    `lengths` (unrecorded forwards only) gives each row's sequence length,
+    sorted non-increasing, each in [1, T].  Step t then runs every stage
+    on the live rows only, the prefix with length > t: the VMM, the noise
+    draws of shape (live, 4n), the converter, the cell update and the
+    DAC.  Rows past their length read zeros in the returned h_seq.  This
+    is the packed-sequence layout of cuDNN and PyTorch's
+    `pack_padded_sequence`: rows that finished cost nothing.
     """
     x_seq = np.asarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3:
@@ -309,6 +324,7 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         # no pass mask for it
         raise ValueError(f"the DAC range [{dac_spec.v_min}, {dac_spec.v_max}] must "
                          "cover the hidden state's range [-1, 1]")
+    live = None if lengths is None else _live_rows(lengths, t_steps, batch, record)
 
     if dac_spec is None:
         h = np.zeros((batch, n))
@@ -335,30 +351,35 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         noise_scale=None if weight_noise is None else np.empty((span, batch)))
     if t_steps:
         cache.inputs[0, :, m:] = h
-    h_seq = np.empty((t_steps, batch, n))
+    # rows past their length keep the zeros of h_seq
+    h_seq = (np.empty if live is None else np.zeros)((t_steps, batch, n))
+    adc_eps = None if adc_noise is None else np.empty((batch, 4 * n))
 
     for t in range(t_steps):
         k = t % span
-        u = cache.inputs[k]
-        u[:, :m] = x_seq[t]
-        a = np.matmul(u, w, out=cache.preact[k])
+        rows = batch if live is None else live[t]
+        u = cache.inputs[k, :rows]
+        u[:, :m] = x_seq[t, :rows]
+        a = np.matmul(u, w, out=cache.preact[k, :rows])
         if weight_noise is not None:
             # u_b @ (W + Z_b), Z_b i.i.d. N(0, sigma^2), is distributed as
-            # u_b @ W + sigma |u_b| eps_b, eps_b ~ N(0, I): one (B, 4n) draw
+            # u_b @ W + sigma |u_b| eps_b, eps_b ~ N(0, I): one (rows, 4n)
+            # draw, straight into the cache
             rng, sigma = weight_noise
-            eps, scale = cache.noise_eps[k], cache.noise_scale[k]
-            eps[...] = rng.normal(size=a.shape)
+            eps, scale = cache.noise_eps[k, :rows], cache.noise_scale[k, :rows]
+            rng.standard_normal(out=eps)
             np.multiply(sigma, np.sqrt(np.einsum("ij,ij->i", u, u)), out=scale)
             a += eps * scale[:, None]
         if adc_noise is not None:
             rng, sigma = adc_noise
-            z = rng.normal(size=a.shape)
+            z = adc_eps[:rows]
+            rng.standard_normal(out=z)
             z *= sigma
             a += z
         if on_preact is not None:
             on_preact(a)
 
-        gates = cache.gates[k]
+        gates = cache.gates[k, :rows]
         if converter is None:
             sigmoid(a[:, :3 * n], out=gates[:, :3 * n])
             np.tanh(a[:, 3 * n:], out=gates[:, 3 * n:])
@@ -371,16 +392,32 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
                 cache.adc_mask[k] = adc_mask
 
         f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n]
-        c_prev, c = cache.c[t % (span + 1)], cache.c[(t + 1) % (span + 1)]
+        c_prev = cache.c[t % (span + 1), :rows]
+        c = cache.c[(t + 1) % (span + 1), :rows]
         np.multiply(f, c_prev, out=c)
         c += i * gates[:, 3 * n:]
-        h = o * np.tanh(c, out=cache.tanh_c[k])
+        h = o * np.tanh(c, out=cache.tanh_c[k, :rows])
         if dac_spec is not None:
             h = dac_grid[to_code(h, dac_spec)]
-        h_seq[t] = h
+        h_seq[t, :rows] = h
         if t + 1 < t_steps:
-            cache.inputs[(t + 1) % span, :, m:] = h
+            cache.inputs[(t + 1) % span, :rows, m:] = h
     return h_seq, cache if record else None
+
+
+def _live_rows(lengths, t_steps: int, batch: int, record: bool) -> np.ndarray:
+    """Rows still live at each step, for `run_cell`'s `lengths`."""
+    if record:
+        raise ValueError("lengths is for unrecorded forwards; pass record=False")
+    lengths = np.asarray(lengths)
+    if lengths.shape != (batch,):
+        raise ValueError(f"need one length per row ({batch}), got shape {lengths.shape}")
+    if np.any(lengths[1:] > lengths[:-1]):
+        raise ValueError("lengths must be sorted non-increasing")
+    if batch and not (lengths[-1] >= 1 and lengths[0] <= t_steps):
+        raise ValueError(f"lengths must lie in [1, {t_steps}]")
+    # lengths is sorted, so the rows with length > t are a prefix
+    return (lengths[None, :] > np.arange(t_steps)[:, None]).sum(axis=1)
 
 
 def lstm_backward(cache: SequenceCache, d_h: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -405,6 +442,7 @@ def lstm_backward(cache: SequenceCache, d_h: Sequence[np.ndarray] | np.ndarray) 
     da_seq = np.empty(preact.shape)
     dh_next = np.zeros(c_seq.shape[1:])
     dc_next = np.zeros_like(dh_next)
+    s_buf, th_buf = np.empty(preact.shape[1:2] + (3 * n,)), np.empty_like(dh_next)
 
     for t in range(cache.steps - 1, -1, -1):
         dh = np.asarray(d_h[t], dtype=np.float64) + dh_next
@@ -421,12 +459,17 @@ def lstm_backward(cache: SequenceCache, d_h: Sequence[np.ndarray] | np.ndarray) 
 
         # nonlinearity derivatives at the pre-activation values of this
         # pass, step by step: sequence-wide factor buffers were measured
-        # slower (memory traffic and page faults on the 356x1024 array)
-        s = sigmoid(preact[t][:, :3 * n])
+        # slower (memory traffic and page faults on the 356x1024 array).
+        # Ideal converters cached sigmoid/tanh of exactly these values, bit
+        # for bit; after an ADC the cached gates are LUT entries instead.
+        if cache.adc_mask is None:
+            s, th = g[:, :3 * n], g[:, 3 * n:]
+        else:
+            s = sigmoid(preact[t][:, :3 * n], out=s_buf)
+            th = np.tanh(preact[t][:, 3 * n:], out=th_buf)
         da[:, :3 * n] *= s
-        da[:, :3 * n] *= np.subtract(1.0, s, out=s)
-        th = np.tanh(preact[t][:, 3 * n:])
-        da[:, 3 * n:] *= np.subtract(1.0, np.square(th, out=th), out=th)
+        da[:, :3 * n] *= np.subtract(1.0, s, out=s_buf)
+        da[:, 3 * n:] *= np.subtract(1.0, np.square(th, out=th_buf), out=th_buf)
         if cache.adc_mask is not None:
             da *= cache.adc_mask[t]
 

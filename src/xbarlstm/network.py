@@ -193,6 +193,7 @@ class LSTMNetwork:
                          rng_weight_noise: np.random.Generator | None = None,
                          rng_adc_noise: np.random.Generator | None = None,
                          record: bool = True, programmed: np.ndarray | None = None,
+                         lengths: np.ndarray | None = None,
                          ) -> tuple[np.ndarray, np.ndarray, SequenceCache | None]:
         """Run a (T, B, m) batch; returns (logits (T,B,V), h_seq (T,B,n), cache).
 
@@ -207,7 +208,10 @@ class LSTMNetwork:
         `record=False` is for forwards that are never back-propagated
         (evaluation): no cache and no STE masks are built and the cache
         comes back as None.  Logits, hidden states and noise draws are the
-        same either way.
+        same either way.  An unrecorded forward may pass each row's
+        `lengths`, sorted non-increasing: every step then runs only the rows
+        still inside their sequence, and finished rows read zero hidden
+        states (see `lstm.run_cell`).
 
         The forward reads `programmed` when given (an array programmed
         once for many forwards), else the latent weights in 'fp' mode and
@@ -240,7 +244,8 @@ class LSTMNetwork:
                     for s in self.gate_adc_specs]))
         if programmed is None:
             programmed = self.w if mode == "fp" else self.programmed_weights()
-        h_seq, cache = run_cell(x_seq, programmed, record=record, **stages)
+        h_seq, cache = run_cell(x_seq, programmed, record=record, lengths=lengths,
+                                **stages)
         if record and mode != "fp":
             cache.w_mask = ste_mask(self.w, cfg.weight_spec)
         return self._head(h_seq), h_seq, cache

@@ -13,6 +13,15 @@ quantized path (an explicit range override skips the calibration epoch
 and quantizes from the start).  Training forwards record a cache for
 the backward pass; evaluation forwards record nothing.
 
+Training batches come in shuffled order, each padded to its longest
+chunk (`make_batches`); the padded rows also feed the ADC-range
+calibration.  Evaluation sorts the split's chunks longest first into
+packs of at most batch_size rows (`make_packs`), and each step runs only
+the rows whose chunk has not ended, as cuDNN's packed sequences do.  Per
+token this is the padded batch's arithmetic on fewer rows: noise off,
+results agree to rounding (BLAS may block a smaller product
+differently); noise on, the draws cover live rows only, so they differ.
+
 Sequences longer than bptt_length are split into independent chunks with
 state reset at the boundary.  Categorical inputs drive the array at full
 scale (+1) on the active channel and at the smallest representable DAC
@@ -86,6 +95,10 @@ class TrainConfig:
         # the comparisons below also reject NaN
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and >= 0")
+        if not 0 < self.weight_range < math.inf:
+            raise ValueError("weight_range must be finite and > 0")
+        if not self.grad_clip >= 0:
+            raise ValueError("grad_clip must be >= 0 (0 turns clipping off)")
         if not (self.init_scale is None or 0 <= self.init_scale < math.inf):
             raise ValueError("init_scale must be finite and >= 0")
         if not 0 <= self.adc_range_percentile <= 100:
@@ -169,6 +182,42 @@ def inactive_level(input_drive: str, dac_bits: int | None) -> float:
     return -QuantSpec.symmetric(dac_bits, 1.0).step / 2
 
 
+def _items(ds: SequenceDataset, order, bptt_length: int) -> list:
+    """The dataset's sequences in `order`, language-model ones split into
+    chunks of at most bptt_length."""
+    if ds.kind == "classification":
+        return [ds.sequences[k] for k in order]
+    return [chunk for k in order for chunk in _chunk(ds.sequences[k], bptt_length)]
+
+
+def _length(item) -> int:
+    return len(item[0])
+
+
+def _pad(ds: SequenceDataset, group: list, inactive: float
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One padded batch (x (T,B,m), targets (T,B) int, mask (T,B) float) of
+    `group`'s items, T the longest item's length."""
+    b, t_max = len(group), max(map(_length, group))
+    targets = np.zeros((t_max, b), dtype=np.int64)
+    mask = np.zeros((t_max, b))
+    if ds.kind == "classification":
+        x = np.zeros((t_max, b, ds.input_dim))
+        for j, (feat, label) in enumerate(group):
+            t = feat.shape[0]
+            x[:t, j, :] = feat
+            targets[t - 1, j] = label
+            mask[t - 1, j] = 1.0
+    else:
+        x = np.full((t_max, b, ds.input_dim), inactive)
+        for j, (inp, tgt) in enumerate(group):
+            t = len(inp)
+            x[np.arange(t), j, inp] = 1.0
+            targets[:t, j] = tgt
+            mask[:t, j] = 1.0
+    return x, targets, mask
+
+
 def make_batches(ds: SequenceDataset, batch_size: int, bptt_length: int,
                  order: np.ndarray, inactive: float = 0.0,
                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -180,38 +229,26 @@ def make_batches(ds: SequenceDataset, batch_size: int, bptt_length: int,
     active channel and `inactive` elsewhere; classification targets are
     placed (and masked) at the final step only.
     """
-    items = []
-    if ds.kind == "classification":
-        for k in order:
-            items.append(ds.sequences[k])
-    else:
-        for k in order:
-            items.extend(_chunk(ds.sequences[k], bptt_length))
+    items = _items(ds, order, bptt_length)
+    for start in range(0, len(items), batch_size):
+        yield _pad(ds, items[start:start + batch_size], inactive)
 
+
+def make_packs(ds: SequenceDataset, batch_size: int, bptt_length: int,
+               inactive: float = 0.0,
+               ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The whole split's chunks longest first, in batches of at most
+    `batch_size` rows, for a forward that steps only the live rows.
+
+    The sort is stable, so chunks of equal length keep dataset order (a
+    split of equal lengths gives `make_batches`'s batches in dataset
+    order).  Yields what `make_batches` does plus each row's length,
+    non-increasing, one pack at a time.
+    """
+    items = sorted(_items(ds, range(len(ds)), bptt_length), key=_length, reverse=True)
     for start in range(0, len(items), batch_size):
         group = items[start:start + batch_size]
-        b = len(group)
-        if ds.kind == "classification":
-            t_max = max(feat.shape[0] for feat, _ in group)
-            x = np.zeros((t_max, b, ds.input_dim))
-            targets = np.zeros((t_max, b), dtype=np.int64)
-            mask = np.zeros((t_max, b))
-            for j, (feat, label) in enumerate(group):
-                t = feat.shape[0]
-                x[:t, j, :] = feat
-                targets[t - 1, j] = label
-                mask[t - 1, j] = 1.0
-        else:
-            t_max = max(len(inp) for inp, _ in group)
-            x = np.full((t_max, b, ds.input_dim), inactive)
-            targets = np.zeros((t_max, b), dtype=np.int64)
-            mask = np.zeros((t_max, b))
-            for j, (inp, tgt) in enumerate(group):
-                t = len(inp)
-                x[np.arange(t), j, inp] = 1.0
-                targets[:t, j] = tgt
-                mask[:t, j] = 1.0
-        yield x, targets, mask
+        yield *_pad(ds, group, inactive), np.array([_length(it) for it in group])
 
 
 # --- loss -----------------------------------------------------------------------
@@ -305,16 +342,17 @@ def _make_optimizer(cfg: TrainConfig):
 
 # --- train / evaluate ---------------------------------------------------------------
 
-def _run_split(model: LSTMNetwork, batches, mode: str, rng_w, rng_a):
+def _run_split(model: LSTMNetwork, packs, mode: str, rng_w, rng_a):
     """Forward a whole split without recording; returns (nll_sum, count, correct).
 
-    The array is programmed once for the split, and every batch reads it."""
+    The array is programmed once for the split, and every pack reads it,
+    stepping only the rows whose chunk is still running."""
     programmed = model.programmed_weights()
     nll_sum = count = correct = 0.0
-    for x, targets, mask in batches:
+    for x, targets, mask, lengths in packs:
         logits, _, _ = model.forward_sequence(x, mode=mode, rng_weight_noise=rng_w,
                                               rng_adc_noise=rng_a, record=False,
-                                              programmed=programmed)
+                                              programmed=programmed, lengths=lengths)
         s, c, corr, _ = softmax_xent(logits, targets, mask)
         nll_sum += s
         count += c
@@ -326,8 +364,10 @@ def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
              epoch_tag: int = 0, task_name: str | None = None) -> EvalReport:
     """Metrics over a dataset: perplexity = exp(mean token NLL), accuracy =
     fraction of argmax-correct predictions.  The quantized path (with its
-    configured noise) is used whenever the model has one.  Raises
-    TrainingDiverged if the NLL or the perplexity is not finite."""
+    configured noise) is used whenever the model has one.  The split runs
+    in length-sorted packs (`make_packs`) whose finished rows drop out of
+    the step loop.  Raises TrainingDiverged if the NLL or the perplexity
+    is not finite."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if model.crossbar is not None and not model.calibrated:
@@ -338,9 +378,8 @@ def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
     rng_a = derive_rng(cfg.seed, f"eval-noise-a-{epoch_tag}")
     inactive = inactive_level(cfg.input_drive, model.crossbar.dac_spec.bits
                               if model.crossbar is not None else None)
-    batches = make_batches(dataset, cfg.batch_size, cfg.bptt_length,
-                           np.arange(len(dataset)), inactive=inactive)
-    nll_sum, count, correct = _run_split(model, batches, mode, rng_w, rng_a)
+    packs = make_packs(dataset, cfg.batch_size, cfg.bptt_length, inactive=inactive)
+    nll_sum, count, correct = _run_split(model, packs, mode, rng_w, rng_a)
     ppl = perplexity_from_nll(nll_sum, count)
     if not math.isfinite(ppl):
         raise TrainingDiverged(None, "evaluation perplexity")

@@ -245,7 +245,7 @@ class TestConfigParserProperty:
             loaded.append(cfg)
             again_path.write_text(json.dumps(cfg.as_dict()), encoding="utf-8")
             again = load_config(again_path)
-            # repr, not ==: a NaN value (e.g. weight_range) is not equal to itself
+            # repr, not ==: a NaN value is not equal to itself
             assert repr(again) == repr(cfg)
             assert json.dumps(again.as_dict()) == json.dumps(cfg.as_dict())
 
@@ -353,6 +353,20 @@ epochs = 1
         (json.dumps({"experiment": {"command": "train", "task": "word_lm"},
                      "train": {"noise": {"weight_noise_beta": 0.2}},
                      "noise": {"weight_noise_beta": 0.1}}), "train", "dir"),
+        *[(FAST_TRAIN + f"weight_range = {v}\n", "train", "dir")
+          for v in ("nan", "inf", "0", "-1")],
+        *[('{"experiment": {"command": "train", "task": "word_lm"}, '
+           f'"train": {{"weight_range": {v}}}}}', "train", "dir")
+          for v in ("NaN", "Infinity", "0", "-1")],
+        (FAST_TRAIN.replace("epochs = 2", "epochs = 2\nweight_range = nan")
+         .replace("weight_bits = 4\nadc_bits = 4\ndac_bits = 4\n", ""), "train", "dir"),
+        *[(FAST_TRAIN + f"grad_clip = {v}\n", "train", "dir") for v in ("nan", "-1")],
+        *[('{"experiment": {"command": "train", "task": "word_lm"}, '
+           f'"train": {{"grad_clip": {v}}}}}', "train", "dir") for v in ("NaN", "-1")],
+        ('{"experiment": {"command": "cost"}, "hw": {"rows": 100, "rows": 356}}',
+         "cost", "dir"),
+        ('{"experiment": {"command": "train", "task": "word_lm"}, '
+         '"train": {"epochs": 1}, "train": {"epochs": 2}}', "train", "dir"),
     ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero",
             "ini-out-empty", "json-out-empty", "cost-config-out-flag-empty",
             "cost-out-flag-empty", "json-seed-overflows", "sweep-weight-bits-zero",
@@ -364,7 +378,12 @@ epochs = 1
             "noise-sweep-noise-section", "sweep-train-bitwidths", "noise-sweep-beta-0.3",
             "noise-sweep-dac-bits-not-adc-bits", "bitwidths-and-bit-keys",
             "json-bitwidths-and-adc-bits", "sweep-unread-betas", "train-seed",
-            "noise-alias-twice", "hw-mm2-alias-twice", "noise-section-and-inline"])
+            "noise-alias-twice", "hw-mm2-alias-twice", "noise-section-and-inline",
+            "weight-range-nan", "weight-range-inf", "weight-range-zero",
+            "weight-range-negative", "json-weight-range-nan", "json-weight-range-inf",
+            "json-weight-range-zero", "json-weight-range-negative", "fp-weight-range-nan",
+            "grad-clip-nan", "grad-clip-negative", "json-grad-clip-nan",
+            "json-grad-clip-negative", "json-hw-key-twice", "json-section-twice"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, config, command, out):
         # anything written to a relative path lands in tmp_path
         monkeypatch.chdir(tmp_path)

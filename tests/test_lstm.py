@@ -553,3 +553,81 @@ class TestFusedConverter:
             assert_fused_equals_per_gate(a, specs, n)
 
         check()
+
+
+class TestPackedLengths:
+    """run_cell with `lengths` steps only the rows whose sequence is still
+    running: each row equals its own forward, rows past their length read
+    zero, and the noise draws cover the live rows only."""
+
+    M, N, T = 3, 4, 6
+    LENGTHS = np.array([6, 6, 4, 3, 3, 1])
+
+    def _run(self, lengths, **stages):
+        w = random_params(self.M, self.N, seed=60, scale=0.6).concat()
+        x_seq = np.random.default_rng(61).uniform(-1, 1, size=(self.T, len(lengths), self.M))
+        return x_seq, w, run_cell(x_seq, w, record=False, lengths=lengths, **stages)[0]
+
+    def test_each_row_equals_its_own_forward(self):
+        x_seq, w, h_seq = self._run(self.LENGTHS)
+        for b, length in enumerate(self.LENGTHS):
+            alone, _ = run_cell(x_seq[:length, b:b + 1], w, record=False)
+            np.testing.assert_allclose(h_seq[:length, b], alone[:, 0], rtol=1e-12, atol=1e-16)
+            assert not h_seq[length:, b].any()
+
+    def test_full_lengths_are_bit_identical_to_none(self):
+        dac = QuantSpec.symmetric(4, 1.0)
+        x_seq, w, h_seq = self._run(np.full(4, self.T), dac_spec=dac)
+        assert np.array_equal(h_seq, run_cell(x_seq, w, record=False, dac_spec=dac)[0])
+
+    def test_noise_draws_cover_live_rows_only(self):
+        rng_w, rng_a = np.random.default_rng(62), np.random.default_rng(63)
+        sigma = np.full(4 * self.N, 0.05)
+        self._run(self.LENGTHS, weight_noise=(rng_w, 0.1), adc_noise=(rng_a, sigma))
+        live = sum(int((self.LENGTHS > t).sum()) for t in range(self.T))
+        for rng, seed in ((rng_w, 62), (rng_a, 63)):
+            again = np.random.default_rng(seed)
+            again.standard_normal(size=live * 4 * self.N)
+            assert rng.random() == again.random()
+
+    @pytest.mark.parametrize("lengths, record, match", [
+        (LENGTHS, True, "record=False"),
+        (np.array([6, 4, 6, 3, 3, 1]), False, "sorted"),
+        (np.array([6, 6, 4, 3, 3, 0]), False, r"\[1, 6\]"),
+        (np.array([7, 6, 4, 3, 3, 1]), False, r"\[1, 6\]"),
+        (np.array([6, 6, 4]), False, "one length per row"),
+    ], ids=["recorded", "unsorted", "zero", "past-T", "wrong-count"])
+    def test_bad_lengths_raise(self, lengths, record, match):
+        w = random_params(self.M, self.N, seed=60).concat()
+        with pytest.raises(ValueError, match=match):
+            run_cell(np.zeros((self.T, 6, self.M)), w, record=record, lengths=lengths)
+
+
+class TestNoiseDraws:
+    def test_read_noise_equals_normal_draws_bit_for_bit(self):
+        """The draws land in the cache via standard_normal(out=...): the
+        same values, sign bits and stream position as normal(0, 1)."""
+        w = random_params(3, 4, seed=64).concat()
+        x_seq = np.random.default_rng(65).uniform(-1, 1, size=(5, 3, 3))
+        rng, ref = np.random.default_rng(66), np.random.default_rng(66)
+        _, cache = run_cell(x_seq, w, weight_noise=(rng, 0.1))
+        want = np.stack([ref.normal(size=(3, 16)) for _ in range(5)])
+        assert np.array_equal(cache.noise_eps.view(np.int64), want.view(np.int64))
+        assert rng.random() == ref.random()
+
+
+class TestBackwardReusesIdealGates:
+    """With ideal converters the cached gates are sigmoid/tanh of the
+    pre-activations, so backward reads them; an all-pass ADC mask forces
+    the recompute, and the two gradients are bit-identical."""
+
+    @pytest.mark.parametrize("dac", [None, QuantSpec.symmetric(4, 1.0)], ids=["fp", "calibrate"])
+    def test_equals_recompute_bit_for_bit(self, dac):
+        params = random_params(5, 4, seed=67, scale=0.6)
+        rng = np.random.default_rng(68)
+        x_seq = rng.uniform(-1, 1, size=(6, 3, 5))
+        _, cache = run_cell(x_seq, params.concat(), dac_spec=dac)
+        d_h = rng.normal(size=(6, 3, 4))
+        reused = lstm_backward(cache, d_h)
+        cache.adc_mask = np.ones(cache.preact.shape, dtype=bool)
+        assert np.array_equal(reused, lstm_backward(cache, d_h))

@@ -20,6 +20,7 @@ from xbarlstm.training import (
     evaluate,
     inactive_level,
     make_batches,
+    make_packs,
     perplexity_from_nll,
     softmax_xent,
     train,
@@ -28,11 +29,13 @@ from xbarlstm.training import (
 from trained_cells import mean_metric
 
 
-def tiny_lm_dataset(n_seq=24, vocab=6, length=5, seed=3):
+def tiny_lm_dataset(n_seq=24, vocab=6, length=5, seed=3, lengths=None):
+    """`n_seq` random sequences of `length` tokens, or one per entry of
+    `lengths`."""
     rng = np.random.default_rng(seed)
     seqs = []
-    for _ in range(n_seq):
-        ids = rng.integers(0, vocab, size=length + 1)
+    for n in lengths if lengths is not None else [length] * n_seq:
+        ids = rng.integers(0, vocab, size=n + 1)
         seqs.append((ids[:-1], ids[1:]))
     return SequenceDataset(kind="char_lm", input_dim=vocab, num_classes=vocab,
                            sequences=seqs)
@@ -52,6 +55,19 @@ class TestConfig:
             TrainConfig(bitwidths=(0, 4, 4))
         with pytest.raises(ValueError):
             TrainConfig(input_drive="bipolar")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_weight_range_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="weight_range"):
+            TrainConfig(weight_range=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_grad_clip_nan_or_negative_rejected(self, value):
+        with pytest.raises(ValueError, match="grad_clip"):
+            TrainConfig(grad_clip=value)
+
+    def test_grad_clip_zero_turns_clipping_off(self):
+        assert TrainConfig(grad_clip=0.0).grad_clip == 0.0
 
     def test_zero_learning_rate_allowed(self):
         TrainConfig(learning_rate=0.0)
@@ -227,6 +243,19 @@ class TestBatching:
         assert inactive_level("matched", 1) == -1.0
         assert inactive_level("antipodal", 4) == -1.0
 
+    def test_packs_sort_chunks_longest_first_stably(self):
+        # at bptt_length 16 the 20-token sequence splits into chunks of 16 and 4
+        ds = tiny_lm_dataset(lengths=[3, 9, 1, 20, 9, 5])
+        packs = list(make_packs(ds, batch_size=4, bptt_length=16))
+        assert [list(p[3]) for p in packs] == [[16, 9, 9, 5], [4, 3, 1]]
+        # ties keep dataset order: the first 9-token sequence comes first
+        first = packs[0]
+        assert np.array_equal(first[1][:9, 1], ds.sequences[1][1])
+        assert np.array_equal(first[1][:9, 2], ds.sequences[4][1])
+        for x, targets, mask, lengths in packs:
+            assert x.shape[0] == lengths[0]
+            assert np.array_equal(mask.sum(axis=0), lengths)
+
     def test_classification_target_at_final_step(self):
         rng = np.random.default_rng(3)
         seqs = [(rng.normal(size=(5, 3)), 2), (rng.normal(size=(7, 3)), 1)]
@@ -343,6 +372,41 @@ class TestEvaluationSnap:
         for got, want in zip(logits, ref_logits):
             assert np.array_equal(got, want)
         assert rep.perplexity == ppl
+        assert rep.accuracy == acc
+
+    @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "fp"])
+    def test_varied_lengths_match_per_batch_forwards_per_token(self, monkeypatch, quantized):
+        # chunk lengths 1..9 in shuffled order: the packs reorder the
+        # chunks and drop finished rows, so every token's logits equal the
+        # dataset-order padded forward's to rounding
+        model = self._model(quantized)
+        lengths = [int(n) for n in np.random.default_rng(5).permutation(np.arange(1, 10))]
+        ds = tiny_lm_dataset(lengths=lengths * 2)
+        rep, packs = self._evaluate(model, ds, monkeypatch)
+        ref_logits, ppl, acc = self._reference(model, ds)
+        chunks = lengths * 2
+        batch = self.CFG.batch_size
+        order = sorted(range(len(chunks)), key=lambda j: -chunks[j])
+        assert len(packs) == -(-len(chunks) // batch)
+        for pos, j in enumerate(order):
+            got = packs[pos // batch][:chunks[j], pos % batch]
+            want = ref_logits[j // batch][:chunks[j], j % batch]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        assert rep.perplexity == pytest.approx(ppl, rel=1e-12)
+        assert rep.accuracy == acc
+
+    def test_har_equal_lengths_bit_identical_to_per_batch_forwards(self, monkeypatch):
+        bundle = build_task("har", seed=2)
+        cfg = CrossbarConfig.for_lstm(bundle.input_dim, 8, weight_bits=4, adc_bits=4,
+                                      dac_bits=4)
+        model = LSTMNetwork(bundle.input_dim, 8, bundle.output_size, seed=2, crossbar=cfg,
+                            noise=self.NOISY)
+        model.freeze_adc_ranges(override=(2.0, 2.0, 2.0, 2.0))
+        rep, logits = self._evaluate(model, bundle.valid, monkeypatch)
+        ref_logits, _, acc = self._reference(model, bundle.valid)
+        assert len(logits) == len(ref_logits)
+        for got, want in zip(logits, ref_logits):
+            assert np.array_equal(got, want)
         assert rep.accuracy == acc
 
     @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "fp"])
