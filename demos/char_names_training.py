@@ -22,7 +22,7 @@ for bits in (None, (4, 4, 4), (1, 1, 1)):
     print(f"{label:24s} valid perplexity/char {rep.perplexity:6.3f}  "
           f"accuracy {rep.accuracy:.3f}  ({time.time()-t0:.0f} s)")
     if bits is not None:
-        ranges = ", ".join(f"{s.v_max:.2f}" for s in model.gate_adc_specs)
+        ranges = ", ".join(f"{s.v_max:.2f}" for s in model.adc.specs)
         print(f"{'':24s} frozen ADC ranges per gate: +-[{ranges}]")
 print()
 print("The 4-bit model matches the float baseline; binary everything does not,")

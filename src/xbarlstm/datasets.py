@@ -10,7 +10,6 @@ the geometry the cost model describes.  The word task defaults to a
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -55,8 +54,6 @@ class SequenceDataset:
     input_dim: int
     num_classes: int
     sequences: list
-    split: str = "train"
-    seed: int | None = None
     vocab: list[str] | None = None
 
     def __post_init__(self):
@@ -65,23 +62,6 @@ class SequenceDataset:
 
     def __len__(self) -> int:
         return len(self.sequences)
-
-    def manifest(self) -> dict:
-        tokens = None
-        if self.kind != "classification":
-            tokens = int(sum(len(t) for _, t in self.sequences))
-        return {
-            "kind": self.kind,
-            "input_dim": self.input_dim,
-            "num_classes": self.num_classes,
-            "n_sequences": len(self.sequences),
-            "n_tokens": tokens,
-            "seed": self.seed,
-            "split": self.split,
-        }
-
-    def save_manifest(self, path):
-        Path(path).write_text(json.dumps(self.manifest(), indent=2) + "\n")
 
 
 def split_dataset(ds: SequenceDataset, valid_fraction: float, seed: int,
@@ -94,10 +74,10 @@ def split_dataset(ds: SequenceDataset, valid_fraction: float, seed: int,
     valid_idx = set(order[:n_valid].tolist())
     train_seqs = [ds.sequences[k] for k in range(len(ds.sequences)) if k not in valid_idx]
     valid_seqs = [ds.sequences[k] for k in sorted(valid_idx)]
-    mk = lambda seqs, split: SequenceDataset(
+    mk = lambda seqs: SequenceDataset(
         kind=ds.kind, input_dim=ds.input_dim, num_classes=ds.num_classes,
-        sequences=seqs, split=split, seed=seed, vocab=ds.vocab)
-    return mk(train_seqs, "train"), mk(valid_seqs, "valid")
+        sequences=seqs, vocab=ds.vocab)
+    return mk(train_seqs), mk(valid_seqs)
 
 
 # --- synthetic activity classification ----------------------------------------
@@ -128,7 +108,7 @@ def synth_har(seed: int, n_sequences: int, seq_len: int = 24,
         x = clean + rng.normal(0.0, 0.40, size=(seq_len, input_dim))
         sequences.append((np.clip(x, -1.0, 1.0), label))
     return SequenceDataset(kind="classification", input_dim=input_dim,
-                           num_classes=HAR_CLASSES, sequences=sequences, seed=seed)
+                           num_classes=HAR_CLASSES, sequences=sequences)
 
 
 # --- character-level corpus ----------------------------------------------------

@@ -9,7 +9,8 @@ through named streams, and metrics.csv is written deterministically, so
 two runs of the same resolved config produce byte-identical metrics.
 Each key of [train], [noise], [hw] and [sweep] sets the field of its name
 (or of its alias) in the dataclass the section fills, typed by that
-field's annotation, and a field is set by one key only.
+field's annotation, and a field is set by one key only.  A value that
+`READS` says the command does not read must keep its default.
 
 Commands:
     train        one train+evaluate on a task
@@ -20,17 +21,18 @@ Commands:
 A sweep trains its cells one after another in the calling thread.  The
 `threads` value older configs and callers give is checked, then dropped.
 
-Exit codes: 0 success, 2 config error, 3 training divergence,
-4 infeasible hardware parameters.
+Exit codes: 0 success, 2 config error (or out of memory, or an infinite
+cost figure), 3 training divergence, 4 infeasible hardware parameters.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
+import math
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -83,9 +85,17 @@ class SweepConfig:
                 raise ValueError(f"adc_noise_grid entries must be on/off, got {state!r}")
 
 
-# the [sweep] keys each command reads; `train` and `cost` read none
-SWEEP_KEYS = {"sweep": ("weight_bits", "adc_bits", "seeds"),
-              "noise-sweep": ("betas", "adc_noise_grid", "adc_bits", "seeds")}
+# What each command reads besides [experiment] command, out and seed, by
+# section: its keys, or None for all ([noise] is part of [train]).  Older
+# manifests carry every section, each at its defaults.
+READS = {
+    "train": {"experiment": ("task",), "train": None},
+    "sweep": {"experiment": ("task",), "train": None,
+              "sweep": ("weight_bits", "adc_bits", "seeds")},
+    "noise-sweep": {"experiment": ("task",), "train": None,
+                    "sweep": ("betas", "adc_noise_grid", "adc_bits", "seeds")},
+    "cost": {"hw": None},
+}
 
 
 @dataclass
@@ -105,15 +115,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
-        if self.command != "cost" and self.task not in TASK_NAMES:
-            raise ConfigError(f"unknown task {self.task!r}; expected one of {TASK_NAMES}")
-        # older manifests carry every field at its default; any other
-        # value of a key the command does not read would be dropped
-        default, read = SweepConfig(), SWEEP_KEYS.get(self.command, ())
-        unread = [f.name for f in fields(SweepConfig) if f.name not in read
-                  and getattr(self.sweep, f.name) != getattr(default, f.name)]
+        unread = self._sections_read()[1]
         if unread:
-            raise ConfigError(f"{self.command} does not read [sweep] {', '.join(unread)}")
+            raise ConfigError(f"{self.command} does not read {', '.join(unread)}")
+        # `cost` reads no task, so its task is the default here
+        if self.task not in TASK_NAMES:
+            raise ConfigError(f"unknown task {self.task!r}; expected one of {TASK_NAMES}")
         if not str(self.out_dir).strip():
             raise ConfigError("out must name a directory, got an empty value")
         # surface invalid values now, before any compute starts
@@ -136,20 +143,35 @@ class ExperimentConfig:
             return _noise_cells(s.betas, s.adc_noise_grid, s.adc_bits, base, self.seeds())
         return []
 
-    def as_dict(self) -> dict:
+    def _sections_read(self) -> tuple[dict, list[str]]:
+        """(the values the command reads by section and key, the
+        '[section] key' of each other value that is not its default)."""
         train = dict(self.train_overrides)
         if isinstance(train.get("noise"), NoiseConfig):
             train["noise"] = asdict(train["noise"])
         if train.get("bitwidths") is not None:
             train["bitwidths"] = list(train["bitwidths"])
-        read = SWEEP_KEYS.get(self.command, ())
-        return {
-            "experiment": {"command": self.command, "task": self.task,
-                           "out": self.out_dir, "seed": self.seed},
-            "train": train,
-            "hw": asdict(self.hw),
-            "sweep": {k: v for k, v in asdict(self.sweep).items() if k in read},
-        }
+        sections = {"experiment": ({"task": self.task}, {"task": ExperimentConfig.task}),
+                    "train": (train, {}),
+                    "hw": (asdict(self.hw), asdict(HwParams())),
+                    "sweep": (asdict(self.sweep), asdict(SweepConfig()))}
+        reads = READS[self.command]
+        read, unread = {name: {} for name in reads}, []
+        for name, (values, defaults) in sections.items():
+            keys = reads.get(name, ())
+            for key, value in values.items():
+                if keys is None or key in keys:
+                    read[name][key] = value
+                elif key not in defaults or value != defaults[key]:
+                    unread.append(f"[{name}] {key}")
+        return read, unread
+
+    def as_dict(self) -> dict:
+        """The manifest: the sections the command reads."""
+        read = self._sections_read()[0]
+        experiment = {"command": self.command, **read.pop("experiment", {}),
+                      "out": self.out_dir, "seed": self.seed}
+        return {"experiment": experiment, **read}
 
 
 # --- config parsing -------------------------------------------------------------
@@ -503,6 +525,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 rows += [[f"{quantity}_{k}_{unit}", v] for k, v in value.items()]
             else:
                 rows.append([name, value])
+        infinite = [name for name, value in rows if not math.isfinite(value)]
+        if infinite:  # e.g. a huge f_sample or a tiny r_avg
+            raise ConfigError(f"hw params overflow the cost model: {', '.join(infinite)} "
+                              "not finite")
         _write_csv(out / "metrics.csv", ["name", "value"], rows)
         (out / "comparison.txt").write_text(render_comparison_tables(cfg.hw))
         (out / "comparison.csv").write_text(render_comparison_tables(cfg.hw, fmt="csv"))
@@ -539,12 +565,16 @@ def run(config_path, out_dir=None, seed=None, threads=None) -> int:
 
 def exit_code(action: Callable[[], object]) -> int:
     """Call `action` and map its outcome to the documented exit code: 0 on
-    success, else 2, 3 or 4 for a config error, a diverged training run or
-    infeasible hardware, with the message on stderr."""
+    success, else 2, 3 or 4 for a config error or lack of memory, a
+    diverged training run or infeasible hardware, with the message on
+    stderr."""
     try:
         action()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # e.g. a huge hidden_size
+        print(f"config error: the run does not fit in memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)

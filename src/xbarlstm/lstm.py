@@ -12,13 +12,13 @@ hidden state is h_t = o*tanh(c_t).  The memory cell is never quantized.
 programmed.  Its stages are switched on by the data passed to it: the
 weight read (optional per-sample read noise), the pre-activation
 (optional ADC noise, then an optional sink such as the ADC-range
-calibration), the converter (sigmoid/tanh or per-gate ADC + LUT) and the
+calibration), the converter (sigmoid/tanh or a frozen ADC bank) and the
 DAC (identity, or inputs and the recycled hidden state snapped to its
 grid).  The scalar `lstm_step_ref` stays separate as the reference the
-loop is checked against.  An unrecorded forward may give each row's
-length, rows sorted longest first; each step then runs only the prefix of
-rows still inside their sequence (the packed-sequence layout of cuDNN),
-which is how evaluation skips padding.
+loop is checked against.  A forward given each row's length, rows sorted
+longest first, is an evaluation forward: it records nothing, and each
+step runs only the prefix of rows still inside their sequence (the
+packed-sequence layout of cuDNN).  Any other forward records every step.
 
 Weight read noise follows the hardware: every sample's VMM is a read of
 its own, through an array with fresh i.i.d. N(0, sigma^2) noise Z_b.
@@ -31,9 +31,10 @@ per-row scale, and backward adds the noise term's derivative with
 respect to the recycled hidden state.
 
 The quantized converters cost a fixed number of array operations per
-step, whatever the gate count.  `FusedConverter` holds the four gate
-ADCs as per-column v_min, v_max and step arrays plus one concatenated
-LUT table, and converts the whole (B, 4n) pre-activation in one pass: a
+step, whatever the gate count.  The ADC bank, a `FusedConverter` built
+once when the ranges freeze, holds the four gate ADCs as per-column
+v_min, v_max, step and noise-sigma arrays plus one concatenated LUT
+table, and converts the whole (B, 4n) pre-activation in one pass: a
 finite check, the code floor((a - v_min)/step + 0.5) of `a` clipped to
 [v_min, v_max], one gather, and the ADC pass mask when recording.
 The DAC snaps the recycled hidden state as `grid[to_code(h)]` with the
@@ -66,7 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import ActivationLUT, QuantSpec, _check_finite, to_code
+from .hwcost import quantization_noise_v
+from .quantizer import ActivationLUT, QuantSpec, _check_finite, sigmoid, to_code
 
 __all__ = [
     "LSTMParams",
@@ -83,17 +85,6 @@ __all__ = [
 ]
 
 GATE_ORDER = ("f", "i", "o", "c")  # column-block order in the concatenated array
-
-
-def sigmoid(z, out: np.ndarray | None = None):
-    """1 / (1 + exp(-z)), computed in `out` or in one new buffer."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.negative(z, out=np.empty(z.shape) if out is None else out)
-    np.exp(out, out=out)
-    out += 1.0
-    np.divide(1.0, out, out=out)
-    # 0-d input returns a numpy float, not a 0-d array
-    return out if out.ndim else out[()]
 
 
 @dataclass
@@ -224,8 +215,8 @@ def forward_sequence(params: LSTMParams, x_seq: np.ndarray) -> tuple[np.ndarray,
 
 
 class FusedConverter:
-    """The four per-gate ADCs and activation LUTs of a quantized step as one
-    vectorized pass over the (B, 4n) pre-activation.
+    """The frozen ADC bank of a quantized step: the four per-gate ADCs and
+    activation LUTs as one vectorized pass over the (B, 4n) pre-activation.
 
     Column j of gate block b takes gate b's ADC spec and LUT.  Its code is
     floor((a - v_min) / step + 0.5) of `a` clipped to [v_min, v_max], the
@@ -233,7 +224,9 @@ class FusedConverter:
     value is that code's entry of gate b's LUT, gathered from one
     concatenated table at the block's base offset.  So the gates equal
     `lut.entries[to_code(block, spec)]` and the mask equals
-    `ste_mask(block, spec)` bit for bit, block by block.
+    `ste_mask(block, spec)` bit for bit, block by block.  It keeps the
+    `specs` and `luts` it is given, and `noise_sigma`, each column's
+    `hwcost.quantization_noise_v`.
     """
 
     def __init__(self, specs: Sequence[QuantSpec], luts: Sequence[ActivationLUT], n: int):
@@ -245,6 +238,9 @@ class FusedConverter:
         def per_column(values):
             return np.repeat(np.asarray(values), n)
 
+        self.specs, self.luts = tuple(specs), tuple(luts)
+        self.noise_sigma = per_column([quantization_noise_v(s.full_range, s.bits)
+                                       for s in specs])
         self.v_min = per_column([s.v_min for s in specs])
         self.v_max = per_column([s.v_max for s in specs])
         self.step = per_column([s.step for s in specs])
@@ -272,45 +268,43 @@ class FusedConverter:
 
 def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
              weight_noise: tuple[np.random.Generator, float] | None = None,
-             adc_noise: tuple[np.random.Generator, np.ndarray] | None = None,
+             adc_noise: np.random.Generator | None = None,
              on_preact: Callable[[np.ndarray], None] | None = None,
-             adc: tuple[Sequence[QuantSpec], Sequence[ActivationLUT]] | None = None,
+             adc: FusedConverter | None = None,
              dac_spec: QuantSpec | None = None,
-             record: bool = True,
              lengths: np.ndarray | None = None,
              ) -> tuple[np.ndarray, SequenceCache | None]:
     """The batched step loop behind every forward pass.
 
     Runs a (T, B, m) sequence through the cell with the (m+n) x 4n
     concatenated weights `w` and returns the hidden states (T, B, n) and
-    the recorded cache (None when `record` is false), whose `w_used` is
-    `w` as given; a caller that snapped `w` sets the cache's `w_mask`.
-    Each stage is off when its argument is None:
+    the recorded cache (None given `lengths`), whose `w_used` is `w` as
+    given; a caller that snapped `w` sets the cache's `w_mask`.  Each
+    stage is off when its argument is None:
 
     weight read: `u @ w`, plus per-sample read noise from
         `weight_noise = (rng, sigma)`: each step draws a (B, 4n) standard
         normal and adds row b times sigma |u_b| to `u @ w`, which is
         u_b @ (w + Z_b) in distribution for a fresh noise matrix Z_b of
         i.i.d. N(0, sigma^2) entries per sample and step.
-    pre-activation: `adc_noise = (rng, per-column sigma)` is added, then
+    pre-activation: `adc.noise_sigma` times normals from the generator
+        `adc_noise` (ValueError without `adc`) is added, then
         `on_preact(a)` sees the result (the calibration sink).
-    converter: sigmoid/tanh, or per-gate ADC + LUT from
-        `adc = (specs, luts)` in one `FusedConverter` pass, which records
-        the ADC pass mask.
+    converter: sigmoid/tanh, or one pass of the ADC bank `adc`, which
+        records the ADC pass mask.
     DAC: identity, or inputs and the recycled hidden state snapped to
         `dac_spec`, whose range must cover [-1, 1] (ValueError otherwise).
 
-    A recorded forward keeps every step in the sequence-major buffers of
-    the cache it returns; an unrecorded one reuses a single step of them,
-    so `on_preact` must copy what it keeps.
-
-    `lengths` (unrecorded forwards only) gives each row's sequence length,
-    sorted non-increasing, each in [1, T].  Step t then runs every stage
-    on the live rows only, the prefix with length > t: the VMM, the noise
-    draws of shape (live, 4n), the converter, the cell update and the
-    DAC.  Rows past their length read zeros in the returned h_seq.  This
-    is the packed-sequence layout of cuDNN and PyTorch's
-    `pack_padded_sequence`: rows that finished cost nothing.
+    Without `lengths` the forward keeps every step in the sequence-major
+    buffers of the cache it returns.  `lengths` gives each row's sequence
+    length, sorted non-increasing, each in [1, T], for an evaluation
+    forward that records nothing and reuses a single step of the buffers
+    (so `on_preact` must copy what it keeps).  Step t runs every stage on
+    the live rows only, the prefix with length > t: the VMM, the noise
+    draws of shape (live, 4n), the converter, the cell update and the DAC.
+    Rows past their length read zeros in the returned h_seq.  This is the
+    packed-sequence layout of cuDNN and PyTorch's `pack_padded_sequence`:
+    rows that finished cost nothing.
     """
     x_seq = np.asarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3:
@@ -324,7 +318,10 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         # no pass mask for it
         raise ValueError(f"the DAC range [{dac_spec.v_min}, {dac_spec.v_max}] must "
                          "cover the hidden state's range [-1, 1]")
-    live = None if lengths is None else _live_rows(lengths, t_steps, batch, record)
+    if adc_noise is not None and adc is None:
+        raise ValueError("adc_noise is the noise of an ADC bank; pass adc as well")
+    record = lengths is None
+    live = None if record else _live_rows(lengths, t_steps, batch)
 
     if dac_spec is None:
         h = np.zeros((batch, n))
@@ -333,8 +330,7 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         dac_grid = dac_spec.grid()
         x_seq = dac_grid[to_code(x_seq, dac_spec)]
         h = np.full((batch, n), dac_grid[to_code(0.0, dac_spec)])
-    converter = None if adc is None else FusedConverter(*adc, n)
-    # a recorded forward keeps every step for backward; an unrecorded one
+    # a recorded forward keeps every step for backward; a packed one
     # cycles through buffers one step long (two for the memory cell), as
     # fresh sequence-long buffers would cost page faults on every call.
     # Step t uses index t modulo a buffer's length.
@@ -346,7 +342,7 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         gates=np.empty(gate_shape), c=np.zeros((span + 1, batch, n)),
         tanh_c=np.empty((span, batch, n)),
         adc_mask=(np.empty(gate_shape, dtype=bool)
-                  if record and converter is not None else None),
+                  if record and adc is not None else None),
         noise_eps=None if weight_noise is None else np.empty(gate_shape),
         noise_scale=None if weight_noise is None else np.empty((span, batch)))
     if t_steps:
@@ -371,23 +367,22 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
             np.multiply(sigma, np.sqrt(np.einsum("ij,ij->i", u, u)), out=scale)
             a += eps * scale[:, None]
         if adc_noise is not None:
-            rng, sigma = adc_noise
             z = adc_eps[:rows]
-            rng.standard_normal(out=z)
-            z *= sigma
+            adc_noise.standard_normal(out=z)
+            z *= adc.noise_sigma
             a += z
         if on_preact is not None:
             on_preact(a)
 
         gates = cache.gates[k, :rows]
-        if converter is None:
+        if adc is None:
             sigmoid(a[:, :3 * n], out=gates[:, :3 * n])
             np.tanh(a[:, 3 * n:], out=gates[:, 3 * n:])
         else:
             # the LUT is out-quantizer(fn(ADC(a))): both quantizers backprop
             # straight-through, so the cache records the continuous pre-ADC
             # value for the fn' evaluation plus the ADC pass mask
-            gates[...], adc_mask = converter(a, record)
+            gates[...], adc_mask = adc(a, record)
             if record:
                 cache.adc_mask[k] = adc_mask
 
@@ -405,10 +400,8 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
     return h_seq, cache if record else None
 
 
-def _live_rows(lengths, t_steps: int, batch: int, record: bool) -> np.ndarray:
+def _live_rows(lengths, t_steps: int, batch: int) -> np.ndarray:
     """Rows still live at each step, for `run_cell`'s `lengths`."""
-    if record:
-        raise ValueError("lengths is for unrecorded forwards; pass record=False")
     lengths = np.asarray(lengths)
     if lengths.shape != (batch,):
         raise ValueError(f"need one length per row ({batch}), got shape {lengths.shape}")

@@ -9,9 +9,11 @@ state to the DAC grid, keeps ideal sigmoid/tanh converters, and feeds the
 pre-activations to the ADC-range collector.  The quantized forward
 mirrors the crossbar pipeline batch-wise: the same snaps, per-gate ADCs
 with ranges frozen from the calibration pass, LUT activations on the ADC
-codes, and optional weight and ADC read noise.  Training forwards record
-a SequenceCache so lstm_backward computes straight-through gradients
-against the latent weights; evaluation forwards record nothing.
+codes, and optional weight and ADC read noise, all read from the one ADC
+bank `adc` that freezing the ranges builds.  Training forwards record a
+SequenceCache so lstm_backward computes straight-through gradients
+against the latent weights; evaluation forwards pass each row's length
+and record nothing.
 
 The calibration percentile is set when calibration begins.  The collector
 counts the |pre-activations| it is shown, up to a cap, but holds only each gate's top
@@ -44,8 +46,7 @@ import math
 import numpy as np
 
 from .crossbar import CrossbarConfig, NoiseConfig, gate_luts
-from .hwcost import quantization_noise_v
-from .lstm import SequenceCache, lstm_backward, run_cell
+from .lstm import FusedConverter, SequenceCache, lstm_backward, run_cell
 from .quantizer import QuantSpec, quantize, ste_mask
 from .seeding import derive_rng
 
@@ -136,8 +137,7 @@ class LSTMNetwork:
         self.w_head = rng_h.normal(0.0, 1.0 / np.sqrt(hidden_size),
                                    size=(hidden_size, output_size))
 
-        self.gate_adc_specs: tuple[QuantSpec, ...] | None = None
-        self.luts = None
+        self.adc: FusedConverter | None = None  # the ADC bank, frozen by freeze_adc_ranges
         self._calib: list[_TopTail] | None = None  # None: not collecting
         self._calib_count = [0, 0, 0, 0]  # samples counted per gate block
 
@@ -167,7 +167,8 @@ class LSTMNetwork:
         from an override or at the percentile given to `begin_calibration`
         of the pre-activation magnitudes collected since.  Each gate fills
         one zeroed float32 buffer of the count seen with its held tail and
-        takes the percentile in place (exact; see `_TopTail`)."""
+        takes the percentile in place (exact; see `_TopTail`).  The ranges
+        build the ADC bank `adc`, which replaces any earlier one."""
         if self.crossbar is None:
             raise RuntimeError("network has no crossbar configuration")
         bits = self.crossbar.adc_spec.bits
@@ -179,20 +180,20 @@ class LSTMNetwork:
                                    "calibration pass or pass an override")
             ranges = [max(tail.value(count), 1e-6)
                       for tail, count in zip(self._calib, self._calib_count)]
-        self.gate_adc_specs = tuple(QuantSpec.symmetric(bits, r) for r in ranges)
-        self.luts = gate_luts(self.gate_adc_specs, bits)
+        specs = tuple(QuantSpec.symmetric(bits, r) for r in ranges)
+        self.adc = FusedConverter(specs, gate_luts(specs, bits), self.hidden_size)
         self._calib = None
 
     @property
     def calibrated(self) -> bool:
-        return self.gate_adc_specs is not None
+        return self.adc is not None
 
     # --- forward ------------------------------------------------------------
 
     def forward_sequence(self, x_seq: np.ndarray, mode: str = "fp",
                          rng_weight_noise: np.random.Generator | None = None,
                          rng_adc_noise: np.random.Generator | None = None,
-                         record: bool = True, programmed: np.ndarray | None = None,
+                         programmed: np.ndarray | None = None,
                          lengths: np.ndarray | None = None,
                          ) -> tuple[np.ndarray, np.ndarray, SequenceCache | None]:
         """Run a (T, B, m) batch; returns (logits (T,B,V), h_seq (T,B,n), cache).
@@ -205,13 +206,11 @@ class LSTMNetwork:
         mode 'quantized': the full crossbar pipeline; `x_seq` must live in
             the DAC domain and is snapped to its grid on entry.
 
-        `record=False` is for forwards that are never back-propagated
-        (evaluation): no cache and no STE masks are built and the cache
-        comes back as None.  Logits, hidden states and noise draws are the
-        same either way.  An unrecorded forward may pass each row's
-        `lengths`, sorted non-increasing: every step then runs only the rows
-        still inside their sequence, and finished rows read zero hidden
-        states (see `lstm.run_cell`).
+        A forward given each row's `lengths`, sorted non-increasing, is an
+        evaluation forward: every step runs only the rows still inside
+        their sequence, finished rows read zero hidden states, and no cache
+        or STE mask is built (see `lstm.run_cell`).  With every length T,
+        logits, hidden states and noise draws equal the recorded forward's.
 
         The forward reads `programmed` when given (an array programmed
         once for many forwards), else the latent weights in 'fp' mode and
@@ -234,19 +233,16 @@ class LSTMNetwork:
             noise = self.noise
             if noise.any_enabled and (rng_weight_noise is None or rng_adc_noise is None):
                 raise ValueError("noise is enabled but noise rng streams were not provided")
-            stages["adc"] = (self.gate_adc_specs, self.luts)
+            stages["adc"] = self.adc
             if noise.weight_noise_beta > 0.0:
                 stages["weight_noise"] = (rng_weight_noise,
                                           noise.weight_noise_beta * cfg.weight_spec.full_range)
             if noise.adc_noise_enabled:
-                stages["adc_noise"] = (rng_adc_noise, np.concatenate([
-                    np.full(self.hidden_size, quantization_noise_v(s.full_range, s.bits))
-                    for s in self.gate_adc_specs]))
+                stages["adc_noise"] = rng_adc_noise
         if programmed is None:
             programmed = self.w if mode == "fp" else self.programmed_weights()
-        h_seq, cache = run_cell(x_seq, programmed, record=record, lengths=lengths,
-                                **stages)
-        if record and mode != "fp":
+        h_seq, cache = run_cell(x_seq, programmed, lengths=lengths, **stages)
+        if cache is not None and mode != "fp":
             cache.w_mask = ste_mask(self.w, cfg.weight_spec)
         return self._head(h_seq), h_seq, cache
 

@@ -1,5 +1,6 @@
 """Uniform quantization grids, the straight-through gradient rule, and
-quantized activation lookup tables.
+quantized activation lookup tables.  The tables tabulate the one
+`sigmoid` that the batched cell in `lstm` also evaluates.
 
 A grid with N bits spans [v_min, v_max] inclusive with 2^N representable
 levels, so the step is (v_max - v_min) / (2^N - 1).  At N = 1 this
@@ -24,6 +25,7 @@ __all__ = [
     "from_code",
     "ste_backward",
     "build_lut",
+    "sigmoid",
 ]
 
 
@@ -139,10 +141,18 @@ def ste_mask(x, spec: QuantSpec) -> np.ndarray:
     return (x >= spec.v_min) & (x <= spec.v_max)
 
 
-_ACTIVATIONS = {
-    "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
-    "tanh": np.tanh,
-}
+def sigmoid(z, out: np.ndarray | None = None):
+    """1 / (1 + exp(-z)), computed in `out` or in one new buffer."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.negative(z, out=np.empty(z.shape) if out is None else out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    # 0-d input returns a numpy float, not a 0-d array
+    return out if out.ndim else out[()]
+
+
+_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": np.tanh}
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ class TaskBundle:
     train: SequenceDataset
     valid: SequenceDataset
     defaults: TrainConfig
-    higher_is_better: bool
 
     @property
     def input_dim(self) -> int:
@@ -82,8 +81,7 @@ def build_task(name: str, seed: int) -> TaskBundle:
         full = load_word_corpus(bundled_corpus_path("sentences.txt"))
     train_ds, valid_ds = split_dataset(full, valid_fraction=1 / 3, seed=seed)
     return TaskBundle(name=name, train=train_ds, valid=valid_ds,
-                      defaults=TrainConfig(seed=seed, **_TASK_DEFAULTS[name]),
-                      higher_is_better=(name == "har"))
+                      defaults=TrainConfig(seed=seed, **_TASK_DEFAULTS[name]))
 
 
 def build_network(bundle: TaskBundle, cfg: TrainConfig) -> LSTMNetwork:

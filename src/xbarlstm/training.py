@@ -11,7 +11,8 @@ magnitudes are collected.  The per-gate ADC full-scale ranges then freeze
 at the configured percentile and the remaining epochs train through the
 quantized path (an explicit range override skips the calibration epoch
 and quantizes from the start).  Training forwards record a cache for
-the backward pass; evaluation forwards record nothing.
+the backward pass; evaluation forwards pass each row's length and so
+record nothing.
 
 Training batches come in shuffled order, each padded to its longest
 chunk (`make_batches`); the padded rows also feed the ADC-range
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -138,15 +139,7 @@ class EvalReport:
     train_loss_curve: list[tuple[int, float]] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "accuracy": self.accuracy,
-            "perplexity": self.perplexity,
-            "metric_name": self.metric_name,
-            "metric": self.metric,
-            "curve": [[e, v] for e, v in self.curve],
-            "train_loss_curve": [[e, v] for e, v in self.train_loss_curve],
-        }
+        return asdict(self)
 
 
 def perplexity_from_nll(nll_sum: float, count: int) -> float:
@@ -167,19 +160,19 @@ def _chunk(seq_pair, bptt_length):
             for k in range(0, len(x), bptt_length)]
 
 
-def inactive_level(input_drive: str, dac_bits: int | None) -> float:
+def inactive_level(input_drive: str, dac_spec: QuantSpec | None) -> float:
     """DAC-domain drive of an inactive one-hot channel.
 
     'matched': the representable level of smallest magnitude on the
-    symmetric grid (-step/2; 0 in full precision), so inactive rows barely
-    drive the array.  'antipodal': -1, full bipolar signaling (the two
-    coincide at 1 bit).
+    symmetric DAC grid `dac_spec` (-step/2; 0 in full precision, None), so
+    inactive rows barely drive the array.  'antipodal': -1, full bipolar
+    signaling (the two coincide at 1 bit on a +-1 grid).
     """
     if input_drive == "antipodal":
         return -1.0
-    if dac_bits is None:
+    if dac_spec is None:
         return 0.0
-    return -QuantSpec.symmetric(dac_bits, 1.0).step / 2
+    return -dac_spec.step / 2
 
 
 def _items(ds: SequenceDataset, order, bptt_length: int) -> list:
@@ -342,32 +335,14 @@ def _make_optimizer(cfg: TrainConfig):
 
 # --- train / evaluate ---------------------------------------------------------------
 
-def _run_split(model: LSTMNetwork, packs, mode: str, rng_w, rng_a):
-    """Forward a whole split without recording; returns (nll_sum, count, correct).
-
-    The array is programmed once for the split, and every pack reads it,
-    stepping only the rows whose chunk is still running."""
-    programmed = model.programmed_weights()
-    nll_sum = count = correct = 0.0
-    for x, targets, mask, lengths in packs:
-        logits, _, _ = model.forward_sequence(x, mode=mode, rng_weight_noise=rng_w,
-                                              rng_adc_noise=rng_a, record=False,
-                                              programmed=programmed, lengths=lengths)
-        s, c, corr, _ = softmax_xent(logits, targets, mask)
-        nll_sum += s
-        count += c
-        correct += corr
-    return nll_sum, count, correct
-
-
 def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
              epoch_tag: int = 0, task_name: str | None = None) -> EvalReport:
     """Metrics over a dataset: perplexity = exp(mean token NLL), accuracy =
     fraction of argmax-correct predictions.  The quantized path (with its
-    configured noise) is used whenever the model has one.  The split runs
-    in length-sorted packs (`make_packs`) whose finished rows drop out of
-    the step loop.  Raises TrainingDiverged if the NLL or the perplexity
-    is not finite."""
+    configured noise) is used whenever the model has one.  The array is
+    programmed once for the split, which runs in length-sorted packs
+    (`make_packs`) whose finished rows drop out of the step loop.  Raises
+    TrainingDiverged if the NLL or the perplexity is not finite."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if model.crossbar is not None and not model.calibrated:
@@ -376,10 +351,19 @@ def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
     mode = "quantized" if model.crossbar is not None else "fp"
     rng_w = derive_rng(cfg.seed, f"eval-noise-w-{epoch_tag}")
     rng_a = derive_rng(cfg.seed, f"eval-noise-a-{epoch_tag}")
-    inactive = inactive_level(cfg.input_drive, model.crossbar.dac_spec.bits
+    inactive = inactive_level(cfg.input_drive, model.crossbar.dac_spec
                               if model.crossbar is not None else None)
-    packs = make_packs(dataset, cfg.batch_size, cfg.bptt_length, inactive=inactive)
-    nll_sum, count, correct = _run_split(model, packs, mode, rng_w, rng_a)
+    programmed = model.programmed_weights()
+    nll_sum = count = correct = 0.0
+    for x, targets, mask, lengths in make_packs(dataset, cfg.batch_size, cfg.bptt_length,
+                                                inactive=inactive):
+        logits, _, _ = model.forward_sequence(x, mode=mode, rng_weight_noise=rng_w,
+                                              rng_adc_noise=rng_a, programmed=programmed,
+                                              lengths=lengths)
+        s, c, corr, _ = softmax_xent(logits, targets, mask)
+        nll_sum += s
+        count += c
+        correct += corr
     ppl = perplexity_from_nll(nll_sum, count)
     if not math.isfinite(ppl):
         raise TrainingDiverged(None, "evaluation perplexity")
@@ -408,6 +392,8 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
 
     if quantized_model and not model.calibrated and cfg.adc_range_override is not None:
         model.freeze_adc_ranges(override=cfg.adc_range_override)
+    inactive = inactive_level(cfg.input_drive, model.crossbar.dac_spec
+                              if quantized_model else None)
 
     train_curve: list[tuple[int, float]] = []
     valid_curve: list[tuple[int, float]] = []
@@ -422,8 +408,6 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
         opt.lr = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
 
         order = rng_data.permutation(len(dataset))
-        inactive = inactive_level(cfg.input_drive, model.crossbar.dac_spec.bits
-                                  if model.crossbar is not None else None)
         nll_sum = count = 0.0
         for x, targets, mask in make_batches(dataset, cfg.batch_size,
                                              cfg.bptt_length, order, inactive=inactive):

@@ -162,17 +162,6 @@ class TestOneHotInvariant:
 
 
 class TestManifest:
-    def test_manifest_fields(self, tmp_path):
-        ds = synth_har(seed=2, n_sequences=12)
-        man = ds.manifest()
-        assert man["kind"] == "classification"
-        assert man["input_dim"] == 32
-        assert man["n_sequences"] == 12
-        assert man["seed"] == 2
-        ds.save_manifest(tmp_path / "m.json")
-        import json
-        assert json.loads((tmp_path / "m.json").read_text())["kind"] == "classification"
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             SequenceDataset(kind="video", input_dim=3, num_classes=2, sequences=[])

@@ -146,10 +146,51 @@ class TestConfigParsing:
         # older manifests write every [sweep] field at its default
         defaults = {k: list(v) for k, v in dataclasses.asdict(exp.SweepConfig()).items()}
         p = tmp_path / "old.json"
-        p.write_text(json.dumps({"experiment": {"command": command, "task": "word_lm"},
+        # cost reads no task, so it keeps the default one
+        task = {} if command == "cost" else {"task": "word_lm"}
+        p.write_text(json.dumps({"experiment": {"command": command, **task},
                                  "sweep": defaults}))
         cfg = load_config(p)
-        assert sorted(cfg.as_dict()["sweep"]) == sorted(exp.SWEEP_KEYS.get(command, ()))
+        assert sorted(cfg.as_dict().get("sweep", {})) == sorted(
+            exp.READS[command].get("sweep", ()))
+
+    @pytest.mark.parametrize("command, text, unread", [
+        ("train", FAST_TRAIN + "[hw]\nrows = 7\nnum_adcs = 32\n", ["[hw] rows", "[hw] num_adcs"]),
+        ("sweep", "[experiment]\ncommand = sweep\ntask = word_lm\n[hw]\nadc_bits = 2\n",
+         ["[hw] adc_bits"]),
+        ("noise-sweep", "[experiment]\ncommand = noise-sweep\ntask = word_lm\n"
+         "[hw]\nf_sample = 1e6\n", ["[hw] f_sample"]),
+        ("cost", "[experiment]\ncommand = cost\ntask = nonsense_task\n"
+         "[train]\nepochs = 1\nbitwidths = 4 4 4\n",
+         ["[experiment] task", "[train] epochs", "[train] bitwidths"]),
+        ("cost", "[experiment]\ncommand = cost\n[noise]\nadc_noise = on\n", ["[train] noise"]),
+    ], ids=["train-hw", "sweep-hw", "noise-sweep-hw", "cost-task-and-train", "cost-noise"])
+    def test_unread_values_exit_2_before_anything_is_written(self, tmp_path, monkeypatch,
+                                                             capsys, command, text, unread):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(write(tmp_path, text)),
+                         "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {command} does not read ")
+        assert all(part in err for part in unread)
+        assert "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "noise-sweep", "cost"])
+    def test_older_manifest_at_defaults_loads_into_the_read_sections(self, tmp_path, command):
+        # older manifests wrote every section, each at its defaults but
+        # [train], and the task even for cost
+        old = {"experiment": {"command": command, "task": "char_lm", "out": "o", "seed": 1},
+               "train": {} if command == "cost" else {"epochs": 1},
+               "hw": dataclasses.asdict(HwParams()),
+               "sweep": {k: list(v) for k, v in
+                         dataclasses.asdict(exp.SweepConfig()).items()}}
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps(old))
+        manifest = load_config(p).as_dict()
+        assert sorted(manifest) == sorted({"experiment", *exp.READS[command]})
+        assert ("task" in manifest["experiment"]) == (command != "cost")
 
 
 CONFIG_WORDS = ["on", "off", "true", "0", "1", "4", "2.7", "-3", "0.1", "fp", "none", "nan",
@@ -406,6 +447,28 @@ epochs = 1
         p = write(tmp_path, f"[experiment]\ncommand = cost\n[hw]\n{hw}\n")
         assert run(p, out_dir=tmp_path / "out") == EXIT_CONFIG
         assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hw, figure", [("f_sample = 1e308", "power_adc_w"),
+                                            ("r_avg = 1e-320", "power_array_w")],
+                             ids=["adc-power", "array-power"])
+    def test_non_finite_cost_figure_exit_2(self, tmp_path, capsys, hw, figure):
+        p = write(tmp_path, f"[experiment]\ncommand = cost\n[hw]\n{hw}\n")
+        assert run(p, out_dir=tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "overflow" in err and figure in err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_out_of_memory_exit_2(self, tmp_path, monkeypatch, capsys):
+        # what numpy raises for e.g. [train] hidden_size = 1000000; raised
+        # here rather than allocated
+        def too_big(task, overrides, seed):
+            raise MemoryError("Unable to allocate 29.8 TiB for an array")
+        monkeypatch.setattr(exp, "_train_cell", too_big)
+        p = write(tmp_path, FAST_TRAIN)
+        assert cli_main(["train", "--config", str(p), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "memory" in err and "29.8 TiB" in err
 
     def test_fixed_weight_noise_draw_exit_2(self, tmp_path, capsys):
         p = write(tmp_path, FAST_TRAIN + """
@@ -679,8 +742,13 @@ class TestCLI:
         assert not (tmp_path / "runs").exists()
 
     def test_subcommand_overrides_config_command(self, tmp_path):
-        p = write(tmp_path, FAST_TRAIN)
-        # config says train; invoke cost
+        # config says train, which does not read [hw]; invoke cost, which does
+        p = write(tmp_path, "[experiment]\ncommand = train\n[hw]\nrows = 300\n")
+        assert run(p, out_dir=tmp_path / "t") == EXIT_CONFIG
         assert cli_main(["cost", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert "vmm_throughput_gops" in report
+        assert report["params"]["rows"] == 300
+        # cost reads neither the task nor [train]
+        assert cli_main(["cost", "--config", str(write(tmp_path, FAST_TRAIN)),
+                         "--out", str(tmp_path / "f")]) == EXIT_CONFIG

@@ -412,8 +412,7 @@ class TestReadNoiseAgainstCrossbarOracle:
         rng = np.random.default_rng(71)
         for _ in range(self.DRAWS):
             run_cell(x[None], quantize(w, cfg.weight_spec), dac_spec=cfg.dac_spec,
-                     weight_noise=(rng, sigma), on_preact=lambda a: seen.append(a.copy()),
-                     record=False)
+                     weight_noise=(rng, sigma), on_preact=lambda a: seen.append(a.copy()))
         return np.stack(seen)
 
     def _oracle_draws(self, cfg, arr, noise, x_row, seed):
@@ -558,7 +557,8 @@ class TestFusedConverter:
 class TestPackedLengths:
     """run_cell with `lengths` steps only the rows whose sequence is still
     running: each row equals its own forward, rows past their length read
-    zero, and the noise draws cover the live rows only."""
+    zero, the noise draws cover the live rows only, and nothing is
+    recorded."""
 
     M, N, T = 3, 4, 6
     LENGTHS = np.array([6, 6, 4, 3, 3, 1])
@@ -566,41 +566,64 @@ class TestPackedLengths:
     def _run(self, lengths, **stages):
         w = random_params(self.M, self.N, seed=60, scale=0.6).concat()
         x_seq = np.random.default_rng(61).uniform(-1, 1, size=(self.T, len(lengths), self.M))
-        return x_seq, w, run_cell(x_seq, w, record=False, lengths=lengths, **stages)[0]
+        h_seq, cache = run_cell(x_seq, w, lengths=lengths, **stages)
+        assert cache is None
+        return x_seq, w, h_seq
 
     def test_each_row_equals_its_own_forward(self):
         x_seq, w, h_seq = self._run(self.LENGTHS)
         for b, length in enumerate(self.LENGTHS):
-            alone, _ = run_cell(x_seq[:length, b:b + 1], w, record=False)
+            alone, _ = run_cell(x_seq[:length, b:b + 1], w)
             np.testing.assert_allclose(h_seq[:length, b], alone[:, 0], rtol=1e-12, atol=1e-16)
             assert not h_seq[length:, b].any()
 
     def test_full_lengths_are_bit_identical_to_none(self):
         dac = QuantSpec.symmetric(4, 1.0)
         x_seq, w, h_seq = self._run(np.full(4, self.T), dac_spec=dac)
-        assert np.array_equal(h_seq, run_cell(x_seq, w, record=False, dac_spec=dac)[0])
+        assert np.array_equal(h_seq, run_cell(x_seq, w, dac_spec=dac)[0])
 
     def test_noise_draws_cover_live_rows_only(self):
         rng_w, rng_a = np.random.default_rng(62), np.random.default_rng(63)
-        sigma = np.full(4 * self.N, 0.05)
-        self._run(self.LENGTHS, weight_noise=(rng_w, 0.1), adc_noise=(rng_a, sigma))
+        specs = tuple(QuantSpec.symmetric(4, r) for r in (2.0, 2.5, 3.0, 3.5))
+        adc = FusedConverter(specs, gate_luts(specs, 4), self.N)
+        self._run(self.LENGTHS, weight_noise=(rng_w, 0.1), adc_noise=rng_a, adc=adc)
         live = sum(int((self.LENGTHS > t).sum()) for t in range(self.T))
         for rng, seed in ((rng_w, 62), (rng_a, 63)):
             again = np.random.default_rng(seed)
             again.standard_normal(size=live * 4 * self.N)
             assert rng.random() == again.random()
 
-    @pytest.mark.parametrize("lengths, record, match", [
-        (LENGTHS, True, "record=False"),
-        (np.array([6, 4, 6, 3, 3, 1]), False, "sorted"),
-        (np.array([6, 6, 4, 3, 3, 0]), False, r"\[1, 6\]"),
-        (np.array([7, 6, 4, 3, 3, 1]), False, r"\[1, 6\]"),
-        (np.array([6, 6, 4]), False, "one length per row"),
-    ], ids=["recorded", "unsorted", "zero", "past-T", "wrong-count"])
-    def test_bad_lengths_raise(self, lengths, record, match):
+    @pytest.mark.parametrize("lengths, match", [
+        (np.array([6, 4, 6, 3, 3, 1]), "sorted"),
+        (np.array([6, 6, 4, 3, 3, 0]), r"\[1, 6\]"),
+        (np.array([7, 6, 4, 3, 3, 1]), r"\[1, 6\]"),
+        (np.array([6, 6, 4]), "one length per row"),
+    ], ids=["unsorted", "zero", "past-T", "wrong-count"])
+    def test_bad_lengths_raise(self, lengths, match):
         w = random_params(self.M, self.N, seed=60).concat()
         with pytest.raises(ValueError, match=match):
-            run_cell(np.zeros((self.T, 6, self.M)), w, record=record, lengths=lengths)
+            run_cell(np.zeros((self.T, 6, self.M)), w, lengths=lengths)
+
+
+class TestAdcBank:
+    """run_cell reads the ADC bank it is given and builds none; the ADC
+    noise is the bank's."""
+
+    M, N = 3, 2
+
+    def test_adc_noise_without_adc_raises(self):
+        w = random_params(self.M, self.N, seed=80).concat()
+        with pytest.raises(ValueError, match="adc_noise"):
+            run_cell(np.zeros((2, 1, self.M)), w, adc_noise=np.random.default_rng(81))
+
+    def test_noise_sigma_is_each_gates_quantization_noise(self):
+        from xbarlstm.hwcost import quantization_noise_v
+
+        specs = tuple(QuantSpec.symmetric(4, r) for r in (1.0, 1.5, 2.0, 2.5))
+        bank = FusedConverter(specs, gate_luts(specs, 4), self.N)
+        want = [quantization_noise_v(s.full_range, s.bits) for s in bank.specs]
+        assert bank.noise_sigma.tolist() == np.repeat(want, self.N).tolist()
+        assert len(bank.luts) == 4 and bank.luts[3].fn == "tanh"
 
 
 class TestNoiseDraws:

@@ -157,8 +157,8 @@ class TestQuantizedForward:
                           c=np.zeros(n))
         for t in range(3):
             state, gates = quantized_lstm_step(
-                arr, x_seq[t, 0], state, cfg, gate_adc_specs=net.gate_adc_specs,
-                luts=net.luts)
+                arr, x_seq[t, 0], state, cfg, gate_adc_specs=net.adc.specs,
+                luts=net.adc.luts)
             np.testing.assert_allclose(h_seq[t, 0], state.h, rtol=0, atol=1e-12)
 
     def test_requires_calibration(self):
@@ -220,7 +220,7 @@ class TestCalibration:
             want = [_expected_range(_counted(blocks, 50), p)
                     for blocks in _gate_blocks(cache, n)]
             net.freeze_adc_ranges()
-            assert [spec.v_max for spec in net.gate_adc_specs] == want
+            assert [spec.v_max for spec in net.adc.specs] == want
 
     def test_percentile_freeze(self, monkeypatch):
         # 8 forwards of 12 steps, 32 samples per gate each; the cap is met
@@ -245,8 +245,8 @@ class TestCalibration:
         want = [_expected_range(_counted(steps, 2000), 99.9) for steps in blocks]
         net.freeze_adc_ranges()
         assert net.calibrated
-        assert [spec.v_max for spec in net.gate_adc_specs] == want
-        for spec in net.gate_adc_specs:
+        assert [spec.v_max for spec in net.adc.specs] == want
+        for spec in net.adc.specs:
             assert spec.bits == 6
             assert spec.v_max > 0
             assert spec.v_min == -spec.v_max
@@ -274,7 +274,31 @@ class TestCalibration:
         cfg = CrossbarConfig.for_lstm(3, 3, weight_bits=4, adc_bits=4, dac_bits=4)
         net = LSTMNetwork(3, 3, 2, seed=1, crossbar=cfg)
         net.freeze_adc_ranges(override=(1.0, 2.0, 3.0, 4.0))
-        assert [s.v_max for s in net.gate_adc_specs] == [1.0, 2.0, 3.0, 4.0]
+        assert [s.v_max for s in net.adc.specs] == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("noise", [
+        NoiseConfig(),
+        NoiseConfig(weight_noise_beta=0.2, adc_noise_enabled=True),
+    ])
+    def test_refreeze_forwards_like_a_fresh_freeze(self, noise):
+        # the bank frozen second replaces the first everywhere: converter,
+        # LUTs and ADC-noise sigma
+        cfg = CrossbarConfig.for_lstm(3, 3, weight_bits=4, adc_bits=4, dac_bits=4)
+        x = np.random.default_rng(9).uniform(-1, 1, size=(5, 2, 3))
+        outs = []
+        for first in ((4.0, 4.0, 4.0, 4.0), None):
+            net = LSTMNetwork(3, 3, 2, seed=1, crossbar=cfg, noise=noise)
+            if first is not None:
+                net.freeze_adc_ranges(override=first)
+            net.freeze_adc_ranges(override=(0.5, 1.0, 1.5, 2.0))
+            outs.append(net.forward_sequence(
+                x, mode="quantized", rng_weight_noise=np.random.default_rng(10),
+                rng_adc_noise=np.random.default_rng(11)))
+        (logits, h_seq, cache), (logits_f, h_seq_f, cache_f) = outs
+        assert np.array_equal(logits, logits_f)
+        assert np.array_equal(h_seq, h_seq_f)
+        assert np.array_equal(cache.adc_mask, cache_f.adc_mask)
+        assert not cache.adc_mask.all()  # the second ranges clip
 
 
 class TestDeterminism:
@@ -303,15 +327,15 @@ class TestDeterminism:
 
 
 class TestRecordSwitch:
-    """An evaluation forward (record=False) builds no cache yet gives the
-    recorded forward's logits bit for bit, noise draws included."""
+    """A packed evaluation forward, every length T, builds no cache yet
+    gives the recorded forward's logits bit for bit, noise draws included."""
 
     def _pair(self, net, mode, x, noisy):
         outs = []
-        for record in (True, False):
+        for lengths in (None, np.full(x.shape[1], x.shape[0])):
             rngs = ({"rng_weight_noise": np.random.default_rng(61),
                      "rng_adc_noise": np.random.default_rng(62)} if noisy else {})
-            outs.append(net.forward_sequence(x, mode=mode, record=record, **rngs))
+            outs.append(net.forward_sequence(x, mode=mode, lengths=lengths, **rngs))
         (logits, h_seq, cache), (logits_nr, h_seq_nr, cache_nr) = outs
         assert cache is not None and cache.steps == x.shape[0]
         # step t + 1 reads the hidden state step t returned, and the memory

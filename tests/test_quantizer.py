@@ -15,6 +15,7 @@ from xbarlstm.quantizer import (
     build_lut,
     from_code,
     quantize,
+    sigmoid,
     ste_backward,
     to_code,
 )
@@ -195,6 +196,20 @@ class TestLUT:
         lut = build_lut("tanh", in_spec, out_spec)
         mirrored = -lut.entries[::-1]
         assert np.max(np.abs(lut.entries - mirrored)) <= out_spec.step + 1e-12
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_sigmoid_entries_are_the_closed_form_bit_for_bit(self, bits):
+        # build_lut tabulates the cell's own sigmoid; on every ADC code it
+        # is 1 / (1 + exp(-x)) to the bit, before and after the output snap
+        for amplitude in (0.37, 1.0, 4.5, 13.0):
+            in_spec = QuantSpec.symmetric(bits, amplitude)
+            x = from_code(np.arange(in_spec.levels), in_spec)
+            closed = 1.0 / (1.0 + np.exp(-x))
+            assert sigmoid(x).tobytes() == closed.tobytes()
+            for out_bits in (bits, 16):
+                out_spec = QuantSpec(out_bits, 0.0, 1.0)
+                lut = build_lut("sigmoid", in_spec, out_spec)
+                assert lut.entries.tobytes() == quantize(closed, out_spec).tobytes()
 
     def test_compose_equivalence_exact(self):
         in_spec = QuantSpec(5, -3.0, 3.0)
