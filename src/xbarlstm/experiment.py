@@ -493,17 +493,46 @@ def _write_manifest(cfg: ExperimentConfig, out: Path):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]):
+def _csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _cost(hw: HwParams) -> tuple[dict, dict[str, str]]:
+    """The cost report of `hw` and the text of each file `cost` writes
+    besides the manifest and report, every figure finite.  Raises
+    InfeasibleHardware, or ConfigError when a figure overflows."""
+    try:
+        report = cost_report(hw).as_dict()
+    except OverflowError as exc:  # e.g. 2.0 ** (2 * enob) for a huge adc_bits
+        raise ConfigError(f"hw params overflow the cost model: {exc}") from exc
+    rows = []
+    for name, value in report.items():
+        if name == "params":
+            continue
+        if isinstance(value, dict):  # entry k of power_w is the row power_k_w
+            quantity, unit = name.split("_", 1)
+            rows += [[f"{quantity}_{k}_{unit}", v] for k, v in value.items()]
+        else:
+            rows.append([name, value])
+    infinite = [name for name, value in rows if not math.isfinite(value)]
+    if infinite:  # e.g. a huge f_sample or a tiny r_avg
+        raise ConfigError(f"hw params overflow the cost model: {', '.join(infinite)} "
+                          "not finite")
+    return report, {"metrics.csv": _csv(["name", "value"], rows),
+                    "comparison.txt": render_comparison_tables(hw),
+                    "comparison.csv": render_comparison_tables(hw, fmt="csv")}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the command and write manifest.json, report.json, metrics.csv
-    (plus comparison tables for `cost`) into cfg.out_dir."""
+    (plus comparison tables for `cost`) into cfg.out_dir.  A `cost` whose
+    figures fail writes nothing."""
     out = Path(cfg.out_dir)
+    # the cost model runs in microseconds: check it before writing anything
+    cost = _cost(cfg.hw) if cfg.command == "cost" else None
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
@@ -511,34 +540,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     _write_manifest(cfg, out)
 
     if cfg.command == "cost":
-        try:
-            rep = cost_report(cfg.hw)
-        except OverflowError as exc:  # e.g. 2.0 ** (2 * enob) for a huge adc_bits
-            raise ConfigError(f"hw params overflow the cost model: {exc}") from exc
-        report = rep.as_dict()
-        rows = []
-        for name, value in report.items():
-            if name == "params":
-                continue
-            if isinstance(value, dict):  # entry k of power_w is the row power_k_w
-                quantity, unit = name.split("_", 1)
-                rows += [[f"{quantity}_{k}_{unit}", v] for k, v in value.items()]
-            else:
-                rows.append([name, value])
-        infinite = [name for name, value in rows if not math.isfinite(value)]
-        if infinite:  # e.g. a huge f_sample or a tiny r_avg
-            raise ConfigError(f"hw params overflow the cost model: {', '.join(infinite)} "
-                              "not finite")
-        _write_csv(out / "metrics.csv", ["name", "value"], rows)
-        (out / "comparison.txt").write_text(render_comparison_tables(cfg.hw))
-        (out / "comparison.csv").write_text(render_comparison_tables(cfg.hw, fmt="csv"))
+        report, files = cost
+        for name, text in files.items():
+            (out / name).write_text(text)
 
     elif cfg.command == "train":
         report_obj = _train_cell(cfg.task, cfg.train_overrides, cfg.seed)
         report = report_obj.as_dict()
         rows = [[e, "train", "loss", v] for e, v in report_obj.train_loss_curve]
         rows += [[e, "valid", report_obj.metric_name, v] for e, v in report_obj.curve]
-        _write_csv(out / "metrics.csv", ["epoch", "split", "metric", "value"], rows)
+        (out / "metrics.csv").write_text(_csv(["epoch", "split", "metric", "value"], rows))
 
     else:
         s, base, seeds = cfg.sweep, cfg.train_overrides, cfg.seeds()
@@ -549,8 +560,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                                  s.adc_bits)
         # a row is a cell's labels, then its metric name and value
         cells = report["cells"]
-        _write_csv(out / "metrics.csv", [*cells[0]][:-2] + ["metric", "value"],
-                   [list(c.values()) for c in cells])
+        (out / "metrics.csv").write_text(_csv([*cells[0]][:-2] + ["metric", "value"],
+                                              [list(c.values()) for c in cells]))
 
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     return report

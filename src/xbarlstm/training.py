@@ -17,11 +17,14 @@ record nothing.
 Training batches come in shuffled order, each padded to its longest
 chunk (`make_batches`); the padded rows also feed the ADC-range
 calibration.  Evaluation sorts the split's chunks longest first into
-packs of at most batch_size rows (`make_packs`), and each step runs only
-the rows whose chunk has not ended, as cuDNN's packed sequences do.  Per
-token this is the padded batch's arithmetic on fewer rows: noise off,
-results agree to rounding (BLAS may block a smaller product
-differently); noise on, the draws cover live rows only, so they differ.
+packs (`make_packs`), and each step runs only the rows whose chunk has
+not ended, as cuDNN's packed sequences do.  A pack's row count follows
+the array's width, not the training batch size: each step's (rows, 4n)
+gate array holds at most EVAL_PACK_VALUES values.  Per token this is a
+padded batch's arithmetic on other rows: noise off, results agree to
+rounding (BLAS may block a different product differently, and a value
+that rounds across an ADC code boundary flips that code); noise on, the
+draws follow the packs' rows, so they differ.
 
 Sequences longer than bptt_length are split into independent chunks with
 state reset at the boundary.  Categorical inputs drive the array at full
@@ -115,6 +118,10 @@ class TrainConfig:
             if len(bw) != 3 or any(not 1 <= b <= 16 for b in bw):
                 raise ValueError(f"bitwidths must be three integers in [1, 16], got {bw}")
             object.__setattr__(self, "bitwidths", bw)
+            try:  # the weight grid, which must exist in float64 (not at 1e308)
+                QuantSpec.symmetric(bw[0], self.weight_range)
+            except ValueError as exc:
+                raise ValueError(f"weight_range {self.weight_range!r}: {exc}") from exc
         if self.adc_range_override is not None:
             ranges = np.asarray(self.adc_range_override, dtype=np.float64)
             try:
@@ -227,11 +234,11 @@ def make_batches(ds: SequenceDataset, batch_size: int, bptt_length: int,
         yield _pad(ds, items[start:start + batch_size], inactive)
 
 
-def make_packs(ds: SequenceDataset, batch_size: int, bptt_length: int,
+def make_packs(ds: SequenceDataset, rows: int, bptt_length: int,
                inactive: float = 0.0,
                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The whole split's chunks longest first, in batches of at most
-    `batch_size` rows, for a forward that steps only the live rows.
+    """The whole split's chunks longest first, in packs of at most `rows`
+    rows, for a forward that steps only the live rows.
 
     The sort is stable, so chunks of equal length keep dataset order (a
     split of equal lengths gives `make_batches`'s batches in dataset
@@ -239,8 +246,8 @@ def make_packs(ds: SequenceDataset, batch_size: int, bptt_length: int,
     non-increasing, one pack at a time.
     """
     items = sorted(_items(ds, range(len(ds)), bptt_length), key=_length, reverse=True)
-    for start in range(0, len(items), batch_size):
-        group = items[start:start + batch_size]
+    for start in range(0, len(items), rows):
+        group = items[start:start + rows]
         yield *_pad(ds, group, inactive), np.array([_length(it) for it in group])
 
 
@@ -256,9 +263,8 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
     expz = np.exp(z)
     sumz = expz.sum(axis=-1, keepdims=True)
     logp = z - np.log(sumz)
-    t_idx, b_idx = np.meshgrid(np.arange(logits.shape[0]), np.arange(logits.shape[1]),
-                               indexing="ij")
-    picked = logp[t_idx, b_idx, targets]
+    idx = targets[..., None]
+    picked = np.take_along_axis(logp, idx, axis=-1)[..., 0]
     count = float(mask.sum())
     if count == 0:
         raise ValueError("batch mask selects no tokens")
@@ -266,7 +272,7 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
     correct = float(((logits.argmax(axis=-1) == targets) * mask).sum())
 
     d = expz / sumz
-    d[t_idx, b_idx, targets] -= 1.0
+    np.put_along_axis(d, idx, np.take_along_axis(d, idx, axis=-1) - 1.0, axis=-1)
     d *= (mask / count)[..., None]
     return nll_sum, count, correct, d
 
@@ -335,14 +341,21 @@ def _make_optimizer(cfg: TrainConfig):
 
 # --- train / evaluate ---------------------------------------------------------------
 
+# Values in one step's (rows, 4n) float64 gate array of an evaluation pack
+# (256 KiB): a pack holds EVAL_PACK_VALUES // 4n rows, at least one.
+EVAL_PACK_VALUES = 32768
+
+
 def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
              epoch_tag: int = 0, task_name: str | None = None) -> EvalReport:
     """Metrics over a dataset: perplexity = exp(mean token NLL), accuracy =
     fraction of argmax-correct predictions.  The quantized path (with its
     configured noise) is used whenever the model has one.  The array is
     programmed once for the split, which runs in length-sorted packs
-    (`make_packs`) whose finished rows drop out of the step loop.  Raises
-    TrainingDiverged if the NLL or the perplexity is not finite."""
+    (`make_packs`) whose finished rows drop out of the step loop.  A pack
+    holds EVAL_PACK_VALUES // (4 * hidden_size) rows (at least one), so
+    `cfg.batch_size` does not enter.  Raises TrainingDiverged if the NLL or
+    the perplexity is not finite."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if model.crossbar is not None and not model.calibrated:
@@ -354,8 +367,9 @@ def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
     inactive = inactive_level(cfg.input_drive, model.crossbar.dac_spec
                               if model.crossbar is not None else None)
     programmed = model.programmed_weights()
+    rows = max(1, EVAL_PACK_VALUES // (4 * model.hidden_size))
     nll_sum = count = correct = 0.0
-    for x, targets, mask, lengths in make_packs(dataset, cfg.batch_size, cfg.bptt_length,
+    for x, targets, mask, lengths in make_packs(dataset, rows, cfg.bptt_length,
                                                 inactive=inactive):
         logits, _, _ = model.forward_sequence(x, mode=mode, rng_weight_noise=rng_w,
                                               rng_adc_noise=rng_a, programmed=programmed,

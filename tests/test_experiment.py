@@ -5,6 +5,7 @@ import dataclasses
 import json
 import re
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -37,6 +38,11 @@ dac_bits = 4
 epochs = 2
 hidden_size = 8
 """
+
+
+def written(out: Path) -> list[str]:
+    """The names of the files under `out`, none when it does not exist."""
+    return sorted(str(p.relative_to(out)) for p in out.rglob("*")) if out.exists() else []
 
 
 def write(tmp_path, text, name="exp.ini"):
@@ -294,6 +300,43 @@ class TestConfigParserProperty:
         assert len(loaded) >= 15
 
 
+COST_FILES = ["comparison.csv", "comparison.txt", "manifest.json", "metrics.csv",
+              "report.json"]
+
+
+class TestCostProperty:
+    """`cost` over any [hw] values either exits 0 having written all of its
+    files or exits non-zero having written nothing."""
+
+    def test_all_files_or_none(self, tmp_path, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hints = get_type_hints(HwParams)
+        extremes = st.sampled_from([0, -1, 1e-320, 1e-300, 1e300, 1e308, 10**306,
+                                    float("nan"), float("inf")])
+        ints = st.one_of(st.integers(1, 4096), st.sampled_from([64, 256, 1024]))
+        floats = st.floats(min_value=1e-320, max_value=1e308)
+        hw = st.sampled_from(sorted(hints)).flatmap(lambda key: st.tuples(
+            st.just(key), st.one_of(ints if hints[key] is int else floats, extremes)))
+        path, codes = tmp_path / "cost.ini", []
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(values=st.lists(hw, max_size=4).map(dict))
+        def check(values):
+            out = tmp_path / f"out{len(codes)}"
+            path.write_text("[experiment]\ncommand = cost\n[hw]\n"
+                            + "".join(f"{k} = {v}\n" for k, v in values.items()))
+            code = run(path, out_dir=out)
+            codes.append(code)
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE)
+            assert written(out) == (COST_FILES if code == EXIT_OK else [])
+
+        check()
+        capsys.readouterr()
+        # the search reaches every outcome
+        assert {EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE} <= set(codes)
+
+
 class TestExitCodes:
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert run(tmp_path / "missing.ini") == EXIT_CONFIG
@@ -302,6 +345,7 @@ class TestExitCodes:
     def test_infeasible_hw_exit_4(self, tmp_path):
         p = write(tmp_path, "[experiment]\ncommand = cost\n[hw]\nnum_adcs = 8\n")
         assert run(p, out_dir=tmp_path / "out") == EXIT_INFEASIBLE
+        assert written(tmp_path / "out") == []
 
     def test_divergence_exit_3(self, tmp_path, monkeypatch):
         def boom(task, overrides, seed):
@@ -408,6 +452,7 @@ epochs = 1
          "cost", "dir"),
         ('{"experiment": {"command": "train", "task": "word_lm"}, '
          '"train": {"epochs": 1}, "train": {"epochs": 2}}', "train", "dir"),
+        (FAST_TRAIN + "weight_range = 1e308\n", "train", "dir"),
     ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero",
             "ini-out-empty", "json-out-empty", "cost-config-out-flag-empty",
             "cost-out-flag-empty", "json-seed-overflows", "sweep-weight-bits-zero",
@@ -424,7 +469,8 @@ epochs = 1
             "weight-range-negative", "json-weight-range-nan", "json-weight-range-inf",
             "json-weight-range-zero", "json-weight-range-negative", "fp-weight-range-nan",
             "grad-clip-nan", "grad-clip-negative", "json-grad-clip-nan",
-            "json-grad-clip-negative", "json-hw-key-twice", "json-section-twice"])
+            "json-grad-clip-negative", "json-hw-key-twice", "json-section-twice",
+            "weight-grid-overflows"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, config, command, out):
         # anything written to a relative path lands in tmp_path
         monkeypatch.chdir(tmp_path)
@@ -440,6 +486,8 @@ epochs = 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not list(tmp_path.rglob("manifest.json"))
         assert not (tmp_path / "runs").exists()
+        if out == "dir":
+            assert written(tmp_path / "out") == []
 
     @pytest.mark.parametrize("hw", [f"rows = {10**306}", "adc_bits = 2000"],
                              ids=["rows-times-cols", "adc-energy"])
@@ -447,6 +495,7 @@ epochs = 1
         p = write(tmp_path, f"[experiment]\ncommand = cost\n[hw]\n{hw}\n")
         assert run(p, out_dir=tmp_path / "out") == EXIT_CONFIG
         assert "overflow" in capsys.readouterr().err
+        assert written(tmp_path / "out") == []
 
     @pytest.mark.parametrize("hw, figure", [("f_sample = 1e308", "power_adc_w"),
                                             ("r_avg = 1e-320", "power_array_w")],
@@ -456,7 +505,7 @@ epochs = 1
         assert run(p, out_dir=tmp_path / "out") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "overflow" in err and figure in err
-        assert not (tmp_path / "out" / "metrics.csv").exists()
+        assert written(tmp_path / "out") == []
 
     def test_out_of_memory_exit_2(self, tmp_path, monkeypatch, capsys):
         # what numpy raises for e.g. [train] hidden_size = 1000000; raised

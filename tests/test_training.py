@@ -62,6 +62,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="weight_range"):
             TrainConfig(weight_range=value)
 
+    @pytest.mark.parametrize("bits, value", [(4, 1e308), (16, 1e-320)])
+    def test_weight_range_without_a_float64_grid_rejected(self, bits, value):
+        TrainConfig(weight_range=value)  # no grid without bit widths
+        with pytest.raises(ValueError, match="weight_range"):
+            TrainConfig(bitwidths=(bits, 4, 4), weight_range=value)
+
     @pytest.mark.parametrize("value", [float("nan"), -1.0])
     def test_grad_clip_nan_or_negative_rejected(self, value):
         with pytest.raises(ValueError, match="grad_clip"):
@@ -249,7 +255,7 @@ class TestBatching:
     def test_packs_sort_chunks_longest_first_stably(self):
         # at bptt_length 16 the 20-token sequence splits into chunks of 16 and 4
         ds = tiny_lm_dataset(lengths=[3, 9, 1, 20, 9, 5])
-        packs = list(make_packs(ds, batch_size=4, bptt_length=16))
+        packs = list(make_packs(ds, rows=4, bptt_length=16))
         assert [list(p[3]) for p in packs] == [[16, 9, 9, 5], [4, 3, 1]]
         # ties keep dataset order: the first 9-token sequence comes first
         first = packs[0]
@@ -302,10 +308,80 @@ class TestAdam:
                 assert np.array_equal(opt.v[k], v[k])
 
 
+class TestEvalPackRows:
+    """evaluate() sizes its packs by the array's width, 4n columns, and
+    never by the training batch size."""
+
+    NOISY = NoiseConfig(weight_noise_beta=0.2, adc_noise_enabled=True)
+
+    def _task_model(self, task, noise=None, seed=1):
+        """An untrained 4/4/4 model of a task at its default geometry, with
+        fixed ADC ranges, and its bundle."""
+        bundle = build_task(task, seed=seed)
+        cfg = replace(bundle.defaults, bitwidths=(4, 4, 4), noise=noise or NoiseConfig())
+        model = build_network(bundle, cfg)
+        model.freeze_adc_ranges(override=(2.0, 2.0, 2.0, 2.0))
+        return bundle, cfg, model
+
+    def _packed(self, model, ds, cfg, rows, epoch_tag=0):
+        """(perplexity, accuracy) of the split in packs of `rows` rows, in
+        evaluate()'s order of forwards and noise draws."""
+        rng_w = derive_rng(cfg.seed, f"eval-noise-w-{epoch_tag}")
+        rng_a = derive_rng(cfg.seed, f"eval-noise-a-{epoch_tag}")
+        inactive = inactive_level(cfg.input_drive, model.crossbar.dac_spec)
+        programmed = model.programmed_weights()
+        nll = count = correct = 0.0
+        for x, targets, mask, lengths in make_packs(ds, rows, cfg.bptt_length,
+                                                    inactive=inactive):
+            logits, _, _ = model.forward_sequence(
+                x, mode="quantized", rng_weight_noise=rng_w, rng_adc_noise=rng_a,
+                programmed=programmed, lengths=lengths)
+            s, c, corr, _ = softmax_xent(logits, targets, mask)
+            nll, count, correct = nll + s, count + c, correct + corr
+        return perplexity_from_nll(nll, count), correct / count
+
+    @pytest.mark.parametrize("task, rows", [("word_lm", [128, 32]), ("har", [256, 44])],
+                             ids=["word_lm", "har"])
+    def test_valid_split_pack_rows(self, monkeypatch, task, rows):
+        bundle, cfg, model = self._task_model(task)
+        seen = []
+        real = xbarlstm.training.softmax_xent
+
+        def spy(logits, targets, mask):
+            seen.append(logits.shape[1])
+            return real(logits, targets, mask)
+
+        monkeypatch.setattr(xbarlstm.training, "softmax_xent", spy)
+        evaluate(model, bundle.valid, cfg)
+        assert seen == rows
+
+    @pytest.mark.parametrize("noise", [None, NOISY], ids=["noise-off", "beta-0.2-adc"])
+    def test_char_lm_equals_32_row_packs_bit_for_bit(self, noise):
+        # n = 256: 4n = 1024 columns give 32-row packs, the task's batch size
+        bundle, cfg, model = self._task_model("char_lm", noise)
+        assert model.hidden_size == 256
+        rep = evaluate(model, bundle.valid, cfg)
+        assert (rep.perplexity, rep.accuracy) == self._packed(model, bundle.valid, cfg, 32)
+
+    def test_batch_size_does_not_enter(self):
+        bundle, cfg, model = self._task_model("word_lm", self.NOISY)
+        first = evaluate(model, bundle.valid, cfg)
+        second = evaluate(model, bundle.valid, replace(cfg, batch_size=3))
+        assert first.as_dict() == second.as_dict()
+
+    def test_word_lm_noise_off_agrees_with_16_row_packs(self):
+        bundle, cfg, model = self._task_model("word_lm")
+        rep = evaluate(model, bundle.valid, cfg)
+        ppl, acc = self._packed(model, bundle.valid, cfg, 16)
+        assert rep.perplexity == pytest.approx(ppl, rel=1e-12)
+        assert rep.accuracy == acc
+
+
 class TestEvaluationSnap:
     """evaluate() programs the array once per split and every batch reads
-    it; results equal a loop of per-batch padded forwards, each of
-    which snaps the latent weights itself."""
+    it; with packs of the reference's batch size, results equal a loop of
+    per-batch padded forwards, each of which snaps the latent weights
+    itself."""
 
     CFG = TrainConfig(batch_size=8, seed=4)
     NOISY = NoiseConfig(weight_noise_beta=0.2, adc_noise_enabled=True)
@@ -337,8 +413,15 @@ class TestEvaluationSnap:
             nll, count, correct = nll + s, count + c, correct + corr
         return logits_all, perplexity_from_nll(nll, count), correct / count
 
+    def _pack_batch_rows(self, model, monkeypatch):
+        """Make evaluate()'s packs hold CFG.batch_size rows, so a split
+        runs in several packs, as the reference runs several batches."""
+        monkeypatch.setattr(xbarlstm.training, "EVAL_PACK_VALUES",
+                            4 * model.hidden_size * self.CFG.batch_size)
+
     def _evaluate(self, model, ds, monkeypatch):
         """evaluate() plus the logits of each of its batches."""
+        self._pack_batch_rows(model, monkeypatch)
         seen = []
         real = xbarlstm.training.softmax_xent
 
@@ -413,8 +496,9 @@ class TestEvaluationSnap:
         assert rep.accuracy == acc
 
     @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "fp"])
-    def test_write_to_weights_between_evaluations_is_seen(self, quantized):
+    def test_write_to_weights_between_evaluations_is_seen(self, monkeypatch, quantized):
         model = self._model(quantized)
+        self._pack_batch_rows(model, monkeypatch)
         ds = tiny_lm_dataset()
         first = evaluate(model, ds, self.CFG)
         model.w += 0.3  # in place: a programmed array kept across calls would go stale
