@@ -20,11 +20,13 @@ calibration.  Evaluation sorts the split's chunks longest first into
 packs (`make_packs`), and each step runs only the rows whose chunk has
 not ended, as cuDNN's packed sequences do.  A pack's row count follows
 the array's width, not the training batch size: each step's (rows, 4n)
-gate array holds at most EVAL_PACK_VALUES values.  Per token this is a
-padded batch's arithmetic on other rows: noise off, results agree to
-rounding (BLAS may block a different product differently, and a value
-that rounds across an ADC code boundary flips that code); noise on, the
-draws follow the packs' rows, so they differ.
+gate array holds at most EVAL_PACK_VALUES values.  That caps the gate
+array alone: a pack's T-long arrays (inputs, hidden states, logits) grow
+with T x rows, and a narrow array may take a small split in one pack.
+Per token this is a padded batch's arithmetic on other rows: noise off,
+results agree to rounding (BLAS may block a different product
+differently, and a value that rounds across an ADC code boundary flips
+that code); noise on, the draws follow the packs' rows, so they differ.
 
 Sequences longer than bptt_length are split into independent chunks with
 state reset at the boundary.  Categorical inputs drive the array at full
@@ -263,8 +265,9 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
     expz = np.exp(z)
     sumz = expz.sum(axis=-1, keepdims=True)
     logp = z - np.log(sumz)
-    idx = targets[..., None]
-    picked = np.take_along_axis(logp, idx, axis=-1)[..., 0]
+    t_idx, b_idx = np.meshgrid(np.arange(logits.shape[0]), np.arange(logits.shape[1]),
+                               indexing="ij")
+    picked = logp[t_idx, b_idx, targets]
     count = float(mask.sum())
     if count == 0:
         raise ValueError("batch mask selects no tokens")
@@ -272,7 +275,7 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
     correct = float(((logits.argmax(axis=-1) == targets) * mask).sum())
 
     d = expz / sumz
-    np.put_along_axis(d, idx, np.take_along_axis(d, idx, axis=-1) - 1.0, axis=-1)
+    d[t_idx, b_idx, targets] -= 1.0
     d *= (mask / count)[..., None]
     return nll_sum, count, correct, d
 
@@ -342,7 +345,9 @@ def _make_optimizer(cfg: TrainConfig):
 # --- train / evaluate ---------------------------------------------------------------
 
 # Values in one step's (rows, 4n) float64 gate array of an evaluation pack
-# (256 KiB): a pack holds EVAL_PACK_VALUES // 4n rows, at least one.
+# (256 KiB): a pack holds EVAL_PACK_VALUES // 4n rows, at least one.  This
+# caps that one array, not the pack's memory: x, the hidden states and the
+# logits span all T steps, so they grow with T x rows.
 EVAL_PACK_VALUES = 32768
 
 
@@ -354,8 +359,9 @@ def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
     programmed once for the split, which runs in length-sorted packs
     (`make_packs`) whose finished rows drop out of the step loop.  A pack
     holds EVAL_PACK_VALUES // (4 * hidden_size) rows (at least one), so
-    `cfg.batch_size` does not enter.  Raises TrainingDiverged if the NLL or
-    the perplexity is not finite."""
+    `cfg.batch_size` does not enter; that caps one step's gate array, while
+    the pack's (T, rows, ...) arrays grow with its rows.  Raises
+    TrainingDiverged if the NLL or the perplexity is not finite."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if model.crossbar is not None and not model.calibrated:

@@ -445,7 +445,18 @@ class TestEvaluationSnap:
 
         # the network is the only batched-path code that snaps the weights
         monkeypatch.setattr(xbarlstm.network, "quantize", counting)
+        self._pack_batch_rows(model, monkeypatch)
+        packs = 0
+        real_forward = model.forward_sequence
+
+        def forward(*args, **kwargs):
+            nonlocal packs
+            packs += 1
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_sequence", forward)
         evaluate(model, tiny_lm_dataset(), self.CFG)
+        assert packs > 1  # once per split, not once per pack
         assert shapes.count(model.w.shape) == snaps
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noise-off", "beta-0.2-adc"])
