@@ -2,13 +2,18 @@
 """Device and circuit noise at 4-bit precision: weight-noise ratio sweep
 (read noise resampled on every cycle) and ADC quantization noise on/off."""
 
+import tempfile
 import time
 
-from xbarlstm import noise_sweep
+from xbarlstm.experiment import ExperimentConfig, SweepConfig, run_experiment
 
 t0 = time.time()
-result = noise_sweep("char_lm", betas=(0.0, 0.1, 0.2), seeds=(1,),
-                     adc_noise_grid=("off", "on"))
+# adc_bits = (): the ADC noise cells run at the base 4 bits only
+with tempfile.TemporaryDirectory() as out:
+    result = run_experiment(ExperimentConfig(
+        command="noise-sweep", task="char_lm", out_dir=out,
+        sweep=SweepConfig(betas=(0.0, 0.1, 0.2), adc_noise_grid=("off", "on"),
+                          adc_bits=(), seeds=(1,))))
 
 print("Weight read noise, sigma = beta * (w_max - w_min), 4-bit everything:")
 for cell in result["cells"]:

@@ -53,7 +53,7 @@ from .hwcost import (
     shot_noise,
     throughput,
 )
-from .experiment import ExperimentConfig, load_config, noise_sweep, run, sweep_bitwidths
+from .experiment import ExperimentConfig, load_config, run
 
 __all__ = [
     "__version__",
@@ -70,5 +70,5 @@ __all__ = [
     "CostReport", "HwParams", "InfeasibleHardware", "adc_energy_per_sample",
     "area", "cost_report", "efficiencies", "enob", "johnson_noise", "power",
     "quantization_noise_v", "render_comparison_tables", "shot_noise", "throughput",
-    "ExperimentConfig", "load_config", "noise_sweep", "run", "sweep_bitwidths",
+    "ExperimentConfig", "load_config", "run",
 ]

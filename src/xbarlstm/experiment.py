@@ -51,8 +51,7 @@ __all__ = [
     "run",
     "run_experiment",
     "exit_code",
-    "sweep_bitwidths",
-    "noise_sweep",
+    "SweepConfig",
     "EXIT_OK",
     "EXIT_CONFIG",
     "EXIT_DIVERGED",
@@ -65,6 +64,7 @@ EXIT_DIVERGED = 3
 EXIT_INFEASIBLE = 4
 
 COMMANDS = ("train", "sweep", "cost", "noise-sweep")
+SECTIONS = ("experiment", "train", "noise", "hw", "sweep")
 
 
 class ConfigError(ValueError):
@@ -208,9 +208,15 @@ def _sections_from_ini(text: str, path: Path) -> dict:
     try:
         parser.read_string(text, source=str(path))
         # values are interpolated as they are read
-        return {name: dict(parser[name]) for name in parser.sections()}
+        sections = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    # keys under [DEFAULT] would go to every section, and with none, nowhere
+    unknown = [name for name in sections if name not in SECTIONS]
+    unknown += [parser.default_section] if parser.defaults() else []
+    if unknown:
+        raise ConfigError(f"{path}: unknown sections {unknown}; expected some of {SECTIONS}")
+    return sections
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -227,15 +233,16 @@ def _unique_keys(pairs: list) -> dict:
 def _sections_from_json(text: str, path: Path) -> dict:
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except ConfigError as exc:
+    except (json.JSONDecodeError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    # manifests carry extra sections (environment, results); ignore them
-    return {k: v for k, v in data.items()
-            if k in ("experiment", "train", "noise", "hw", "sweep") and isinstance(v, dict)}
+    # manifests carry other top-level keys (environment); ignore them
+    sections = {k: v for k, v in data.items() if k in SECTIONS}
+    not_objects = [name for name, value in sections.items() if not isinstance(value, dict)]
+    if not_objects:
+        raise ConfigError(f"{path}: sections {not_objects} must be objects")
+    return sections
 
 
 _NOISE_ALIASES = {"adc_noise": ("adc_noise_enabled", None)}
@@ -365,7 +372,7 @@ def load_config(path, out_dir=None, seed=None, threads=None,
     exp = dict(sections.get("experiment", {}))
     file_command = exp.pop("command", None)
     command = command if command is not None else file_command
-    if file_command is None:
+    if command is None:
         raise ConfigError(f"{path}: missing command in [experiment]")
     task = exp.pop("task", "char_lm")
     file_out = exp.pop("out", None)
@@ -450,34 +457,28 @@ def _train_cells(task: str, cells) -> list[dict]:
     return results
 
 
-def sweep_bitwidths(task: str, weight_bits, adc_bits, base_overrides: dict | None = None,
-                    seeds=(1, 2, 3)) -> dict:
-    """Train+evaluate every (weight bits, ADC/DAC bits) cell with shared
-    seeds; returns cells plus the seed-mean metric matrix."""
-    cells = _bitwidth_cells(weight_bits, adc_bits, base_overrides or {}, seeds)
-    results = _train_cells(task, cells)
-    matrix = [[float(np.mean([r["metric"] for r in results
-                              if (r["weight_bits"], r["adc_bits"]) == (wb, ab)]))
-               for ab in adc_bits] for wb in weight_bits]
-    return {"task": task, "weight_bits": list(weight_bits), "adc_bits": list(adc_bits),
-            "seeds": list(seeds), "cells": results, "mean_matrix": matrix,
-            "metric_name": results[0]["metric_name"]}
+# bench/tracing.py times a sweep by these two names (its experiment.sweep span)
+
+def sweep_bitwidths(cfg: ExperimentConfig) -> dict:
+    """The `sweep` report: every cell of the grid, then the seed-mean
+    metric of each (weight bits, ADC/DAC bits) pair."""
+    s = cfg.sweep
+    cells = _train_cells(cfg.task, cfg.cells())
+    matrix = [[float(np.mean([c["metric"] for c in cells
+                              if (c["weight_bits"], c["adc_bits"]) == (wb, ab)]))
+               for ab in s.adc_bits] for wb in s.weight_bits]
+    return {"task": cfg.task, "weight_bits": list(s.weight_bits),
+            "adc_bits": list(s.adc_bits), "seeds": list(cfg.seeds()), "cells": cells,
+            "mean_matrix": matrix, "metric_name": cells[0]["metric_name"]}
 
 
-def noise_sweep(task: str, betas, base_overrides: dict | None = None, seeds=(1,),
-                adc_noise_grid=(), adc_bits_grid=()) -> dict:
-    """One full train+evaluate per grid point with shared seeds.
-
-    Produces the metric-vs-beta rows (weight noise, ADC noise off) and,
-    when `adc_noise_grid` names 'on'/'off' states, metric-vs-ADC-bits rows
-    for each state, at the base bit widths or 4/4/4.  Raises ValueError
-    for an empty grid, a beta outside [0, 0.2], or base overrides that
-    set the noise or DAC bits other than the ADC bits.
-    """
-    cells = _noise_cells(betas, adc_noise_grid, adc_bits_grid, base_overrides or {}, seeds)
-    return {"task": task, "betas": [float(b) for b in betas],
-            "adc_noise_grid": list(adc_noise_grid), "seeds": list(seeds),
-            "cells": _train_cells(task, cells)}
+def noise_sweep(cfg: ExperimentConfig) -> dict:
+    """The `noise-sweep` report: the metric-vs-beta cells, then the
+    metric-vs-ADC-bits cells of each ADC noise state."""
+    s = cfg.sweep
+    return {"task": cfg.task, "betas": [float(b) for b in s.betas],
+            "adc_noise_grid": list(s.adc_noise_grid), "seeds": list(cfg.seeds()),
+            "cells": _train_cells(cfg.task, cfg.cells())}
 
 
 # --- artifact writing -----------------------------------------------------------
@@ -552,12 +553,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         (out / "metrics.csv").write_text(_csv(["epoch", "split", "metric", "value"], rows))
 
     else:
-        s, base, seeds = cfg.sweep, cfg.train_overrides, cfg.seeds()
-        if cfg.command == "sweep":
-            report = sweep_bitwidths(cfg.task, s.weight_bits, s.adc_bits, base, seeds)
-        else:
-            report = noise_sweep(cfg.task, s.betas, base, seeds, s.adc_noise_grid,
-                                 s.adc_bits)
+        report = sweep_bitwidths(cfg) if cfg.command == "sweep" else noise_sweep(cfg)
         # a row is a cell's labels, then its metric name and value
         cells = report["cells"]
         (out / "metrics.csv").write_text(_csv([*cells[0]][:-2] + ["metric", "value"],

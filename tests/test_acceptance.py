@@ -7,8 +7,6 @@ session (see trained_cells).  A summary line per criterion is printed at
 the end of the session (see conftest).
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -32,9 +30,7 @@ from xbarlstm.hwcost import (
 )
 from xbarlstm.lstm import LSTMParams, LSTMState, forward_sequence, lstm_backward, lstm_step_ref
 from xbarlstm.quantizer import QuantSpec, quantize, to_code
-from xbarlstm.tasks import build_network, build_task
-from xbarlstm.training import train
-from xbarlstm.experiment import run as run_config_file
+from xbarlstm.experiment import _train_cell, run as run_config_file
 
 from trained_cells import mean_metric
 
@@ -238,13 +234,9 @@ def test_criterion8_noise_robustness():
     assert abs(adc / clean - 1) <= 0.05, f"adc delta {100*abs(adc/clean-1):.2f}%"
 
     # bit-identity of the beta = 0 path, at reduced scale
-    vals = []
-    for noise in (NoiseConfig(), NoiseConfig(weight_noise_beta=0.0)):
-        bundle = build_task("char_lm", seed=1)
-        cfg = replace(bundle.defaults, bitwidths=(4, 4, 4), epochs=2, noise=noise)
-        model = build_network(bundle, cfg)
-        _, rep = train(model, bundle.train, cfg, valid_dataset=bundle.valid)
-        vals.append(rep.perplexity)
+    vals = [_train_cell("char_lm", {"bitwidths": (4, 4, 4), "epochs": 2, "noise": noise},
+                        seed=1).perplexity
+            for noise in (NoiseConfig(), NoiseConfig(weight_noise_beta=0.0))]
     assert vals[0] == vals[1]
 
 

@@ -453,6 +453,9 @@ epochs = 1
         ('{"experiment": {"command": "train", "task": "word_lm"}, '
          '"train": {"epochs": 1}, "train": {"epochs": 2}}', "train", "dir"),
         (FAST_TRAIN + "weight_range = 1e308\n", "train", "dir"),
+        ("[experiment]\ncommand = cost\n[hww]\nrows = 300\n", "cost", "dir"),
+        ("[DEFAULT]\nrows = 300\n", "cost", "dir"),
+        ('{"experiment": {"command": "cost"}, "hw": [["rows", 300]]}', "cost", "dir"),
     ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero",
             "ini-out-empty", "json-out-empty", "cost-config-out-flag-empty",
             "cost-out-flag-empty", "json-seed-overflows", "sweep-weight-bits-zero",
@@ -470,7 +473,8 @@ epochs = 1
             "json-weight-range-zero", "json-weight-range-negative", "fp-weight-range-nan",
             "grad-clip-nan", "grad-clip-negative", "json-grad-clip-nan",
             "json-grad-clip-negative", "json-hw-key-twice", "json-section-twice",
-            "weight-grid-overflows"])
+            "weight-grid-overflows", "unknown-section", "ini-default-section",
+            "json-section-not-an-object"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, config, command, out):
         # anything written to a relative path lands in tmp_path
         monkeypatch.chdir(tmp_path)
@@ -801,3 +805,9 @@ class TestCLI:
         # cost reads neither the task nor [train]
         assert cli_main(["cost", "--config", str(write(tmp_path, FAST_TRAIN)),
                          "--out", str(tmp_path / "f")]) == EXIT_CONFIG
+        # the subcommand names the command a file leaves unset
+        p = write(tmp_path, "[hw]\nrows = 300\n", "no-command.ini")
+        assert run(p, out_dir=tmp_path / "n") == EXIT_CONFIG
+        assert cli_main(["cost", "--config", str(p), "--out", str(tmp_path / "c")]) == EXIT_OK
+        report = json.loads((tmp_path / "c" / "report.json").read_text())
+        assert report["params"]["rows"] == 300

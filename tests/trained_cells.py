@@ -8,13 +8,11 @@ whichever test asks first; the cache trains it once and hands every
 caller that same float.
 """
 
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
-from xbarlstm.tasks import build_network, build_task
-from xbarlstm.training import train
+from xbarlstm.experiment import _train_cell
 
 SEEDS = (1, 2, 3)
 
@@ -22,13 +20,7 @@ SEEDS = (1, 2, 3)
 @lru_cache(maxsize=None)
 def mean_metric(task, bits, noise=None, seeds=SEEDS) -> float:
     """Mean final metric over `seeds` of `task` trained at `bits` (None for
-    full precision) with the task defaults and `noise` if given."""
-    vals = []
-    for seed in seeds:
-        bundle = build_task(task, seed=seed)
-        cfg = replace(bundle.defaults, bitwidths=bits, seed=seed,
-                      **({"noise": noise} if noise is not None else {}))
-        model = build_network(bundle, cfg)
-        _, rep = train(model, bundle.train, cfg, valid_dataset=bundle.valid)
-        vals.append(rep.metric)
-    return float(np.mean(vals))
+    full precision) with the task defaults and `noise` if given, each cell
+    trained as a sweep trains it."""
+    overrides = {"bitwidths": bits, **({"noise": noise} if noise is not None else {})}
+    return float(np.mean([_train_cell(task, overrides, seed).metric for seed in seeds]))
