@@ -26,7 +26,7 @@ from .crossbar import (
     save_array,
     vmm,
 )
-from .network import LSTMNetwork
+from .network import LSTMNetwork, RangeCollector
 from .datasets import (
     SequenceDataset,
     bundled_corpus_path,
@@ -62,7 +62,7 @@ __all__ = [
     "forward_sequence", "lstm_backward", "lstm_step_ref",
     "CrossbarConfig", "NoiseConfig", "ProgrammedArray", "load_array", "program",
     "quantized_lstm_step", "read_back", "save_array", "vmm",
-    "LSTMNetwork",
+    "LSTMNetwork", "RangeCollector",
     "SequenceDataset", "bundled_corpus_path", "load_char_corpus",
     "load_word_corpus", "split_dataset", "synth_har",
     "EvalReport", "TrainConfig", "TrainingDiverged", "evaluate", "train",

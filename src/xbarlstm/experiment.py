@@ -125,8 +125,10 @@ class ExperimentConfig:
             raise ConfigError("out must name a directory, got an empty value")
         # surface invalid values now, before any compute starts
         try:
-            for overrides in [self.train_overrides, *(o for _, o, _ in self.cells())]:
-                TrainConfig(**overrides)
+            TrainConfig(**self.train_overrides)
+            # a sweep's cells read what its base sets; `train` trains the base
+            for overrides in [o for _, o, _ in self.cells()] or [self.train_overrides]:
+                _check_cell(overrides)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid {self.command} config: {exc}") from exc
 
@@ -398,6 +400,24 @@ def load_config(path, out_dir=None, seed=None, threads=None,
 
 # --- sweep operations -----------------------------------------------------------
 
+def _check_cell(overrides: dict):
+    """Validate one cell's train overrides, and reject the keys it would
+    not read: a full-precision cell's quantizer keys and enabled noise,
+    and an ADC range percentile next to an explicit override."""
+    cfg = TrainConfig(**overrides)
+    if cfg.bitwidths is None:
+        unread = [f"[train] {key}" for key in ("weight_range", "adc_range_percentile",
+                                                "adc_range_override")
+                  if overrides.get(key) is not None]
+        unread += ["enabled noise"] if cfg.noise.any_enabled else []
+        if unread:
+            raise ValueError(f"a full-precision cell does not read {', '.join(unread)}; "
+                             "set bit widths or remove them")
+    if cfg.adc_range_override is not None and overrides.get("adc_range_percentile") is not None:
+        raise ValueError("adc_range_override sets the ADC ranges; adc_range_percentile "
+                         "is not read")
+
+
 def _bitwidth_cells(weight_bits, adc_bits, base: dict, seeds) -> list[tuple[dict, dict, int]]:
     """The sweep grid: each (weight bits, ADC/DAC bits) pair for each seed.
     It sets every cell's bit widths, so `base` may not."""
@@ -418,6 +438,9 @@ def _noise_cells(betas, adc_noise_grid, adc_bits, base: dict,
     DAC bits to its ADC bits, so `base` may set neither."""
     if "noise" in base:
         raise ValueError("the grid sets the noise; remove the [noise] section")
+    if not adc_noise_grid and tuple(adc_bits) != SweepConfig.adc_bits:
+        raise ValueError("adc_bits sets the bits of the adc_noise_grid cells; "
+                         "with no adc_noise_grid it is not read")
     wb, base_ab, db = base.get("bitwidths") or (4, 4, 4)
     if db != base_ab:
         raise ValueError(f"the grid sets the DAC bits to the ADC bits, {base_ab}, not {db}")

@@ -7,18 +7,19 @@ hidden state, the memory cell is c_t = f*c_{t-1} + i*c_tilde and the
 hidden state is h_t = o*tanh(c_t).  The memory cell is never quantized.
 
 `run_cell` is the one batched step loop behind every forward pass:
-`forward_sequence` here and the fp, calibration and quantized forwards of
-`network.LSTMNetwork`.  It reads the weight array it is given, latent or
-programmed.  Its stages are switched on by the data passed to it: the
+`forward_sequence` here and the fp, calibration and quantized forwards
+of `network.LSTMNetwork`.  It reads the weight array it is given, latent
+or programmed.  Its stages are switched on by the data passed to it: the
 weight read (optional per-sample read noise), the pre-activation
-(optional ADC noise, then an optional sink such as the ADC-range
-calibration), the converter (sigmoid/tanh or a frozen ADC bank) and the
-DAC (identity, or inputs and the recycled hidden state snapped to its
-grid).  The scalar `lstm_step_ref` stays separate as the reference the
-loop is checked against.  A forward given each row's length, rows sorted
-longest first, is an evaluation forward: it records nothing, and each
-step runs only the prefix of rows still inside their sequence (the
-packed-sequence layout of cuDNN).  Any other forward records every step.
+(optional ADC noise, then an optional sink the caller passes, such as
+the ADC-range calibration's collector), the converter (sigmoid/tanh or a
+frozen ADC bank) and the DAC (identity, or inputs and the recycled
+hidden state snapped to its grid).  The scalar `lstm_step_ref` stays
+separate as the reference the loop is checked against.  A forward given
+each row's length, rows sorted longest first, is an evaluation forward:
+it records nothing, and each step runs only the prefix of rows still
+inside their sequence (the packed-sequence layout of cuDNN).  Any other
+forward records every step.
 
 Weight read noise follows the hardware: every sample's VMM is a read of
 its own, through an array with fresh i.i.d. N(0, sigma^2) noise Z_b.
@@ -34,13 +35,12 @@ The quantized converters cost a fixed number of array operations per
 step, whatever the gate count.  The ADC bank, a `FusedConverter` built
 once when the ranges freeze, holds the four gate ADCs as per-column
 v_min, v_max, step and noise-sigma arrays plus one concatenated LUT
-table, and converts the whole (B, 4n) pre-activation in one pass: a
-finite check, the code floor((a - v_min)/step + 0.5) of `a` clipped to
-[v_min, v_max], one gather, and the ADC pass mask when recording.
-The DAC snaps the recycled hidden state as `grid[to_code(h)]` with the
-grid built once per forward.  Both apply the same IEEE operations to
-every element as the per-gate `to_code` / LUT / `quantize` calls, so
-results are bit-identical to them.
+table, and converts the whole (B, 4n) pre-activation in one pass: one
+`to_code` call with the bank as its spec, one gather, and `ste_mask`'s
+ADC pass mask when recording.  The DAC snaps the recycled hidden state
+as `grid[to_code(h)]` with the grid built once per forward.  Both apply
+the same IEEE operations to every element as the per-gate `to_code` /
+LUT / `quantize` calls, so results are bit-identical to them.
 
 A recorded forward writes each step into the sequence-major buffers of
 a `SequenceCache`: step t of every buffer is index t, and the
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hwcost import quantization_noise_v
-from .quantizer import ActivationLUT, QuantSpec, _check_finite, sigmoid, to_code
+from .quantizer import ActivationLUT, QuantSpec, sigmoid, ste_mask, to_code
 
 __all__ = [
     "LSTMParams",
@@ -218,10 +218,10 @@ class FusedConverter:
     """The frozen ADC bank of a quantized step: the four per-gate ADCs and
     activation LUTs as one vectorized pass over the (B, 4n) pre-activation.
 
-    Column j of gate block b takes gate b's ADC spec and LUT.  Its code is
-    floor((a - v_min) / step + 0.5) of `a` clipped to [v_min, v_max], the
-    same IEEE operations `quantizer.to_code` applies per gate, and its
-    value is that code's entry of gate b's LUT, gathered from one
+    Column j of gate block b takes gate b's ADC spec and LUT: the bank
+    holds per-column `v_min`, `v_max` and `step`, so it is itself the spec
+    of one `quantizer.to_code` and one `ste_mask` call over all 4n columns.
+    A column's value is its code's entry of gate b's LUT, gathered from one
     concatenated table at the block's base offset.  So the gates equal
     `lut.entries[to_code(block, spec)]` and the mask equals
     `ste_mask(block, spec)` bit for bit, block by block.  It keeps the
@@ -251,19 +251,9 @@ class FusedConverter:
                  ) -> tuple[np.ndarray, np.ndarray | None]:
         """(gate values, ADC pass mask) for a (B, 4n) pre-activation; the
         mask is None unless `record`.  Non-finite input raises ValueError."""
-        a = np.asarray(a, dtype=np.float64)
-        _check_finite(a)
-        # clipped before the divide, as in `to_code`: no overflow
-        raw = np.maximum(a, self.v_min)
-        np.minimum(raw, self.v_max, out=raw)
-        raw -= self.v_min
-        raw /= self.step
-        raw += 0.5
-        np.floor(raw, out=raw)
-        codes = raw.astype(np.int64)
+        codes = to_code(a, self)
         codes += self.base
-        mask = (a >= self.v_min) & (a <= self.v_max) if record else None
-        return self.table[codes], mask
+        return self.table[codes], ste_mask(a, self) if record else None
 
 
 def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
@@ -289,7 +279,8 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         i.i.d. N(0, sigma^2) entries per sample and step.
     pre-activation: `adc.noise_sigma` times normals from the generator
         `adc_noise` (ValueError without `adc`) is added, then
-        `on_preact(a)` sees the result (the calibration sink).
+        `on_preact(a)` sees the result (a caller's sink, such as
+        `network.RangeCollector`).
     converter: sigmoid/tanh, or one pass of the ADC bank `adc`, which
         records the ADC pass mask.
     DAC: identity, or inputs and the recycled hidden state snapped to

@@ -5,22 +5,22 @@ through the one step loop `lstm.run_cell`; the three modes differ only in
 the array and the stages they hand it.  The full-precision forward ('fp')
 is the 32-bit baseline: latent weights, every stage off.  The calibration
 forward reads the programmed array, snaps the inputs and recycled hidden
-state to the DAC grid, keeps ideal sigmoid/tanh converters, and feeds the
-pre-activations to the ADC-range collector.  The quantized forward
-mirrors the crossbar pipeline batch-wise: the same snaps, per-gate ADCs
-with ranges frozen from the calibration pass, LUT activations on the ADC
-codes, and optional weight and ADC read noise, all read from the one ADC
-bank `adc` that freezing the ranges builds.  Training forwards record a
-SequenceCache so lstm_backward computes straight-through gradients
-against the latent weights; evaluation forwards pass each row's length
-and record nothing.
+state to the DAC grid and keeps ideal sigmoid/tanh converters.  The
+quantized forward mirrors the crossbar pipeline batch-wise: the same
+snaps, per-gate ADCs, LUT activations on the ADC codes, and optional
+weight and ADC read noise, all read from the one ADC bank `adc` that
+`freeze_adc_ranges` builds.  Training forwards record a SequenceCache so
+lstm_backward computes straight-through gradients against the latent
+weights; evaluation forwards pass each row's length and record nothing.
 
-The calibration percentile is set when calibration begins.  The collector
-counts the |pre-activations| it is shown, up to a cap, but holds only each gate's top
-tail: the values that can still be one of the two order statistics that
-`np.percentile` interpolates (see `_TopTail`).  Freezing pads the held
-tail with zeros to the count seen, so the frozen ranges are bit-identical
-to a percentile over every sample, while a gate holds at most half a
+The network keeps no calibration state: a forward hands its caller's
+`on_preact` sink to `run_cell`, in any mode.  The ADC-range calibration
+is such a sink, a caller-owned `RangeCollector`.  It counts the
+|pre-activations| it is shown, up to a cap, but holds only each gate's
+top tail: the values that can still be one of the two order statistics
+that `np.percentile` interpolates (see `_TopTail`).  Its `ranges()` pad
+the held tail with zeros to the count seen, so they are bit-identical to
+a percentile over every sample, while a gate holds at most half a
 megabyte at the 99.9th percentile (and everything at low percentiles).
 
 Only the network turns the latent weights into the array a read sees:
@@ -42,6 +42,7 @@ full-matrix draw of the single-vector `crossbar.vmm` in distribution.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .lstm import FusedConverter, SequenceCache, lstm_backward, run_cell
 from .quantizer import QuantSpec, quantize, ste_mask
 from .seeding import derive_rng
 
-__all__ = ["LSTMNetwork"]
+__all__ = ["LSTMNetwork", "RangeCollector"]
 
 # Which samples calibration counts: each gate block takes a whole step's
 # samples while it has counted fewer than this, and its percentile is over
@@ -112,6 +113,38 @@ class _TopTail:
         return float(np.percentile(buf, self.percentile, overwrite_input=True))
 
 
+class RangeCollector:
+    """The ADC-range calibration sink: pass it as a forward's `on_preact`,
+    then `freeze_adc_ranges(collector.ranges())`.  It counts each gate's
+    float32 |pre-activations|, a whole step while fewer than
+    MAX_CALIB_SAMPLES per gate are counted (every gate sees the same
+    samples, so one count serves all four), and holds each gate's tail."""
+
+    def __init__(self, percentile: float, hidden_size: int):
+        if not 0 <= percentile <= 100:
+            raise ValueError(f"percentile must be in [0, 100], got {percentile!r}")
+        self.hidden_size = hidden_size
+        self.tails = [_TopTail(percentile) for _ in range(4)]
+        self.count = 0  # samples counted per gate block
+
+    def __call__(self, a: np.ndarray):
+        n = self.hidden_size
+        if a.shape[0] * n > MAX_CALIB_SAMPLES + 1:
+            raise ValueError(f"a calibration step of {a.shape[0] * n} samples per gate "
+                             f"exceeds MAX_CALIB_SAMPLES + 1")
+        if self.count < MAX_CALIB_SAMPLES:
+            for b, tail in enumerate(self.tails):
+                tail.add(np.abs(a[:, b * n:(b + 1) * n]).astype(np.float32).ravel())
+            self.count += a.shape[0] * n
+
+    def ranges(self) -> list[float]:
+        """Each gate's `percentile` of its counted magnitudes, at least 1e-6
+        (exact: each gate pads its tail with zeros to the count)."""
+        if not self.count:
+            raise RuntimeError("no calibration samples collected")
+        return [max(tail.value(self.count), 1e-6) for tail in self.tails]
+
+
 class LSTMNetwork:
     """LSTM cell plus dense softmax head, trainable in either mode."""
 
@@ -138,51 +171,19 @@ class LSTMNetwork:
                                    size=(hidden_size, output_size))
 
         self.adc: FusedConverter | None = None  # the ADC bank, frozen by freeze_adc_ranges
-        self._calib: list[_TopTail] | None = None  # None: not collecting
-        self._calib_count = [0, 0, 0, 0]  # samples counted per gate block
 
-    # --- ADC range calibration ---------------------------------------------
-
-    def begin_calibration(self, percentile: float):
-        """Collect pre-activation magnitudes for `freeze_adc_ranges`, which
-        sets each gate's range at this percentile of them (in [0, 100])."""
-        if not 0 <= percentile <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {percentile!r}")
-        self._calib = [_TopTail(percentile) for _ in range(4)]
-        self._calib_count = [0, 0, 0, 0]
-
-    def _record_calibration(self, a: np.ndarray):
-        n = self.hidden_size
-        if a.shape[0] * n > MAX_CALIB_SAMPLES + 1:
-            raise ValueError(f"a calibration step of {a.shape[0] * n} samples per gate "
-                             f"exceeds MAX_CALIB_SAMPLES + 1")
-        for b in range(4):
-            if self._calib_count[b] < MAX_CALIB_SAMPLES:
-                block = np.abs(a[:, b * n:(b + 1) * n]).astype(np.float32).ravel()
-                self._calib[b].add(block)
-                self._calib_count[b] += block.size
-
-    def freeze_adc_ranges(self, override: float | tuple | None = None):
-        """Fix the per-gate ADC full-scale ranges (symmetric, +-range) either
-        from an override or at the percentile given to `begin_calibration`
-        of the pre-activation magnitudes collected since.  Each gate fills
-        one zeroed float32 buffer of the count seen with its held tail and
-        takes the percentile in place (exact; see `_TopTail`).  The ranges
-        build the ADC bank `adc`, which replaces any earlier one."""
+    def freeze_adc_ranges(self, ranges: float | tuple | list):
+        """Build the ADC bank `adc`, replacing any earlier one, with
+        symmetric full-scale ranges +-r: one for every gate, or four in
+        [f | i | o | c] order (such as a `RangeCollector`'s `ranges()`)."""
         if self.crossbar is None:
             raise RuntimeError("network has no crossbar configuration")
+        ranges = np.ravel(np.asarray(ranges, dtype=np.float64))
+        if ranges.size not in (1, 4):
+            raise ValueError(f"need one ADC range or four (f, i, o, c), got {ranges.size}")
         bits = self.crossbar.adc_spec.bits
-        if override is not None:
-            ranges = [float(r) for r in (override if np.ndim(override) else [override] * 4)]
-        else:
-            if self._calib is None or not any(self._calib_count):
-                raise RuntimeError("no calibration samples collected; run a "
-                                   "calibration pass or pass an override")
-            ranges = [max(tail.value(count), 1e-6)
-                      for tail, count in zip(self._calib, self._calib_count)]
-        specs = tuple(QuantSpec.symmetric(bits, r) for r in ranges)
+        specs = tuple(QuantSpec.symmetric(bits, float(r)) for r in np.broadcast_to(ranges, 4))
         self.adc = FusedConverter(specs, gate_luts(specs, bits), self.hidden_size)
-        self._calib = None
 
     @property
     def calibrated(self) -> bool:
@@ -195,16 +196,17 @@ class LSTMNetwork:
                          rng_adc_noise: np.random.Generator | None = None,
                          programmed: np.ndarray | None = None,
                          lengths: np.ndarray | None = None,
+                         on_preact: Callable[[np.ndarray], None] | None = None,
                          ) -> tuple[np.ndarray, np.ndarray, SequenceCache | None]:
         """Run a (T, B, m) batch; returns (logits (T,B,V), h_seq (T,B,n), cache).
 
         mode 'fp': plain float math (the 32-bit baseline).
-        mode 'calibrate': quantized weights and DAC grid but ideal converters;
-            after begin_calibration, pre-activation magnitudes are collected
-            for freeze_adc_ranges, since what enters the ADCs is a read of
-            the *programmed* array.
+        mode 'calibrate': quantized weights and DAC grid but ideal converters,
+            the forward a `RangeCollector` as `on_preact` calibrates on,
+            since what enters the ADCs is a read of the *programmed* array.
         mode 'quantized': the full crossbar pipeline; `x_seq` must live in
             the DAC domain and is snapped to its grid on entry.
+        `on_preact`, in any mode, goes to `run_cell` unchanged.
 
         A forward given each row's `lengths`, sorted non-increasing, is an
         evaluation forward: every step runs only the rows still inside
@@ -225,8 +227,6 @@ class LSTMNetwork:
                 raise RuntimeError(f"{mode} forward requires a crossbar configuration")
             cfg = self.crossbar
             stages = {"dac_spec": cfg.dac_spec}
-        if mode == "calibrate" and self._calib is not None:
-            stages["on_preact"] = self._record_calibration
         if mode == "quantized":
             if not self.calibrated:
                 raise RuntimeError("ADC ranges are not frozen; calibrate first")
@@ -241,7 +241,8 @@ class LSTMNetwork:
                 stages["adc_noise"] = rng_adc_noise
         if programmed is None:
             programmed = self.w if mode == "fp" else self.programmed_weights()
-        h_seq, cache = run_cell(x_seq, programmed, lengths=lengths, **stages)
+        h_seq, cache = run_cell(x_seq, programmed, lengths=lengths, on_preact=on_preact,
+                                **stages)
         if cache is not None and mode != "fp":
             cache.w_mask = ste_mask(self.w, cfg.weight_spec)
         return self._head(h_seq), h_seq, cache

@@ -83,7 +83,9 @@ def _check_finite(x: np.ndarray):
 
 def to_code(x, spec: QuantSpec) -> np.ndarray:
     """Nearest grid index for each value; out-of-range input clips to the
-    nearest endpoint code; exact midpoints round toward +inf."""
+    nearest endpoint code; exact midpoints round toward +inf.  `spec` may
+    be any object with `v_min`, `v_max` and `step` that broadcast against
+    `x`, such as the per-column ADC bank `lstm.FusedConverter`."""
     x = np.asarray(x, dtype=np.float64)
     _check_finite(x)
     # floor((x - v_min) / step + 0.5) in one fresh buffer; floor(u + 0.5)

@@ -6,8 +6,9 @@ every step changes them; an evaluation split snaps them once and reads
 that programmed array in each of its batches.
 When a quantized model has no frozen ADC ranges yet, the first epoch is
 a calibration epoch: weights snapped to the device grid and the DAC grid
-on inputs and hidden state, but ideal converters, while pre-activation
-magnitudes are collected.  The per-gate ADC full-scale ranges then freeze
+on inputs and hidden state, but ideal converters, while `train`'s own
+`network.RangeCollector` collects the pre-activation magnitudes as each
+forward's `on_preact`.  The per-gate ADC full-scale ranges then freeze
 at the configured percentile and the remaining epochs train through the
 quantized path (an explicit range override skips the calibration epoch
 and quantizes from the start).  Training forwards record a cache for
@@ -47,7 +48,7 @@ import numpy as np
 
 from .crossbar import NoiseConfig
 from .datasets import SequenceDataset
-from .network import LSTMNetwork
+from .network import LSTMNetwork, RangeCollector
 from .quantizer import QuantSpec
 from .seeding import derive_rng
 
@@ -411,7 +412,7 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
     opt = _make_optimizer(cfg)
 
     if quantized_model and not model.calibrated and cfg.adc_range_override is not None:
-        model.freeze_adc_ranges(override=cfg.adc_range_override)
+        model.freeze_adc_ranges(cfg.adc_range_override)
     inactive = inactive_level(cfg.input_drive, model.crossbar.dac_spec
                               if quantized_model else None)
 
@@ -419,12 +420,10 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
     valid_curve: list[tuple[int, float]] = []
     global_step = 0
     for epoch in range(1, cfg.epochs + 1):
-        calibrating = quantized_model and not model.calibrated
-        if calibrating:
-            model.begin_calibration(cfg.adc_range_percentile)
-            mode = "calibrate"
-        else:
-            mode = "quantized" if quantized_model else "fp"
+        collector = (RangeCollector(cfg.adc_range_percentile, model.hidden_size)
+                     if quantized_model and not model.calibrated else None)
+        mode = ("calibrate" if collector is not None
+                else "quantized" if quantized_model else "fp")
         opt.lr = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
 
         order = rng_data.permutation(len(dataset))
@@ -432,7 +431,8 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
         for x, targets, mask in make_batches(dataset, cfg.batch_size,
                                              cfg.bptt_length, order, inactive=inactive):
             logits, h_seq, cache = model.forward_sequence(
-                x, mode=mode, rng_weight_noise=rng_w, rng_adc_noise=rng_a)
+                x, mode=mode, rng_weight_noise=rng_w, rng_adc_noise=rng_a,
+                on_preact=collector)
             s, c, _, d_logits = softmax_xent(logits, targets, mask)
             if not math.isfinite(s):
                 raise TrainingDiverged(global_step)
@@ -442,8 +442,8 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
             count += c
             global_step += 1
 
-        if calibrating:
-            model.freeze_adc_ranges()
+        if collector is not None:
+            model.freeze_adc_ranges(collector.ranges())
         train_curve.append((epoch, nll_sum / count))
         if valid_dataset is not None:
             rep = evaluate(model, valid_dataset, cfg, epoch_tag=epoch, task_name=task_name)

@@ -39,6 +39,9 @@ epochs = 2
 hidden_size = 8
 """
 
+# FAST_TRAIN in full precision: no bit widths
+FP_TRAIN = FAST_TRAIN.replace("weight_bits = 4\nadc_bits = 4\ndac_bits = 4\n", "")
+
 
 def written(out: Path) -> list[str]:
     """The names of the files under `out`, none when it does not exist."""
@@ -443,8 +446,7 @@ epochs = 1
         *[('{"experiment": {"command": "train", "task": "word_lm"}, '
            f'"train": {{"weight_range": {v}}}}}', "train", "dir")
           for v in ("NaN", "Infinity", "0", "-1")],
-        (FAST_TRAIN.replace("epochs = 2", "epochs = 2\nweight_range = nan")
-         .replace("weight_bits = 4\nadc_bits = 4\ndac_bits = 4\n", ""), "train", "dir"),
+        (FP_TRAIN + "weight_range = nan\n", "train", "dir"),
         *[(FAST_TRAIN + f"grad_clip = {v}\n", "train", "dir") for v in ("nan", "-1")],
         *[('{"experiment": {"command": "train", "task": "word_lm"}, '
            f'"train": {{"grad_clip": {v}}}}}', "train", "dir") for v in ("NaN", "-1")],
@@ -456,6 +458,16 @@ epochs = 1
         ("[experiment]\ncommand = cost\n[hww]\nrows = 300\n", "cost", "dir"),
         ("[DEFAULT]\nrows = 300\n", "cost", "dir"),
         ('{"experiment": {"command": "cost"}, "hw": [["rows", 300]]}', "cost", "dir"),
+        *[(FP_TRAIN + extra, "train", "dir") for extra in (
+            "weight_range = 0.3\n", "adc_range_percentile = 50\n", "adc_range_override = 2\n",
+            "[noise]\nweight_noise_beta = 0.2\n", "[noise]\nadc_noise = on\n")],
+        (json.dumps({"experiment": {"command": "train", "task": "word_lm"},
+                     "train": {"noise": {"adc_noise": "on"}}}), "train", "dir"),
+        (FAST_TRAIN + "adc_range_override = 2\nadc_range_percentile = 50\n", "train", "dir"),
+        ("[experiment]\ncommand = sweep\ntask = word_lm\n[train]\nadc_range_override = 2\n"
+         "adc_range_percentile = 50\n[sweep]\nweight_bits = 2\nadc_bits = 2\n", "sweep", "dir"),
+        ("[experiment]\ncommand = noise-sweep\ntask = word_lm\n[sweep]\nbetas = 0\n"
+         "adc_bits = 1, 2\n", "noise-sweep", "dir"),
     ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero",
             "ini-out-empty", "json-out-empty", "cost-config-out-flag-empty",
             "cost-out-flag-empty", "json-seed-overflows", "sweep-weight-bits-zero",
@@ -474,7 +486,10 @@ epochs = 1
             "grad-clip-nan", "grad-clip-negative", "json-grad-clip-nan",
             "json-grad-clip-negative", "json-hw-key-twice", "json-section-twice",
             "weight-grid-overflows", "unknown-section", "ini-default-section",
-            "json-section-not-an-object"])
+            "json-section-not-an-object", "fp-weight-range", "fp-adc-range-percentile",
+            "fp-adc-range-override", "fp-weight-noise", "fp-adc-noise", "json-fp-inline-noise",
+            "adc-range-override-and-percentile", "sweep-adc-range-override-and-percentile",
+            "noise-sweep-adc-bits-without-grid"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, config, command, out):
         # anything written to a relative path lands in tmp_path
         monkeypatch.chdir(tmp_path)
@@ -492,6 +507,11 @@ epochs = 1
         assert not (tmp_path / "runs").exists()
         if out == "dir":
             assert written(tmp_path / "out") == []
+
+    def test_full_precision_accepts_noise_that_is_off(self, tmp_path):
+        # only enabled noise is a key a full-precision cell would not read
+        p = write(tmp_path, FP_TRAIN + "[noise]\nweight_noise_beta = 0\nadc_noise = off\n")
+        assert load_config(p).train_overrides["noise"] == NoiseConfig()
 
     @pytest.mark.parametrize("hw", [f"rows = {10**306}", "adc_bits = 2000"],
                              ids=["rows-times-cols", "adc-energy"])
@@ -584,6 +604,11 @@ GRIDS = {"train": "", "sweep": "[sweep]\nweight_bits = 2\nadc_bits = 2\n",
          "noise-sweep": "[sweep]\nbetas = 0\n"}
 # the keys each grid sets itself; configuring them exits 2 (tested above)
 GRID_OWNED = {"sweep": {"bit widths"}, "noise-sweep": {f"noise.{k}" for k in NOISE_VALUES}}
+# the keys only a quantized cell reads; `train` sets bit widths next to them,
+# since a full-precision cell that sets them exits 2 (tested above)
+QUANTIZED_ONLY = {"weight_range", "adc_range_percentile", "adc_range_override",
+                  *(f"noise.{k}" for k in NOISE_VALUES)}
+BITS = "weight_bits = 4\nadc_bits = 4\ndac_bits = 4\n"
 
 
 class TestConfigReachesCells:
@@ -606,6 +631,8 @@ class TestConfigReachesCells:
                                      metric_name="perplexity", metric=2.0)
 
         monkeypatch.setattr(exp, "train", fake_train)
+        if command == "train" and key in QUANTIZED_ONLY:
+            lines += BITS if lines.startswith("[train]") else f"[train]\n{BITS}"
         p = write(tmp_path, f"[experiment]\ncommand = {command}\ntask = word_lm\n"
                             f"{lines}{GRIDS[command]}")
         assert run(p, out_dir=tmp_path / "out") == EXIT_OK

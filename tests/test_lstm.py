@@ -304,7 +304,7 @@ class TestBackwardAgainstPerStep:
                                       dac_bits=4, w_max=0.8)
         net = LSTMNetwork(self.M, self.N, 3, seed=8, crossbar=cfg, noise=noise,
                           init_scale=0.6)
-        net.freeze_adc_ranges(override=(1.0, 1.5, 2.0, 2.5))
+        net.freeze_adc_ranges((1.0, 1.5, 2.0, 2.5))
         return net
 
     def _x(self, seed):

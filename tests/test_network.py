@@ -16,7 +16,7 @@ import pytest
 from xbarlstm import network
 from xbarlstm.crossbar import CrossbarConfig, NoiseConfig, program, quantized_lstm_step
 from xbarlstm.lstm import LSTMParams, LSTMState, forward_sequence
-from xbarlstm.network import LSTMNetwork
+from xbarlstm.network import LSTMNetwork, RangeCollector
 from xbarlstm.quantizer import quantize
 from xbarlstm.training import softmax_xent
 
@@ -50,7 +50,7 @@ def build_quantized_net(m, n, out, seed, w_max, adc_range, bits=16):
     cfg = CrossbarConfig.for_lstm(m, n, weight_bits=bits, adc_bits=bits,
                                   dac_bits=bits, w_max=w_max)
     net = LSTMNetwork(m, n, out, seed=seed, crossbar=cfg)
-    net.freeze_adc_ranges(override=adc_range)
+    net.freeze_adc_ranges(adc_range)
     return net
 
 
@@ -148,7 +148,7 @@ class TestQuantizedForward:
         cfg = CrossbarConfig.for_lstm(m, n, weight_bits=6, adc_bits=6, dac_bits=6,
                                       w_max=0.8)
         net = LSTMNetwork(m, n, 3, seed=19, crossbar=cfg)
-        net.freeze_adc_ranges(override=(1.5, 2.0, 2.5, 3.0))
+        net.freeze_adc_ranges((1.5, 2.0, 2.5, 3.0))
         x_seq = rng.uniform(-1, 1, size=(3, 1, m))
         _, h_seq, cache = net.forward_sequence(x_seq, mode="quantized")
 
@@ -171,7 +171,7 @@ class TestQuantizedForward:
         cfg = CrossbarConfig.for_lstm(3, 3, weight_bits=4, adc_bits=4, dac_bits=4)
         net = LSTMNetwork(3, 3, 2, seed=3, crossbar=cfg,
                           noise=NoiseConfig(weight_noise_beta=0.1))
-        net.freeze_adc_ranges(override=2.0)
+        net.freeze_adc_ranges(2.0)
         with pytest.raises(ValueError):
             net.forward_sequence(np.zeros((2, 1, 3)), mode="quantized")
 
@@ -213,13 +213,13 @@ class TestCalibration:
         x = np.random.default_rng(3).uniform(-1, 1, size=(5, 8, m))
         for p in (0, 50, 99, 99.9, 100):
             net = LSTMNetwork(m, n, 2, seed=29, crossbar=cfg)
-            net.begin_calibration(p)
-            _, _, cache = net.forward_sequence(x, mode="calibrate")
-            assert net._calib_count == [64, 64, 64, 64]
-            assert all((tail.floor > 0) == (p >= 99) for tail in net._calib)
+            collector = RangeCollector(p, n)
+            _, _, cache = net.forward_sequence(x, mode="calibrate", on_preact=collector)
+            assert collector.count == 64
+            assert all((tail.floor > 0) == (p >= 99) for tail in collector.tails)
             want = [_expected_range(_counted(blocks, 50), p)
                     for blocks in _gate_blocks(cache, n)]
-            net.freeze_adc_ranges()
+            net.freeze_adc_ranges(collector.ranges())
             assert [spec.v_max for spec in net.adc.specs] == want
 
     def test_percentile_freeze(self, monkeypatch):
@@ -232,18 +232,18 @@ class TestCalibration:
         cfg = CrossbarConfig.for_lstm(m, n, weight_bits=6, adc_bits=6, dac_bits=6)
         net = LSTMNetwork(m, n, 2, seed=29, crossbar=cfg)
         rng = np.random.default_rng(31)
-        net.begin_calibration(99.9)
-        bound = network.PRUNE_FACTOR * net._calib[0].keep
+        collector = RangeCollector(99.9, n)
+        bound = network.PRUNE_FACTOR * collector.tails[0].keep
         blocks = [[], [], [], []]
         for _ in range(8):
             _, _, cache = net.forward_sequence(rng.uniform(-1, 1, size=(12, 8, m)),
-                                               mode="calibrate")
+                                               mode="calibrate", on_preact=collector)
             for b, steps in enumerate(_gate_blocks(cache, n)):
                 blocks[b] += steps
-            assert all(0 < tail.held <= bound for tail in net._calib)
-        assert net._calib_count == [2016] * 4
+            assert all(0 < tail.held <= bound for tail in collector.tails)
+        assert collector.count == 2016
         want = [_expected_range(_counted(steps, 2000), 99.9) for steps in blocks]
-        net.freeze_adc_ranges()
+        net.freeze_adc_ranges(collector.ranges())
         assert net.calibrated
         assert [spec.v_max for spec in net.adc.specs] == want
         for spec in net.adc.specs:
@@ -256,25 +256,47 @@ class TestCalibration:
         net = LSTMNetwork(3, 4, 2, seed=29, crossbar=cfg)
         for p in (-1, 100.5, math.nan):
             with pytest.raises(ValueError):
-                net.begin_calibration(p)
+                RangeCollector(p, 4)
         # one step of more than cap + 1 samples per gate would break the
         # count bound the tail's size rests on
         monkeypatch.setattr(network, "MAX_CALIB_SAMPLES", 30)
-        net.begin_calibration(99.9)
         with pytest.raises(ValueError):
-            net.forward_sequence(np.zeros((1, 8, 3)), mode="calibrate")
+            net.forward_sequence(np.zeros((1, 8, 3)), mode="calibrate",
+                                 on_preact=RangeCollector(99.9, 4))
 
     def test_freeze_without_samples_errors(self):
-        cfg = CrossbarConfig.for_lstm(3, 3, weight_bits=4, adc_bits=4, dac_bits=4)
-        net = LSTMNetwork(3, 3, 2, seed=1, crossbar=cfg)
         with pytest.raises(RuntimeError):
-            net.freeze_adc_ranges()
+            RangeCollector(99.9, 3).ranges()
+
+    def test_collector_sees_every_mode(self):
+        # the sink is the caller's: any forward hands it to run_cell, and a
+        # quantized forward's pre-activations are its cache's, bit for bit
+        net = build_quantized_net(3, 4, 2, seed=5, w_max=1.0, adc_range=2.0, bits=4)
+        x = np.random.default_rng(6).uniform(-1, 1, size=(3, 2, 3))
+        for mode in ("fp", "calibrate", "quantized"):
+            seen = []
+            _, _, cache = net.forward_sequence(x, mode=mode,
+                                               on_preact=lambda a: seen.append(a.copy()))
+            assert np.array_equal(np.stack(seen), cache.preact), mode
 
     def test_override_shapes(self):
         cfg = CrossbarConfig.for_lstm(3, 3, weight_bits=4, adc_bits=4, dac_bits=4)
         net = LSTMNetwork(3, 3, 2, seed=1, crossbar=cfg)
-        net.freeze_adc_ranges(override=(1.0, 2.0, 3.0, 4.0))
+        net.freeze_adc_ranges((1.0, 2.0, 3.0, 4.0))
         assert [s.v_max for s in net.adc.specs] == [1.0, 2.0, 3.0, 4.0]
+        for one in (2.5, (2.5,), np.float64(2.5)):
+            net.freeze_adc_ranges(one)
+            assert [s.v_max for s in net.adc.specs] == [2.5] * 4
+
+    @pytest.mark.parametrize("count", [0, 2, 3, 5])
+    def test_freeze_takes_one_range_or_four(self, count):
+        # two ranges once built an 8-column bank for a 16-column array, and
+        # five failed inside zip()
+        cfg = CrossbarConfig.for_lstm(3, 4, weight_bits=4, adc_bits=4, dac_bits=4)
+        net = LSTMNetwork(3, 4, 2, seed=1, crossbar=cfg)
+        with pytest.raises(ValueError, match=f"one ADC range or four.*got {count}"):
+            net.freeze_adc_ranges((1.5,) * count)
+        assert net.adc is None
 
     @pytest.mark.parametrize("noise", [
         NoiseConfig(),
@@ -289,8 +311,8 @@ class TestCalibration:
         for first in ((4.0, 4.0, 4.0, 4.0), None):
             net = LSTMNetwork(3, 3, 2, seed=1, crossbar=cfg, noise=noise)
             if first is not None:
-                net.freeze_adc_ranges(override=first)
-            net.freeze_adc_ranges(override=(0.5, 1.0, 1.5, 2.0))
+                net.freeze_adc_ranges(first)
+            net.freeze_adc_ranges((0.5, 1.0, 1.5, 2.0))
             outs.append(net.forward_sequence(
                 x, mode="quantized", rng_weight_noise=np.random.default_rng(10),
                 rng_adc_noise=np.random.default_rng(11)))
@@ -317,7 +339,7 @@ class TestDeterminism:
         outs = []
         for _ in range(2):
             net = LSTMNetwork(3, 3, 2, seed=7, crossbar=cfg, noise=noise)
-            net.freeze_adc_ranges(override=2.0)
+            net.freeze_adc_ranges(2.0)
             logits, _, _ = net.forward_sequence(
                 x, mode="quantized",
                 rng_weight_noise=np.random.default_rng(100),
@@ -361,7 +383,7 @@ class TestRecordSwitch:
     def test_quantized(self, noise):
         cfg = CrossbarConfig.for_lstm(5, 4, weight_bits=4, adc_bits=4, dac_bits=4)
         net = LSTMNetwork(5, 4, 3, seed=64, crossbar=cfg, noise=noise)
-        net.freeze_adc_ranges(override=(1.0, 1.5, 2.0, 2.5))
+        net.freeze_adc_ranges((1.0, 1.5, 2.0, 2.5))
         x = np.random.default_rng(65).uniform(-1, 1, size=(6, 3, 5))
         self._pair(net, "quantized", x, noisy=noise.any_enabled)
 
@@ -377,7 +399,7 @@ class TestProgrammedArray:
     def test_recorded_forward_reads_the_given_array(self, noise):
         cfg = CrossbarConfig.for_lstm(5, 4, weight_bits=4, adc_bits=4, dac_bits=4, w_max=0.5)
         net = LSTMNetwork(5, 4, 3, seed=69, crossbar=cfg, noise=noise)
-        net.freeze_adc_ranges(override=(1.0, 1.5, 2.0, 2.5))
+        net.freeze_adc_ranges((1.0, 1.5, 2.0, 2.5))
         x = np.random.default_rng(70).uniform(-1, 1, size=(6, 3, 5))
         runs = []
         for programmed in (None, net.programmed_weights()):

@@ -9,10 +9,18 @@ import pytest
 
 import xbarlstm.network
 import xbarlstm.training
-from xbarlstm.crossbar import CrossbarConfig, NoiseConfig
+from xbarlstm.crossbar import (
+    CrossbarConfig,
+    NoiseConfig,
+    load_array,
+    program,
+    quantized_lstm_step,
+    save_array,
+)
 from xbarlstm.datasets import SequenceDataset
 from xbarlstm.network import LSTMNetwork
-from xbarlstm.quantizer import QuantSpec
+from xbarlstm.lstm import LSTMState
+from xbarlstm.quantizer import QuantSpec, to_code
 from xbarlstm.seeding import derive_rng
 from xbarlstm.tasks import build_network, build_task
 from xbarlstm.training import (
@@ -320,7 +328,7 @@ class TestEvalPackRows:
         bundle = build_task(task, seed=seed)
         cfg = replace(bundle.defaults, bitwidths=(4, 4, 4), noise=noise or NoiseConfig())
         model = build_network(bundle, cfg)
-        model.freeze_adc_ranges(override=(2.0, 2.0, 2.0, 2.0))
+        model.freeze_adc_ranges((2.0, 2.0, 2.0, 2.0))
         return bundle, cfg, model
 
     def _packed(self, model, ds, cfg, rows, epoch_tag=0):
@@ -391,7 +399,7 @@ class TestEvaluationSnap:
                if quantized else None)
         model = LSTMNetwork(6, 4, 6, seed=8, crossbar=cfg, noise=noise)
         if quantized:
-            model.freeze_adc_ranges(override=(1.0, 1.5, 2.0, 2.5))
+            model.freeze_adc_ranges((1.0, 1.5, 2.0, 2.5))
         return model
 
     def _reference(self, model, ds, epoch_tag=0):
@@ -498,7 +506,7 @@ class TestEvaluationSnap:
                                       dac_bits=4)
         model = LSTMNetwork(bundle.input_dim, 8, bundle.output_size, seed=2, crossbar=cfg,
                             noise=self.NOISY)
-        model.freeze_adc_ranges(override=(2.0, 2.0, 2.0, 2.0))
+        model.freeze_adc_ranges((2.0, 2.0, 2.0, 2.0))
         rep, logits = self._evaluate(model, bundle.valid, monkeypatch)
         ref_logits, _, acc = self._reference(model, bundle.valid)
         assert len(logits) == len(ref_logits)
@@ -517,3 +525,79 @@ class TestEvaluationSnap:
         assert second.perplexity != first.perplexity
         _, ppl, acc = self._reference(model, ds)
         assert (second.perplexity, second.accuracy) == (ppl, acc)
+
+
+class TestAdcRangeSources:
+    """`train` freezes the ADC ranges from the override when one is set,
+    with no calibration epoch, and else from a RangeCollector it owns."""
+
+    @pytest.mark.parametrize("override", [(2.0, 2.5, 3.0, 3.5), None],
+                             ids=["override", "calibrated"])
+    def test_override_skips_calibration(self, monkeypatch, override):
+        collectors, modes = [], []
+
+        def collector(*args):
+            collectors.append(xbarlstm.network.RangeCollector(*args))
+            return collectors[-1]
+
+        forward = LSTMNetwork.forward_sequence
+
+        def spy(self, x_seq, mode="fp", **kwargs):
+            modes.append(mode)
+            return forward(self, x_seq, mode=mode, **kwargs)
+
+        monkeypatch.setattr(xbarlstm.training, "RangeCollector", collector)
+        monkeypatch.setattr(LSTMNetwork, "forward_sequence", spy)
+        bundle = build_task("word_lm", seed=1)
+        cfg = replace(bundle.defaults, bitwidths=(4, 4, 4), epochs=2, hidden_size=8,
+                      adc_range_override=override)
+        model, _ = train(build_network(bundle, cfg), bundle.train, cfg,
+                         valid_dataset=bundle.valid)
+        ranges = [spec.v_max for spec in model.adc.specs]
+        if override is not None:
+            assert ranges == list(override)
+            assert collectors == [] and "calibrate" not in modes
+        else:
+            assert len(collectors) == 1 and ranges == collectors[0].ranges()
+            assert "calibrate" in modes
+        assert "quantized" in modes
+
+
+class TestScalarReplay:
+    """A trained model, programmed, dumped and reloaded, replays its
+    validation split token by token through the scalar crossbar step
+    (`quantized_lstm_step`, row-by-row column currents) and matches the
+    batched `evaluate()`.  The bound was fixed before measuring: BLAS and
+    the row-by-row sum differ in summation order, so the perplexity agrees
+    to 1e-9 relative, not bit for bit."""
+
+    def test_word_lm_replay_matches_evaluate(self, tmp_path):
+        bundle = build_task("word_lm", seed=1)
+        cfg = replace(bundle.defaults, bitwidths=(4, 4, 4), epochs=3)
+        model, report = train(build_network(bundle, cfg), bundle.train, cfg,
+                              valid_dataset=bundle.valid)
+        xcfg = model.crossbar
+        save_array(program(model.programmed_weights(), xcfg), tmp_path / "array.txt")
+        arr = load_array(tmp_path / "array.txt")
+        # the hidden state starts where run_cell starts it: the grid value
+        # of code to_code(0), +step/2 on an even grid
+        h0 = xcfg.dac_spec.grid()[to_code(0.0, xcfg.dac_spec)]
+        nll = count = correct = 0.0
+        for x, targets, _ in make_batches(bundle.valid, 1, cfg.bptt_length,
+                                          np.arange(len(bundle.valid)),
+                                          inactive_level(cfg.input_drive, xcfg.dac_spec)):
+            state = LSTMState(h=np.full(model.hidden_size, h0), c=np.zeros(model.hidden_size))
+            for t in range(len(x)):
+                state, _ = quantized_lstm_step(arr, x[t, 0], state, xcfg,
+                                               gate_adc_specs=model.adc.specs,
+                                               luts=model.adc.luts)
+                logits = state.h @ model.w_head
+                z = logits - logits.max()
+                nll -= z[targets[t, 0]] - np.log(np.exp(z).sum())
+                correct += float(logits.argmax() == targets[t, 0])
+                count += 1
+        assert count == sum(len(targets) for _, targets in bundle.valid.sequences)
+        assert perplexity_from_nll(nll, count) == pytest.approx(report.perplexity,
+                                                                rel=1e-9, abs=0)
+        assert correct / count == report.accuracy
+
