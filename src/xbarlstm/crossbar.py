@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hwcost import quantization_noise_v
-from .lstm import GateActivations, LSTMState
-from .quantizer import ActivationLUT, QuantSpec, build_lut, from_code, quantize, to_code
+from .lstm import GateActivations, LSTMState, gate_luts
+from .quantizer import QuantSpec, from_code, quantize, to_code
 
 __all__ = [
     "CrossbarConfig",
@@ -48,7 +48,6 @@ __all__ = [
     "quantized_lstm_step",
     "save_array",
     "load_array",
-    "gate_luts",
 ]
 
 MAX_WEIGHT_NOISE_BETA = 0.2
@@ -222,27 +221,16 @@ def vmm(arr: ProgrammedArray, x_codes: np.ndarray, cfg: CrossbarConfig,
     return codes, from_code(codes, cfg.adc_spec)
 
 
-def gate_luts(adc_specs, out_bits: int) -> tuple[ActivationLUT, ...]:
-    """(sigmoid_f, sigmoid_i, sigmoid_o, tanh_c) tables, one per gate block.
-    Sigmoid outputs span [0, 1], tanh outputs [-1, 1], both at out_bits."""
-    sig_out = QuantSpec(out_bits, 0.0, 1.0)
-    tanh_out = QuantSpec(out_bits, -1.0, 1.0)
-    fns = ("sigmoid", "sigmoid", "sigmoid", "tanh")
-    outs = (sig_out, sig_out, sig_out, tanh_out)
-    return tuple(build_lut(fn, spec, out) for fn, spec, out in zip(fns, adc_specs, outs))
-
-
 def quantized_lstm_step(arr: ProgrammedArray, x: np.ndarray, state: LSTMState,
                         cfg: CrossbarConfig, noise: NoiseConfig | None = None,
                         rng: np.random.Generator | None = None,
                         gate_adc_specs: tuple[QuantSpec, ...] | None = None,
-                        luts: tuple[ActivationLUT, ...] | None = None,
                         ) -> tuple[LSTMState, GateActivations]:
     """One LSTM step through the crossbar: [x, h] through the DACs, a single
     read over all 4n columns split into the [f | i | o | c] gate blocks,
-    LUT activations on the ADC codes, then the memory-cell update in full
-    precision.  h_t is snapped back to the DAC grid before returning; c_t
-    stays full precision.
+    LUT activations (`gate_luts` of `gate_adc_specs`) on the ADC codes,
+    then the memory-cell update in full precision.  h_t is snapped back to
+    the DAC grid before returning; c_t stays full precision.
     """
     n = cfg.cols // 4
     m = cfg.rows - n
@@ -253,8 +241,7 @@ def quantized_lstm_step(arr: ProgrammedArray, x: np.ndarray, state: LSTMState,
         raise ValueError(f"state shape {state.h.shape} does not match n={n}")
     if gate_adc_specs is None:
         gate_adc_specs = (cfg.adc_spec,) * 4
-    if luts is None:
-        luts = gate_luts(gate_adc_specs, cfg.adc_spec.bits)
+    luts = gate_luts(gate_adc_specs, cfg.adc_spec.bits)
 
     u_codes = np.concatenate([to_code(x, cfg.dac_spec), to_code(state.h, cfg.dac_spec)])
     pre = _analog_read(arr, u_codes, cfg, noise, rng, gate_adc_specs)

@@ -506,6 +506,14 @@ def noise_sweep(cfg: ExperimentConfig) -> dict:
 
 # --- artifact writing -----------------------------------------------------------
 
+def _write(path: Path, text: str):
+    """Write one output file; a path that cannot be written is a config error."""
+    try:
+        path.write_text(text)
+    except OSError as exc:  # e.g. the path is a directory
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_manifest(cfg: ExperimentConfig, out: Path):
     manifest = cfg.as_dict()
     manifest["environment"] = {
@@ -514,7 +522,7 @@ def _write_manifest(cfg: ExperimentConfig, out: Path):
         "numpy": np.__version__,
         "python": sys.version.split()[0],
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -553,7 +561,8 @@ def _cost(hw: HwParams) -> tuple[dict, dict[str, str]]:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the command and write manifest.json, report.json, metrics.csv
     (plus comparison tables for `cost`) into cfg.out_dir.  A `cost` whose
-    figures fail writes nothing."""
+    figures fail writes nothing; a file that cannot be written raises
+    ConfigError naming it."""
     out = Path(cfg.out_dir)
     # the cost model runs in microseconds: check it before writing anything
     cost = _cost(cfg.hw) if cfg.command == "cost" else None
@@ -566,23 +575,23 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.command == "cost":
         report, files = cost
         for name, text in files.items():
-            (out / name).write_text(text)
+            _write(out / name, text)
 
     elif cfg.command == "train":
         report_obj = _train_cell(cfg.task, cfg.train_overrides, cfg.seed)
         report = report_obj.as_dict()
         rows = [[e, "train", "loss", v] for e, v in report_obj.train_loss_curve]
         rows += [[e, "valid", report_obj.metric_name, v] for e, v in report_obj.curve]
-        (out / "metrics.csv").write_text(_csv(["epoch", "split", "metric", "value"], rows))
+        _write(out / "metrics.csv", _csv(["epoch", "split", "metric", "value"], rows))
 
     else:
         report = sweep_bitwidths(cfg) if cfg.command == "sweep" else noise_sweep(cfg)
         # a row is a cell's labels, then its metric name and value
         cells = report["cells"]
-        (out / "metrics.csv").write_text(_csv([*cells[0]][:-2] + ["metric", "value"],
-                                              [list(c.values()) for c in cells]))
+        _write(out / "metrics.csv", _csv([*cells[0]][:-2] + ["metric", "value"],
+                                         [list(c.values()) for c in cells]))
 
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    _write(out / "report.json", json.dumps(report, indent=2) + "\n")
     return report
 
 

@@ -33,14 +33,14 @@ respect to the recycled hidden state.
 
 The quantized converters cost a fixed number of array operations per
 step, whatever the gate count.  The ADC bank, a `FusedConverter` built
-once when the ranges freeze, holds the four gate ADCs as per-column
-v_min, v_max, step and noise-sigma arrays plus one concatenated LUT
-table, and converts the whole (B, 4n) pre-activation in one pass: one
-`to_code` call with the bank as its spec, one gather, and `ste_mask`'s
-ADC pass mask when recording.  The DAC snaps the recycled hidden state
-as `grid[to_code(h)]` with the grid built once per forward.  Both apply
-the same IEEE operations to every element as the per-gate `to_code` /
-LUT / `quantize` calls, so results are bit-identical to them.
+once from the frozen ranges and the ADC bits, holds the four gate ADCs
+as per-column v_min, v_max, step and noise-sigma arrays plus one
+concatenated LUT table, and converts the whole (B, 4n) pre-activation in
+one pass: one `to_code` call with the bank as its spec, one gather, and
+`ste_mask`'s ADC pass mask when recording.  The DAC snaps the recycled
+hidden state as `grid[to_code(h)]` with the grid built once per forward.
+Both apply the same IEEE operations to every element as the per-gate
+`to_code` / LUT / `quantize` calls, so results are bit-identical to them.
 
 A recorded forward writes each step into the sequence-major buffers of
 a `SequenceCache`: step t of every buffer is index t, and the
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hwcost import quantization_noise_v
-from .quantizer import ActivationLUT, QuantSpec, sigmoid, ste_mask, to_code
+from .quantizer import ActivationLUT, QuantSpec, build_lut, sigmoid, ste_mask, to_code
 
 __all__ = [
     "LSTMParams",
@@ -79,12 +79,23 @@ __all__ = [
     "lstm_step_ref",
     "run_cell",
     "FusedConverter",
+    "gate_luts",
     "lstm_backward",
     "sigmoid",
     "GATE_ORDER",
 ]
 
 GATE_ORDER = ("f", "i", "o", "c")  # column-block order in the concatenated array
+
+
+def gate_luts(adc_specs, out_bits: int) -> tuple[ActivationLUT, ...]:
+    """(sigmoid_f, sigmoid_i, sigmoid_o, tanh_c) tables, one per gate block.
+    Sigmoid outputs span [0, 1], tanh outputs [-1, 1], both at out_bits."""
+    sig_out = QuantSpec(out_bits, 0.0, 1.0)
+    tanh_out = QuantSpec(out_bits, -1.0, 1.0)
+    fns = ("sigmoid", "sigmoid", "sigmoid", "tanh")
+    outs = (sig_out, sig_out, sig_out, tanh_out)
+    return tuple(build_lut(fn, spec, out) for fn, spec, out in zip(fns, adc_specs, outs))
 
 
 @dataclass
@@ -217,6 +228,9 @@ def forward_sequence(params: LSTMParams, x_seq: np.ndarray) -> tuple[np.ndarray,
 class FusedConverter:
     """The frozen ADC bank of a quantized step: the four per-gate ADCs and
     activation LUTs as one vectorized pass over the (B, 4n) pre-activation.
+    Gate b's ADC is `QuantSpec.symmetric(bits, r_b)` of the full-scale
+    ranges, one for every gate or four in [f | i | o | c] order, and its
+    LUT is `gate_luts`' table on that ADC's codes.
 
     Column j of gate block b takes gate b's ADC spec and LUT: the bank
     holds per-column `v_min`, `v_max` and `step`, so it is itself the spec
@@ -225,27 +239,27 @@ class FusedConverter:
     concatenated table at the block's base offset.  So the gates equal
     `lut.entries[to_code(block, spec)]` and the mask equals
     `ste_mask(block, spec)` bit for bit, block by block.  It keeps the
-    `specs` and `luts` it is given, and `noise_sigma`, each column's
+    `specs` and `luts` it makes, and `noise_sigma`, each column's
     `hwcost.quantization_noise_v`.
     """
 
-    def __init__(self, specs: Sequence[QuantSpec], luts: Sequence[ActivationLUT], n: int):
-        for b, (spec, lut) in enumerate(zip(specs, luts, strict=True)):
-            if lut.entries.size != spec.levels:
-                raise ValueError(f"gate {b}: LUT has {lut.entries.size} entries, "
-                                 f"its ADC has {spec.levels} codes")
+    def __init__(self, ranges: float | Sequence[float], bits: int, n: int):
+        ranges = np.ravel(np.asarray(ranges, dtype=np.float64))
+        if ranges.size not in (1, 4):
+            raise ValueError(f"need one ADC range or four (f, i, o, c), got {ranges.size}")
+        specs = tuple(QuantSpec.symmetric(bits, float(r)) for r in np.broadcast_to(ranges, 4))
 
         def per_column(values):
             return np.repeat(np.asarray(values), n)
 
-        self.specs, self.luts = tuple(specs), tuple(luts)
+        self.specs, self.luts = specs, gate_luts(specs, bits)
         self.noise_sigma = per_column([quantization_noise_v(s.full_range, s.bits)
                                        for s in specs])
         self.v_min = per_column([s.v_min for s in specs])
         self.v_max = per_column([s.v_max for s in specs])
         self.step = per_column([s.step for s in specs])
         self.base = per_column(np.cumsum([0] + [s.levels for s in specs[:-1]]))
-        self.table = np.concatenate([lut.entries for lut in luts])
+        self.table = np.concatenate([lut.entries for lut in self.luts])
 
     def __call__(self, a: np.ndarray, record: bool = True
                  ) -> tuple[np.ndarray, np.ndarray | None]:

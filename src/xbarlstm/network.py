@@ -9,9 +9,10 @@ state to the DAC grid and keeps ideal sigmoid/tanh converters.  The
 quantized forward mirrors the crossbar pipeline batch-wise: the same
 snaps, per-gate ADCs, LUT activations on the ADC codes, and optional
 weight and ADC read noise, all read from the one ADC bank `adc` that
-`freeze_adc_ranges` builds.  Training forwards record a SequenceCache so
-lstm_backward computes straight-through gradients against the latent
-weights; evaluation forwards pass each row's length and record nothing.
+`freeze_adc_ranges` builds from the ranges alone (`lstm.FusedConverter`).
+Training forwards record a SequenceCache so lstm_backward computes
+straight-through gradients against the latent weights; evaluation
+forwards pass each row's length and record nothing.
 
 The network keeps no calibration state: a forward hands its caller's
 `on_preact` sink to `run_cell`, in any mode.  The ADC-range calibration
@@ -46,9 +47,9 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .crossbar import CrossbarConfig, NoiseConfig, gate_luts
+from .crossbar import CrossbarConfig, NoiseConfig
 from .lstm import FusedConverter, SequenceCache, lstm_backward, run_cell
-from .quantizer import QuantSpec, quantize, ste_mask
+from .quantizer import quantize, ste_mask
 from .seeding import derive_rng
 
 __all__ = ["LSTMNetwork", "RangeCollector"]
@@ -167,6 +168,8 @@ class LSTMNetwork:
         rng_l = derive_rng(seed, "init-lstm")
         rng_h = derive_rng(seed, "init-head")
         self.w = rng_l.normal(0.0, scale, size=(input_size + hidden_size, 4 * hidden_size))
+        if not np.all(np.isfinite(self.w)):  # e.g. init_scale = 1e308 overflows
+            raise ValueError(f"init_scale {scale!r} draws non-finite initial weights")
         self.w_head = rng_h.normal(0.0, 1.0 / np.sqrt(hidden_size),
                                    size=(hidden_size, output_size))
 
@@ -174,16 +177,12 @@ class LSTMNetwork:
 
     def freeze_adc_ranges(self, ranges: float | tuple | list):
         """Build the ADC bank `adc`, replacing any earlier one, with
-        symmetric full-scale ranges +-r: one for every gate, or four in
-        [f | i | o | c] order (such as a `RangeCollector`'s `ranges()`)."""
+        symmetric full-scale ranges +-r at the crossbar's ADC bits: one for
+        every gate, or four in [f | i | o | c] order (such as a
+        `RangeCollector`'s `ranges()`)."""
         if self.crossbar is None:
             raise RuntimeError("network has no crossbar configuration")
-        ranges = np.ravel(np.asarray(ranges, dtype=np.float64))
-        if ranges.size not in (1, 4):
-            raise ValueError(f"need one ADC range or four (f, i, o, c), got {ranges.size}")
-        bits = self.crossbar.adc_spec.bits
-        specs = tuple(QuantSpec.symmetric(bits, float(r)) for r in np.broadcast_to(ranges, 4))
-        self.adc = FusedConverter(specs, gate_luts(specs, bits), self.hidden_size)
+        self.adc = FusedConverter(ranges, self.crossbar.adc_spec.bits, self.hidden_size)
 
     @property
     def calibrated(self) -> bool:

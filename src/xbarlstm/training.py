@@ -362,12 +362,10 @@ def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
     holds EVAL_PACK_VALUES // (4 * hidden_size) rows (at least one), so
     `cfg.batch_size` does not enter; that caps one step's gate array, while
     the pack's (T, rows, ...) arrays grow with its rows.  Raises
-    TrainingDiverged if the NLL or the perplexity is not finite."""
+    TrainingDiverged if the NLL or the perplexity is not finite, and the
+    quantized forward's RuntimeError if the ADC bank is not frozen."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    if model.crossbar is not None and not model.calibrated:
-        raise RuntimeError("quantized model has no frozen ADC ranges; train or "
-                           "calibrate it before evaluating")
     mode = "quantized" if model.crossbar is not None else "fp"
     rng_w = derive_rng(cfg.seed, f"eval-noise-w-{epoch_tag}")
     rng_a = derive_rng(cfg.seed, f"eval-noise-a-{epoch_tag}")
@@ -399,10 +397,12 @@ def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
 def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
           valid_dataset: SequenceDataset | None = None,
           task_name: str | None = None) -> tuple[LSTMNetwork, EvalReport]:
-    """Optimize the latent weights; returns the model and an EvalReport with
-    per-epoch curves (valid metric when a valid split is given, else the
-    training metric).  Raises TrainingDiverged with the offending step index
-    if the loss becomes non-finite, and as `evaluate` does."""
+    """Optimize the latent weights; returns the model and the final
+    EvalReport, taken on the valid split when one is given, else on the
+    training split.  Its `train_loss_curve` holds each epoch's mean training
+    loss; its `curve` holds each epoch's valid metric, and stays empty
+    without a valid split.  Raises TrainingDiverged with the offending step
+    index if the loss becomes non-finite, and as `evaluate` does."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     quantized_model = model.crossbar is not None

@@ -8,7 +8,6 @@ from xbarlstm.crossbar import (
     CrossbarConfig,
     NoiseConfig,
     column_currents,
-    gate_luts,
     load_array,
     program,
     quantized_lstm_step,
@@ -16,7 +15,7 @@ from xbarlstm.crossbar import (
     save_array,
     vmm,
 )
-from xbarlstm.lstm import LSTMParams, LSTMState, lstm_step_ref
+from xbarlstm.lstm import LSTMParams, LSTMState, gate_luts, lstm_step_ref
 from xbarlstm.quantizer import QuantSpec, from_code, quantize, to_code
 
 

@@ -340,6 +340,90 @@ class TestCostProperty:
         assert {EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE} <= set(codes)
 
 
+# FP_TRAIN for one epoch
+TINY_TRAIN = FP_TRAIN.replace("epochs = 2", "epochs = 1")
+EXTREMES = [0, -1, 1e-320, 1e308, float("nan"), float("inf")]
+
+
+def tiny_train(values: dict) -> str:
+    """A one-epoch word_lm `train` at hidden size 8 with `values` set, the
+    noise keys in a [noise] section."""
+    def lines(keys):
+        return "".join(f"{k} = {v}\n" for k, v in keys.items())
+    noise = {k: v for k, v in values.items() if k in ("weight_noise_beta", "adc_noise")}
+    train = {"epochs": 1, "hidden_size": 8,
+             **{k: v for k, v in values.items() if k not in noise}}
+    return ("[experiment]\ncommand = train\ntask = word_lm\n[train]\n" + lines(train)
+            + ("[noise]\n" + lines(noise) if noise else ""))
+
+
+class TestTrainProperty:
+    """`train` over any [train] values exits 0 having written all three
+    files, 3 having kept its manifest, or 2 having written at most the
+    manifest; it never raises."""
+
+    def test_exit_codes_and_files(self, tmp_path, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        extremes = st.sampled_from(EXTREMES)
+
+        def floats(lo, hi):
+            return st.one_of(st.floats(lo, hi), extremes)
+
+        def few(*values):  # small values keep each example well under a second
+            return st.one_of(st.sampled_from(values), extremes)
+
+        keys = {
+            "optimizer": st.sampled_from(["sgd", "adam", "rmsprop"]),
+            "input_drive": st.sampled_from(["matched", "antipodal", "none"]),
+            "learning_rate": floats(0, 10), "lr_decay": floats(0, 1),
+            "grad_clip": floats(0, 10), "weight_range": floats(1e-3, 4),
+            "adc_range_percentile": floats(0, 100), "init_scale": floats(0, 4),
+            "epochs": few(1), "hidden_size": few(1, 4, 8),
+            "batch_size": few(4, 16, 64), "bptt_length": few(4, 16, 1000),
+            "adc_range_override": st.one_of(
+                st.lists(st.floats(1e-3, 10), min_size=1, max_size=4).map(
+                    lambda r: " ".join(map(repr, r))), extremes),
+            "weight_noise_beta": floats(0, 0.3),
+            "adc_noise": st.sampled_from(["on", "off"]),
+        }
+        entry = st.sampled_from(sorted(keys)).flatmap(
+            lambda key: st.tuples(st.just(key), keys[key]))
+        path, codes = tmp_path / "train.ini", []
+
+        # several keys are read by quantized cells only, so three in five
+        # cells are quantized; bit widths off the grid exit 2
+        triple = st.tuples(*[st.integers(1, 6)] * 3).map(lambda b: " ".join(map(str, b)))
+        bitwidths = st.one_of(triple, triple, triple, st.none(), extremes)
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(bits=bitwidths, values=st.lists(entry, max_size=4).map(dict))
+        # the initial draw overflows to +-inf, quantized and not
+        @hypothesis.example(bits="4 4 4", values={"init_scale": 1e308})
+        @hypothesis.example(bits=None, values={"init_scale": 1e308})
+        @hypothesis.example(bits=None, values={"learning_rate": 1e300, "grad_clip": 0})
+        @hypothesis.example(bits=None, values={})
+        def check(bits, values):
+            out = tmp_path / f"out{len(codes)}"
+            values = values if bits is None else {**values, "bitwidths": bits}
+            path.write_text(tiny_train(values))
+            with np.errstate(all="ignore"):
+                code = run(path, out_dir=out)
+            codes.append(code)
+            files = written(out)
+            if code == EXIT_OK:
+                assert files == ["manifest.json", "metrics.csv", "report.json"]
+            elif code == EXIT_DIVERGED:
+                assert files == ["manifest.json"]
+            else:
+                assert code == EXIT_CONFIG and files in ([], ["manifest.json"])
+
+        check()
+        capsys.readouterr()
+        # the explicit examples reach every outcome
+        assert {EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED} <= set(codes)
+
+
 class TestExitCodes:
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert run(tmp_path / "missing.ini") == EXIT_CONFIG
@@ -507,6 +591,32 @@ epochs = 1
         assert not (tmp_path / "runs").exists()
         if out == "dir":
             assert written(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("bits", ["weight_bits = 4\nadc_bits = 4\ndac_bits = 4\n", ""],
+                             ids=["4bit", "fp"])
+    def test_non_finite_initial_weights_exit_2(self, tmp_path, capsys, bits):
+        # init_scale = 1e308 passes the load-time checks, but the initial
+        # draw overflows to +-inf: nothing could be trained
+        p = write(tmp_path, f"{TINY_TRAIN}init_scale = 1e308\n{bits}")
+        with np.errstate(all="ignore"):
+            code = cli_main(["train", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "init_scale" in err
+        assert written(tmp_path / "out") == ["manifest.json"]
+
+    @pytest.mark.parametrize("command, name", [
+        ("cost", "manifest.json"), ("cost", "metrics.csv"), ("train", "report.json")])
+    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, command, name):
+        # the output file's path is taken by a directory
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        argv = [command, "--out", str(out)]
+        if command == "train":
+            argv += ["--config", str(write(tmp_path, TINY_TRAIN))]
+        assert cli_main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"cannot write {out / name}" in err
 
     def test_full_precision_accepts_noise_that_is_off(self, tmp_path):
         # only enabled noise is a key a full-precision cell would not read

@@ -157,8 +157,7 @@ class TestQuantizedForward:
                           c=np.zeros(n))
         for t in range(3):
             state, gates = quantized_lstm_step(
-                arr, x_seq[t, 0], state, cfg, gate_adc_specs=net.adc.specs,
-                luts=net.adc.luts)
+                arr, x_seq[t, 0], state, cfg, gate_adc_specs=net.adc.specs)
             np.testing.assert_allclose(h_seq[t, 0], state.h, rtol=0, atol=1e-12)
 
     def test_requires_calibration(self):
@@ -324,6 +323,11 @@ class TestCalibration:
 
 
 class TestDeterminism:
+    def test_non_finite_initial_weights_rejected(self):
+        # normal(0, 1e308) overflows to +-inf
+        with pytest.raises(ValueError, match="init_scale"):
+            LSTMNetwork(3, 2, 2, seed=1, init_scale=1e308)
+
     def test_same_seed_same_init(self):
         a = LSTMNetwork(4, 4, 3, seed=42)
         b = LSTMNetwork(4, 4, 3, seed=42)

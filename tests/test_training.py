@@ -145,6 +145,17 @@ class TestTrainLoop:
         losses = [v for _, v in rep.train_loss_curve]
         assert losses[1] < losses[0]
 
+    def test_without_valid_split_curve_stays_empty(self):
+        # the final metric is taken on the training split, and no epoch
+        # adds a point to the valid curve
+        ds = tiny_lm_dataset(n_seq=24, seed=9)
+        cfg = TrainConfig(optimizer="adam", learning_rate=0.02, epochs=2, batch_size=8)
+        model, rep = train(LSTMNetwork(6, 8, 6, seed=5), ds, cfg)
+        assert rep.curve == []
+        assert [epoch for epoch, _ in rep.train_loss_curve] == [1, 2]
+        final = evaluate(model, ds, cfg, epoch_tag=cfg.epochs + 1)
+        assert (rep.metric, rep.accuracy) == (final.metric, final.accuracy)
+
     def test_seed_determinism_bit_identical_reports(self):
         reports = []
         for _ in range(2):
@@ -589,8 +600,7 @@ class TestScalarReplay:
             state = LSTMState(h=np.full(model.hidden_size, h0), c=np.zeros(model.hidden_size))
             for t in range(len(x)):
                 state, _ = quantized_lstm_step(arr, x[t, 0], state, xcfg,
-                                               gate_adc_specs=model.adc.specs,
-                                               luts=model.adc.luts)
+                                               gate_adc_specs=model.adc.specs)
                 logits = state.h @ model.w_head
                 z = logits - logits.max()
                 nll -= z[targets[t, 0]] - np.log(np.exp(z).sum())
