@@ -562,7 +562,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the command and write manifest.json, report.json, metrics.csv
     (plus comparison tables for `cost`) into cfg.out_dir.  A `cost` whose
     figures fail writes nothing; a file that cannot be written raises
-    ConfigError naming it."""
+    ConfigError naming it, before anything is written or trained when
+    something other than a regular file takes its path."""
     out = Path(cfg.out_dir)
     # the cost model runs in microseconds: check it before writing anything
     cost = _cost(cfg.hw) if cfg.command == "cost" else None
@@ -570,6 +571,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    for name in ["manifest.json", "report.json", *(cost[1] if cost else ["metrics.csv"])]:
+        if (out / name).exists() and not (out / name).is_file():  # e.g. a directory
+            raise ConfigError(f"cannot write {out / name}: not a regular file")
     _write_manifest(cfg, out)
 
     if cfg.command == "cost":

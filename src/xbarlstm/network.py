@@ -14,6 +14,12 @@ Training forwards record a SequenceCache so lstm_backward computes
 straight-through gradients against the latent weights; evaluation
 forwards pass each row's length and record nothing.
 
+The softmax head runs on the whole sequence: the logits are
+`h_seq @ w_head` and backward hands `d_logits @ w_head.T` to
+`lstm_backward` as one (T, B, n) array.  numpy's matmul makes one (B, n)
+GEMM per step of such a stack, the products a per-step loop makes; only
+the head's own gradient sums step by step, in time order.
+
 The network keeps no calibration state: a forward hands its caller's
 `on_preact` sink to `run_cell`, in any mode.  The ADC-range calibration
 is such a sink, a caller-owned `RangeCollector`.  It counts the
@@ -244,7 +250,10 @@ class LSTMNetwork:
                                 **stages)
         if cache is not None and mode != "fp":
             cache.w_mask = ste_mask(self.w, cfg.weight_spec)
-        return self._head(h_seq), h_seq, cache
+        # matmul over the (T, B, n) stack is one (B, n) GEMM per step: a
+        # single (T*B, n) GEMM may block differently in BLAS and change the
+        # logits in the last bits
+        return h_seq @ self.w_head, h_seq, cache
 
     def programmed_weights(self) -> np.ndarray:
         """The LSTM array as a read pass sees it: a new array of the latent
@@ -254,27 +263,18 @@ class LSTMNetwork:
             return self.w
         return np.asarray(quantize(self.w, self.crossbar.weight_spec))
 
-    def _head(self, h_seq: np.ndarray) -> np.ndarray:
-        """Per-step logits of the dense softmax head."""
-        # one (B, n) GEMM per step: a single (T*B, n) GEMM may block
-        # differently in BLAS and change the logits in the last bits
-        logits = np.empty(h_seq.shape[:2] + (self.output_size,))
-        for t in range(h_seq.shape[0]):
-            logits[t] = h_seq[t] @ self.w_head
-        return logits
-
     # --- backward -----------------------------------------------------------
 
     def backward(self, cache: SequenceCache, h_seq: np.ndarray,
                  d_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of the loss w.r.t. the latent weights and the head,
         given d(loss)/d(logits) per step."""
+        # d_head sums per step in time order, the order its results are
+        # pinned to; d_h is one (B, V) GEMM per step, as the head is
         d_head = np.zeros_like(self.w_head)
-        d_h = []
         for t in range(cache.steps):
             d_head += h_seq[t].T @ d_logits[t]
-            d_h.append(d_logits[t] @ self.w_head.T)
-        return {"w": lstm_backward(cache, d_h), "w_head": d_head}
+        return {"w": lstm_backward(cache, d_logits @ self.w_head.T), "w_head": d_head}
 
     # --- parameter access ----------------------------------------------------
 

@@ -3,7 +3,12 @@
 Latent weights stay full precision and straight-through gradients update
 them.  Every training forward re-snaps them to the device grid, since
 every step changes them; an evaluation split snaps them once and reads
-that programmed array in each of its batches.
+that programmed array in each of its batches.  `train` owns the schedule
+and the clipping: each epoch's learning rate is
+learning_rate * lr_decay ** (epoch - 1), each step's gradients are
+clipped to a global norm of grad_clip (Pascanu et al., 2013; 0 turns
+clipping off), and both go to an update rule that holds nothing else
+(`_sgd_step`, or `_Adam`'s moments).
 When a quantized model has no frozen ADC ranges yet, the first epoch is
 a calibration epoch: weights snapped to the device grid and the DAC grid
 on inputs and hidden state, but ideal converters, while `train`'s own
@@ -291,30 +296,27 @@ def _clip_global(grads: dict[str, np.ndarray], max_norm: float):
     return grads
 
 
-class _SGD:
-    def __init__(self, cfg: TrainConfig):
-        self.lr = cfg.learning_rate
-        self.clip = cfg.grad_clip
-
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        grads = _clip_global(grads, self.clip)
-        for k, p in params.items():
-            p -= self.lr * grads[k]
+def _sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
+    """p -= lr * g, in place."""
+    for k, p in params.items():
+        p -= lr * grads[k]
 
 
 class _Adam:
-    def __init__(self, cfg: TrainConfig, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = cfg.learning_rate
-        self.clip = cfg.grad_clip
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    """Adam's moments (Kingma & Ba, 2015); `train` hands each step the
+    clipped gradients and the epoch's learning rate."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def step(self, params, grads):
+    def step(self, params, grads, lr: float):
         """p -= lr * mhat / (sqrt(vhat) + eps), with the moments updated in
         place and every operation in the closed form's order."""
-        grads = _clip_global(grads, self.clip)
+        b1, b2 = self.BETA1, self.BETA2
         self.t += 1
         for k, p in params.items():
             g = grads[k]
@@ -324,23 +326,19 @@ class _Adam:
             # scratch lives only for the step: persistent buffers would add
             # two parameter-sized arrays to the peak memory of backward
             step, denom = np.empty_like(p), np.empty_like(p)
-            m *= self.beta1
-            m += np.multiply(g, 1 - self.beta1, out=step)
-            v *= self.beta2
-            np.multiply(g, 1 - self.beta2, out=step)
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=step)
+            v *= b2
+            np.multiply(g, 1 - b2, out=step)
             step *= g
             v += step
-            np.divide(m, 1 - self.beta1**self.t, out=step)            # mhat
-            np.divide(v, 1 - self.beta2**self.t, out=denom)           # vhat
+            np.divide(m, 1 - b1**self.t, out=step)            # mhat
+            np.divide(v, 1 - b2**self.t, out=denom)           # vhat
             np.sqrt(denom, out=denom)
-            denom += self.eps
-            step *= self.lr
+            denom += self.EPS
+            step *= lr
             step /= denom
             p -= step
-
-
-def _make_optimizer(cfg: TrainConfig):
-    return _SGD(cfg) if cfg.optimizer == "sgd" else _Adam(cfg)
 
 
 # --- train / evaluate ---------------------------------------------------------------
@@ -409,7 +407,7 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
     rng_data = derive_rng(cfg.seed, "data-shuffle")
     rng_w = derive_rng(cfg.seed, "weight-noise")
     rng_a = derive_rng(cfg.seed, "adc-noise")
-    opt = _make_optimizer(cfg)
+    update = _sgd_step if cfg.optimizer == "sgd" else _Adam().step
 
     if quantized_model and not model.calibrated and cfg.adc_range_override is not None:
         model.freeze_adc_ranges(cfg.adc_range_override)
@@ -424,7 +422,7 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
                      if quantized_model and not model.calibrated else None)
         mode = ("calibrate" if collector is not None
                 else "quantized" if quantized_model else "fp")
-        opt.lr = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
+        lr = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
 
         order = rng_data.permutation(len(dataset))
         nll_sum = count = 0.0
@@ -437,7 +435,7 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
             if not math.isfinite(s):
                 raise TrainingDiverged(global_step)
             grads = model.backward(cache, h_seq, d_logits)
-            opt.step(model.parameters(), grads)
+            update(model.parameters(), _clip_global(grads, cfg.grad_clip), lr)
             nll_sum += s
             count += c
             global_step += 1

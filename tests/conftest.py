@@ -1,6 +1,9 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run."""
+"""Prints one PASS/FAIL line per acceptance criterion after the run, and
+under it each (value, comparison, bound) the criterion passed to
+`record_property`, with the margin by which the value clears the bound
+(negative when it does not)."""
 
-_acceptance_results: dict[str, str] = {}
+_acceptance_results: dict[str, tuple[str, list]] = {}
 
 
 def pytest_runtest_logreport(report):
@@ -9,7 +12,11 @@ def pytest_runtest_logreport(report):
     if "test_acceptance" not in report.nodeid:
         return
     name = report.nodeid.split("::")[-1]
-    _acceptance_results[name] = "PASS" if report.passed else "FAIL"
+    _acceptance_results[name] = ("PASS" if report.passed else "FAIL", report.user_properties)
+
+
+def _margin(value: float, op: str, bound: float) -> float:
+    return bound - value if op in ("<", "<=") else value - bound
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -17,4 +24,9 @@ def pytest_terminal_summary(terminalreporter):
         return
     terminalreporter.write_sep("=", "acceptance criteria")
     for name in sorted(_acceptance_results):
-        terminalreporter.write_line(f"{_acceptance_results[name]:4s}  {name}")
+        status, properties = _acceptance_results[name]
+        terminalreporter.write_line(f"{status:4s}  {name}")
+        for what, (value, op, bound) in properties:
+            terminalreporter.write_line(
+                f"      {what}: {value:.5g} {op} {bound:.5g}"
+                f" (margin {_margin(value, op, bound):+.5g})")

@@ -618,6 +618,26 @@ epochs = 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"cannot write {out / name}" in err
 
+    @pytest.mark.parametrize("name", ["metrics.csv", "report.json"])
+    @pytest.mark.parametrize("command", ["train", "sweep", "noise-sweep"])
+    def test_blocked_output_file_exit_2_before_training(self, tmp_path, capsys,
+                                                        monkeypatch, command, name):
+        # a directory takes an output file's path: found before any cell trains
+        def never(*args, **kwargs):
+            raise AssertionError("train ran although an output path is blocked")
+        monkeypatch.setattr(exp, "train", never)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        sweep = {"sweep": "[sweep]\nweight_bits = 4\nadc_bits = 4\n",
+                 "noise-sweep": "[sweep]\nbetas = 0\n"}.get(command, "")
+        config = write(tmp_path, FP_TRAIN.replace("command = train", f"command = {command}")
+                       + sweep)
+        argv = [command, "--out", str(out), "--config", str(config)]
+        assert cli_main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / name}")
+        assert not [p for p in out.rglob("*") if p.is_file()]
+
     def test_full_precision_accepts_noise_that_is_off(self, tmp_path):
         # only enabled noise is a key a full-precision cell would not read
         p = write(tmp_path, FP_TRAIN + "[noise]\nweight_noise_beta = 0\nadc_noise = off\n")

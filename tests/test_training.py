@@ -296,9 +296,25 @@ class TestBatching:
         assert targets[4, 0] == 2 and targets[6, 1] == 1
 
 
+def clip_closed_form(grads, max_norm):
+    """Global-norm clipping, written out."""
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    return ({k: g * (max_norm / total) for k, g in grads.items()}
+            if total > max_norm else grads)
+
+
+def adam_closed_form(ref, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam's step t on the parameters `ref` and moments m, v, written out."""
+    for k, p in ref.items():
+        g = grads[k]
+        m[k] = b1 * m[k] + (1 - b1) * g
+        v[k] = b2 * v[k] + (1 - b2) * g * g
+        p -= lr * (m[k] / (1 - b1**t)) / (np.sqrt(v[k] / (1 - b2**t)) + eps)
+
+
 class TestAdam:
     def test_in_place_matches_closed_form_bit_for_bit(self):
-        from xbarlstm.training import _Adam
+        from xbarlstm.training import _Adam, _clip_global
 
         rng = np.random.default_rng(71)
         cfg = TrainConfig(optimizer="adam", learning_rate=0.01, grad_clip=5.0)
@@ -306,25 +322,54 @@ class TestAdam:
         ref = {k: p.copy() for k, p in params.items()}
         m = {k: 0.0 for k in params}
         v = {k: 0.0 for k in params}
-        b1, b2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
-        opt = _Adam(cfg)
+        lr = cfg.learning_rate
+        opt = _Adam()
         for t in range(1, 6):
             # the third step's gradients exceed grad_clip, so clipping runs too
             scale = 10.0 if t == 3 else 0.1
             grads = {k: rng.normal(size=p.shape) * scale for k, p in params.items()}
-            total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-            clipped = ({k: g * (cfg.grad_clip / total) for k, g in grads.items()}
-                       if total > cfg.grad_clip else grads)
-            opt.step(params, grads)
-            for k, p in ref.items():
-                g = clipped[k]
-                m[k] = b1 * m[k] + (1 - b1) * g
-                v[k] = b2 * v[k] + (1 - b2) * g * g
-                p -= lr * (m[k] / (1 - b1**t)) / (np.sqrt(v[k] / (1 - b2**t)) + eps)
+            clipped = clip_closed_form(grads, cfg.grad_clip)
+            opt.step(params, _clip_global(grads, cfg.grad_clip), lr)
+            adam_closed_form(ref, clipped, m, v, t, lr)
             for k in params:
                 assert np.array_equal(params[k], ref[k])
                 assert np.array_equal(opt.m[k], m[k])
                 assert np.array_equal(opt.v[k], v[k])
+
+
+class TestScheduleAndClip:
+    """`train` decays the learning rate per epoch and clips each step's
+    gradients before the update."""
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_train_matches_closed_form_replay(self, optimizer):
+        ds = tiny_lm_dataset(n_seq=6)
+        # one batch per epoch; the clip binds on the first step
+        cfg = TrainConfig(optimizer=optimizer, learning_rate=0.1, lr_decay=0.5, epochs=2,
+                          batch_size=len(ds), grad_clip=0.05, seed=4)
+        model, _ = train(LSTMNetwork(6, 4, 6, seed=2), ds, cfg)
+
+        ref = LSTMNetwork(6, 4, 6, seed=2)
+        params = ref.parameters()
+        m = {k: 0.0 for k in params}
+        v = {k: 0.0 for k in params}
+        rng_data = derive_rng(cfg.seed, "data-shuffle")
+        for epoch in (1, 2):
+            order = rng_data.permutation(len(ds))
+            (x, targets, mask), = make_batches(ds, cfg.batch_size, cfg.bptt_length, order)
+            logits, h_seq, cache = ref.forward_sequence(x)
+            grads = ref.backward(cache, h_seq, softmax_xent(logits, targets, mask)[3])
+            clipped = clip_closed_form(grads, cfg.grad_clip)
+            if epoch == 1:
+                assert clipped is not grads  # the clip binds
+            lr = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
+            if optimizer == "sgd":
+                for k, p in params.items():
+                    p -= lr * clipped[k]
+            else:
+                adam_closed_form(params, clipped, m, v, epoch, lr)
+        for k, p in model.parameters().items():
+            assert np.array_equal(p, params[k])
 
 
 class TestEvalPackRows:
