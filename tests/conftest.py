@@ -1,7 +1,9 @@
 """Prints one PASS/FAIL line per acceptance criterion after the run, and
 under it each (value, comparison, bound) the criterion passed to
-`record_property`, with the margin by which the value clears the bound
+`record_bound`, with the margin by which the value clears the bound
 (negative when it does not)."""
+
+import pytest
 
 _acceptance_results: dict[str, tuple[str, list]] = {}
 
@@ -13,6 +15,17 @@ def pytest_runtest_logreport(report):
         return
     name = report.nodeid.split("::")[-1]
     _acceptance_results[name] = ("PASS" if report.passed else "FAIL", report.user_properties)
+
+
+@pytest.fixture
+def record_bound(request):
+    """`record_bound(what, value, op, bound)` stores the comparison on the
+    test's report for the summary.  It appends to `user_properties` itself
+    because pytest's `record_property` warns under the default xunit2
+    junit family, and this suite turns warnings into errors."""
+    def record(what: str, value: float, op: str, bound: float) -> None:
+        request.node.user_properties.append((what, (value, op, bound)))
+    return record
 
 
 def _margin(value: float, op: str, bound: float) -> float:

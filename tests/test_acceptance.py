@@ -6,7 +6,7 @@ exactly run to run, and a cell two tests share is trained once per
 session (see trained_cells).  A summary line per criterion is printed at
 the end of the session (see conftest), with each value a trend criterion
 compares, its bound and the margin between them, as the test passed
-them to `record_property`.
+them to `record_bound` (see conftest).
 """
 
 import numpy as np
@@ -197,16 +197,16 @@ def test_criterion5_quantizer_property_suite():
 
 # -- 6 ---------------------------------------------------------------------------
 
-def test_criterion6_char_corpus_bitwidth_trend(record_property):
+def test_criterion6_char_corpus_bitwidth_trend(record_bound):
     """Bundled char corpus, 3-seed mean perplexity ratios against the FP
     baseline: 4b/4b <= 1.05, 2b/2b <= 1.10, 1b/1b >= 1.20."""
     fp = mean_metric("char_lm", None)
     r444 = mean_metric("char_lm", (4, 4, 4)) / fp
     r222 = mean_metric("char_lm", (2, 2, 2)) / fp
     r111 = mean_metric("char_lm", (1, 1, 1)) / fp
-    record_property("4b/4b ratio", (r444, "<=", 1.05))
-    record_property("2b/2b ratio", (r222, "<=", 1.10))
-    record_property("1b/1b ratio", (r111, ">=", 1.20))
+    record_bound("4b/4b ratio", r444, "<=", 1.05)
+    record_bound("2b/2b ratio", r222, "<=", 1.10)
+    record_bound("1b/1b ratio", r111, ">=", 1.20)
     assert r444 <= 1.05, f"4b/4b ratio {r444:.3f}"
     assert r222 <= 1.10, f"2b/2b ratio {r222:.3f}"
     assert r111 >= 1.20, f"1b/1b ratio {r111:.3f}"
@@ -214,7 +214,7 @@ def test_criterion6_char_corpus_bitwidth_trend(record_property):
 
 # -- 7 ---------------------------------------------------------------------------
 
-def test_criterion7_bit_asymmetry_trend(record_property):
+def test_criterion7_bit_asymmetry_trend(record_bound):
     """Word task, 3-seed means: 4-bit weights with 2-bit converters beat
     2-bit weights with 4-bit converters, and 1-bit weights with 2-bit
     converters are worse than 2-bit weights with 1-bit converters."""
@@ -222,23 +222,23 @@ def test_criterion7_bit_asymmetry_trend(record_property):
     p244 = mean_metric("word_lm", (2, 4, 4))
     p122 = mean_metric("word_lm", (1, 2, 2))
     p211 = mean_metric("word_lm", (2, 1, 1))
-    record_property("422 vs 244 perplexity", (p422, "<", p244))
-    record_property("122 vs 211 perplexity", (p122, ">", p211))
+    record_bound("422 vs 244 perplexity", p422, "<", p244)
+    record_bound("122 vs 211 perplexity", p122, ">", p211)
     assert p422 < p244, f"422={p422:.2f} vs 244={p244:.2f}"
     assert p122 > p211, f"122={p122:.2f} vs 211={p211:.2f}"
 
 
 # -- 8 ---------------------------------------------------------------------------
 
-def test_criterion8_noise_robustness(record_property):
+def test_criterion8_noise_robustness(record_bound):
     """Char corpus at 4b/4b: ADC quantization noise and beta = 0.2 weight
     noise each move the 3-seed mean metric by <= 5%; beta = 0 is
     bit-identical to the noiseless path."""
     clean = mean_metric("char_lm", (4, 4, 4))
     b02 = mean_metric("char_lm", (4, 4, 4), NoiseConfig(weight_noise_beta=0.2))
     adc = mean_metric("char_lm", (4, 4, 4), NoiseConfig(adc_noise_enabled=True))
-    record_property("beta=0.2 |delta| %", (100 * abs(b02 / clean - 1), "<=", 5.0))
-    record_property("adc noise |delta| %", (100 * abs(adc / clean - 1), "<=", 5.0))
+    record_bound("beta=0.2 |delta| %", 100 * abs(b02 / clean - 1), "<=", 5.0)
+    record_bound("adc noise |delta| %", 100 * abs(adc / clean - 1), "<=", 5.0)
     assert abs(b02 / clean - 1) <= 0.05, f"beta=0.2 delta {100*abs(b02/clean-1):.2f}%"
     assert abs(adc / clean - 1) <= 0.05, f"adc delta {100*abs(adc/clean-1):.2f}%"
 
@@ -277,12 +277,12 @@ hidden_size = 16
 
 # -- 10 --------------------------------------------------------------------------
 
-def test_criterion10_synthetic_har(record_property):
+def test_criterion10_synthetic_har(record_bound):
     """FP baseline reaches >= 95% validation accuracy; the 4b/4b model sits
     within 2 accuracy points of it on 3-seed means."""
     fp = mean_metric("har", None)
     q4 = mean_metric("har", (4, 4, 4))
-    record_property("fp accuracy", (fp, ">=", 0.95))
-    record_property("4b/4b gap points", (abs(fp - q4) * 100, "<=", 2.0))
+    record_bound("fp accuracy", fp, ">=", 0.95)
+    record_bound("4b/4b gap points", abs(fp - q4) * 100, "<=", 2.0)
     assert fp >= 0.95, f"FP accuracy {fp:.3f}"
     assert abs(fp - q4) * 100 <= 2.0, f"gap {100*abs(fp-q4):.2f} points"
