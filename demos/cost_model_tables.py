@@ -15,19 +15,19 @@ print("Each ADC serves %d columns; a full read takes %.0f ns.\n"
       % (p.mux_ratio, p.t_read * 1e9))
 
 print("Throughput (1 OP = 1 multiply-accumulate):")
-print("  VMM only : %7.0f GOP/s" % rep.vmm_throughput_gops)
+print("  VMM only : %7.0f GOP/s" % rep["vmm_throughput_gops"])
 print("  overall  : %7.0f GOP/s (adds %.0f ns activation + %.0f ns element-wise)\n"
-      % (rep.overall_throughput_gops, p.t_act * 1e9, p.t_elem * 1e9))
+      % (rep["overall_throughput_gops"], p.t_act * 1e9, p.t_elem * 1e9))
 
 print("Power breakdown (W):")
-for k, v in rep.power_w.items():
+for k, v in rep["power_w"].items():
     print(f"  {k:9s}: {v:.4f}")
 print("Area breakdown (mm^2):")
-for k, v in rep.area_m2.items():
-    print(f"  {k:9s}: {v / MM2:.4f}")
+for k, v in rep["area_mm2"].items():
+    print(f"  {k:9s}: {v:.4f}")
 print()
-print("Computing efficiency: %6.0f GOP/s/W" % rep.computing_efficiency_gops_per_w)
-print("Area efficiency     : %6.0f GOP/s/mm^2\n" % rep.area_efficiency_gops_per_mm2)
+print("Computing efficiency: %6.0f GOP/s/W" % rep["computing_efficiency_gops_per_w"])
+print("Area efficiency     : %6.0f GOP/s/mm^2\n" % rep["area_efficiency_gops_per_mm2"])
 
 print("Why low-resolution ADCs matter: energy quadruples per effective bit")
 print("above the knee, and area grows ~2.15x per bit above 6:")

@@ -38,7 +38,6 @@ from .datasets import (
 from .training import EvalReport, TrainConfig, TrainingDiverged, evaluate, train
 from .tasks import build_network, build_task
 from .hwcost import (
-    CostReport,
     HwParams,
     InfeasibleHardware,
     adc_energy_per_sample,
@@ -67,8 +66,8 @@ __all__ = [
     "load_word_corpus", "split_dataset", "synth_har",
     "EvalReport", "TrainConfig", "TrainingDiverged", "evaluate", "train",
     "build_network", "build_task",
-    "CostReport", "HwParams", "InfeasibleHardware", "adc_energy_per_sample",
-    "area", "cost_report", "efficiencies", "enob", "johnson_noise", "power",
+    "HwParams", "InfeasibleHardware", "adc_energy_per_sample", "area",
+    "cost_report", "efficiencies", "enob", "johnson_noise", "power",
     "quantization_noise_v", "render_comparison_tables", "shot_noise", "throughput",
     "ExperimentConfig", "load_config", "run",
 ]

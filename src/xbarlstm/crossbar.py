@@ -29,6 +29,7 @@ to a scalar summation loop; batched training uses BLAS matmuls instead
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,9 +299,11 @@ def _dump_values(lineno: int, line: str, layout: str, parse) -> list:
 
 
 def load_array(path) -> ProgrammedArray:
-    """Read a dump written by `save_array`.  A malformed header line, a row
-    with the wrong number of codes, a missing row or a line after the
-    declared rows raises ValueError naming the line."""
+    """Read a dump written by `save_array`.  A malformed header line, a
+    conductance window that is not finite with 0 <= g_min < g_max, a row
+    with the wrong number of codes or a code off the weight grid, a
+    missing row or a line after the declared rows raises ValueError naming
+    the line."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _MAGIC:
@@ -312,6 +315,8 @@ def load_array(path) -> ProgrammedArray:
     (bits,) = _dump_values(3, header[1], "weight_bits _", int)
     spec = QuantSpec(bits, *_dump_values(4, header[2], "weight_range _ _", float.fromhex))
     g_min, g_max = _dump_values(5, header[3], "conductance _ _", float.fromhex)
+    if not 0 <= g_min < g_max < math.inf:
+        raise ValueError(f"line 5: need finite 0 <= g_min < g_max, got {header[3]!r}")
     body = lines[5:]
     if len(body) > rows:
         raise ValueError(f"line {6 + rows}: unexpected line after the {rows} declared rows")
@@ -321,7 +326,10 @@ def load_array(path) -> ProgrammedArray:
         if len(line) != cols:
             raise ValueError(f"line {6 + r}: row {r} has {len(line)} codes, expected {cols}")
         try:
-            codes[r] = [int(c) for c in line]
+            row = [int(c) for c in line]
         except ValueError:
             raise ValueError(f"line {6 + r}: malformed code in row {r}") from None
+        if min(row) < 0 or max(row) >= spec.levels:
+            raise ValueError(f"line {6 + r}: row {r} has a code outside [0, {spec.levels})")
+        codes[r] = row
     return ProgrammedArray._from_codes(codes, spec, g_min, g_max)

@@ -537,7 +537,7 @@ def _cost(hw: HwParams) -> tuple[dict, dict[str, str]]:
     besides the manifest and report, every figure finite.  Raises
     InfeasibleHardware, or ConfigError when a figure overflows."""
     try:
-        report = cost_report(hw).as_dict()
+        report = cost_report(hw)
     except OverflowError as exc:  # e.g. 2.0 ** (2 * enob) for a huge adc_bits
         raise ConfigError(f"hw params overflow the cost model: {exc}") from exc
     rows = []

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 __all__ = [
     "HwParams",
-    "CostReport",
     "InfeasibleHardware",
     "throughput",
     "adc_energy_per_sample",
@@ -151,8 +150,9 @@ def area(p: HwParams) -> dict[str, float]:
 
 def efficiencies(p: HwParams) -> tuple[float, float]:
     """(GOP/s/W, GOP/s/mm^2) using overall throughput and the totals."""
-    _, overall = throughput(p)
-    return overall / power(p)["total"], overall / (area(p)["total"] / MM2)
+    report = cost_report(p)
+    return (report["computing_efficiency_gops_per_w"],
+            report["area_efficiency_gops_per_mm2"])
 
 
 # --- noise-magnitude helpers -------------------------------------------------
@@ -192,44 +192,22 @@ def shot_noise(i_amp: float, bandwidth_hz: float) -> float:
 
 # --- report ------------------------------------------------------------------
 
-@dataclass
-class CostReport:
-    vmm_throughput_gops: float
-    overall_throughput_gops: float
-    power_w: dict[str, float]
-    area_m2: dict[str, float]
-    computing_efficiency_gops_per_w: float
-    area_efficiency_gops_per_mm2: float
-    params: HwParams = field(repr=False, default=None)
-
-    def as_dict(self) -> dict:
-        d = {
-            "vmm_throughput_gops": self.vmm_throughput_gops,
-            "overall_throughput_gops": self.overall_throughput_gops,
-            "power_w": dict(self.power_w),
-            "area_mm2": {k: v / MM2 for k, v in self.area_m2.items()},
-            "computing_efficiency_gops_per_w": self.computing_efficiency_gops_per_w,
-            "area_efficiency_gops_per_mm2": self.area_efficiency_gops_per_mm2,
-        }
-        if self.params is not None:
-            d["params"] = asdict(self.params)
-        return d
-
-
-def cost_report(p: HwParams = HwParams()) -> CostReport:
+def cost_report(p: HwParams = HwParams()) -> dict:
+    """The cost report `cost` writes as report.json: throughputs in GOP/s,
+    the power breakdown in W, the area breakdown in mm^2, the two
+    efficiencies and the params."""
     vmm, overall = throughput(p)
     pw = power(p)
-    ar = area(p)
-    ce, ae = efficiencies(p)
-    return CostReport(
-        vmm_throughput_gops=vmm,
-        overall_throughput_gops=overall,
-        power_w=pw,
-        area_m2=ar,
-        computing_efficiency_gops_per_w=ce,
-        area_efficiency_gops_per_mm2=ae,
-        params=p,
-    )
+    ar = {k: v / MM2 for k, v in area(p).items()}
+    return {
+        "vmm_throughput_gops": vmm,
+        "overall_throughput_gops": overall,
+        "power_w": pw,
+        "area_mm2": ar,
+        "computing_efficiency_gops_per_w": overall / pw["total"],
+        "area_efficiency_gops_per_mm2": overall / ar["total"],
+        "params": asdict(p),
+    }
 
 
 # Published figures for competing platforms, kept as reference constants for
@@ -276,15 +254,14 @@ def render_comparison_tables(p: HwParams = HwParams(), fmt: str = "text") -> str
     """Render the digital and NVM comparison tables ('text' or 'csv'),
     appending a 'this work' row computed from `p`."""
     rep = cost_report(p)
-    this_digital = {
-        "name": "This work", "technology": "NVM", "precision_bits": p.adc_bits,
-        "throughput_gops": rep.overall_throughput_gops, "power_w": rep.power_w["total"],
-        "computing_efficiency": rep.computing_efficiency_gops_per_w,
-        "area_mm2": rep.area_m2["total"] / MM2,
-        "area_efficiency": rep.area_efficiency_gops_per_mm2, "source": "this estimator",
+    this_work = {
+        "name": "This work", "technology": "NVM", "array_size": f"{p.rows}x{p.cols}",
+        "precision_bits": p.adc_bits, "throughput_gops": rep["overall_throughput_gops"],
+        "power_w": rep["power_w"]["total"],
+        "computing_efficiency": rep["computing_efficiency_gops_per_w"],
+        "area_mm2": rep["area_mm2"]["total"],
+        "area_efficiency": rep["area_efficiency_gops_per_mm2"], "source": "this estimator",
     }
-    this_nvm = dict(this_digital)
-    this_nvm["array_size"] = f"{p.rows}x{p.cols}"
 
     digital_cols = ["name", "technology", "precision_bits", "throughput_gops", "power_w",
                     "computing_efficiency", "area_mm2", "area_efficiency", "source"]
@@ -292,9 +269,9 @@ def render_comparison_tables(p: HwParams = HwParams(), fmt: str = "text") -> str
                 "computing_efficiency", "area_mm2", "area_efficiency", "source"]
     tables = [
         ("Comparison with mainstream digital approaches",
-         digital_cols, COMPARISON_ROWS["digital"] + [this_digital]),
+         digital_cols, COMPARISON_ROWS["digital"] + [this_work]),
         ("Comparison with other NVM-based approaches",
-         nvm_cols, COMPARISON_ROWS["nvm"] + [this_nvm]),
+         nvm_cols, COMPARISON_ROWS["nvm"] + [this_work]),
     ]
 
     lines = []

@@ -125,17 +125,19 @@ class RangeCollector:
     then `freeze_adc_ranges(collector.ranges())`.  It counts each gate's
     float32 |pre-activations|, a whole step while fewer than
     MAX_CALIB_SAMPLES per gate are counted (every gate sees the same
-    samples, so one count serves all four), and holds each gate's tail."""
+    samples, so one count serves all four), and holds each gate's tail.
+    A step's (B, 4n) pre-activation gives the gate width n."""
 
-    def __init__(self, percentile: float, hidden_size: int):
+    def __init__(self, percentile: float):
         if not 0 <= percentile <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {percentile!r}")
-        self.hidden_size = hidden_size
         self.tails = [_TopTail(percentile) for _ in range(4)]
         self.count = 0  # samples counted per gate block
 
     def __call__(self, a: np.ndarray):
-        n = self.hidden_size
+        if a.shape[1] % 4:
+            raise ValueError(f"a pre-activation of width {a.shape[1]} has no four gate blocks")
+        n = a.shape[1] // 4
         if a.shape[0] * n > MAX_CALIB_SAMPLES + 1:
             raise ValueError(f"a calibration step of {a.shape[0] * n} samples per gate "
                              f"exceeds MAX_CALIB_SAMPLES + 1")
@@ -164,6 +166,13 @@ class LSTMNetwork:
                     f"crossbar {crossbar.rows}x{crossbar.cols} does not fit an "
                     f"m={input_size}, n={hidden_size} cell "
                     f"({input_size + hidden_size}x{4 * hidden_size} needed)")
+            # the largest |pre-activation| a read can sum must fit the float32
+            # magnitudes calibration holds (e.g. 72 rows at weights 1e38 do not)
+            w_abs, u_abs = (max(abs(s.v_min), abs(s.v_max))
+                            for s in (crossbar.weight_spec, crossbar.dac_spec))
+            if not crossbar.rows * w_abs * u_abs <= float(np.finfo(np.float32).max):
+                raise ValueError(f"a read of {crossbar.rows} rows at weights up to {w_abs!r} "
+                                 f"and inputs up to {u_abs!r} overflows float32")
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.output_size = output_size

@@ -418,7 +418,7 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
     valid_curve: list[tuple[int, float]] = []
     global_step = 0
     for epoch in range(1, cfg.epochs + 1):
-        collector = (RangeCollector(cfg.adc_range_percentile, model.hidden_size)
+        collector = (RangeCollector(cfg.adc_range_percentile)
                      if quantized_model and not model.calibrated else None)
         mode = ("calibrate" if collector is not None
                 else "quantized" if quantized_model else "fp")

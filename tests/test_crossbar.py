@@ -1,6 +1,8 @@
 """Crossbar behavioral model: programming map, Ohm's-law VMM against a
 scalar-loop oracle, noise statistics, and the quantized LSTM step."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -331,10 +333,28 @@ class TestDumpFormat:
     ], ids=["extra-row", "rows-without-cols", "negative-rows", "short-weight-range", "missing-row",
             "long-row", "non-integer-code"])
     def test_malformed_dump_rejected(self, tmp_path, edit, line):
+        self._check_edit(tmp_path, line, edit)
+
+    @pytest.mark.parametrize("window", [(2e-6, 2e-6), (5e-5, 1e-6), (-1e-6, 5e-5),
+                                        (1e-6, math.inf), (math.nan, 5e-5)],
+                             ids=["equal", "inverted", "negative", "infinite", "nan"])
+    def test_conductance_window_checked(self, tmp_path, window):
+        # the window CrossbarConfig would reject: an equal one divided by
+        # zero and an inverted one loaded
+        self._check_edit(tmp_path, 5, lambda lines: lines[:4] + [
+            "conductance " + " ".join(float(g).hex() for g in window)] + lines[5:])
+
+    @pytest.mark.parametrize("code", ["-1", "8", str(10**30)])
+    def test_code_off_the_grid_checked(self, tmp_path, code):
+        # a 3-bit grid has codes 0..7
+        self._check_edit(tmp_path, 7, lambda lines: lines[:6] + [
+            lines[6].rsplit(" ", 1)[0] + " " + code] + lines[7:])
+
+    def _check_edit(self, tmp_path, line, edit):
+        """A 3x4 3-bit dump edited by `edit` fails naming `line`."""
         cfg = make_cfg(3, 4, w_bits=3)
-        arr = program(np.random.default_rng(62).normal(size=(3, 4)), cfg)
         path = tmp_path / "array.txt"
-        save_array(arr, path)
+        save_array(program(np.random.default_rng(62).normal(size=(3, 4)), cfg), path)
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(ValueError, match=f"^line {line}: "):
             load_array(path)

@@ -22,7 +22,7 @@ from xbarlstm.experiment import (
     load_config,
     run,
 )
-from xbarlstm.hwcost import MM2, HwParams
+from xbarlstm.hwcost import MM2, HwParams, cost_report
 from xbarlstm.training import EvalReport, TrainConfig, TrainingDiverged
 
 FAST_TRAIN = """
@@ -401,6 +401,9 @@ class TestTrainProperty:
         # the initial draw overflows to +-inf, quantized and not
         @hypothesis.example(bits="4 4 4", values={"init_scale": 1e308})
         @hypothesis.example(bits=None, values={"init_scale": 1e308})
+        # a calibration read overflows to inf, in float64 and in float32
+        @hypothesis.example(bits="4 4 4", values={"weight_range": 1e307})
+        @hypothesis.example(bits="4 4 4", values={"weight_range": 1e38})
         @hypothesis.example(bits=None, values={"learning_rate": 1e300, "grad_clip": 0})
         @hypothesis.example(bits=None, values={})
         def check(bits, values):
@@ -783,6 +786,16 @@ class TestArtifacts:
         assert (tmp_path / "out" / "comparison.txt").exists()
         assert (tmp_path / "out" / "metrics.csv").exists()
         assert (tmp_path / "out" / "manifest.json").exists()
+
+    def test_report_json_is_the_cost_report(self, tmp_path):
+        # off the defaults: ADC energy above its knee, ADC area above 6 bits
+        p = write(tmp_path, "[experiment]\ncommand = cost\n[hw]\nrows = 128\ncols = 256\n"
+                            "num_adcs = 16\nadc_bits = 12\nparallel_arrays = 2\n")
+        assert run(p, out_dir=tmp_path / "out") == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        want = cost_report(HwParams(rows=128, cols=256, num_adcs=16, adc_bits=12,
+                                    parallel_arrays=2))
+        assert report == want and list(report) == list(want)
 
     def test_train_writes_epoch_curves(self, tmp_path):
         p = write(tmp_path, FAST_TRAIN)

@@ -178,8 +178,7 @@ class TestNoiseFormulas:
 
 class TestReport:
     def test_totals_are_sums_and_ratios(self):
-        rep = cost_report(HwParams())
-        d = rep.as_dict()
+        d = cost_report(HwParams())
         assert d["computing_efficiency_gops_per_w"] == pytest.approx(
             d["overall_throughput_gops"] / d["power_w"]["total"]
         )

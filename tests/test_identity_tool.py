@@ -28,6 +28,14 @@ def test_compare_reports_each_file(tmp_path):
         ("missing", "cost/comparison.txt"), ("missing", "y/metrics.csv")]
 
 
+def test_every_cost_config_compares_its_tables():
+    files = identity.expected_files()
+    for name, (command, _) in identity.CONFIGS.items():
+        assert {f"{name}/metrics.csv", f"{name}/report.json"} <= set(files)
+        assert (f"{name}/comparison.csv" in files) == (command == "cost")
+    assert len(files) == len(set(files))
+
+
 def test_main_rejects_wrong_arguments(capsys):
     assert identity.main(["HEAD"]) == 2
     assert "usage" in capsys.readouterr().err

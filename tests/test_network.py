@@ -212,7 +212,7 @@ class TestCalibration:
         x = np.random.default_rng(3).uniform(-1, 1, size=(5, 8, m))
         for p in (0, 50, 99, 99.9, 100):
             net = LSTMNetwork(m, n, 2, seed=29, crossbar=cfg)
-            collector = RangeCollector(p, n)
+            collector = RangeCollector(p)
             _, _, cache = net.forward_sequence(x, mode="calibrate", on_preact=collector)
             assert collector.count == 64
             assert all((tail.floor > 0) == (p >= 99) for tail in collector.tails)
@@ -231,7 +231,7 @@ class TestCalibration:
         cfg = CrossbarConfig.for_lstm(m, n, weight_bits=6, adc_bits=6, dac_bits=6)
         net = LSTMNetwork(m, n, 2, seed=29, crossbar=cfg)
         rng = np.random.default_rng(31)
-        collector = RangeCollector(99.9, n)
+        collector = RangeCollector(99.9)
         bound = network.PRUNE_FACTOR * collector.tails[0].keep
         blocks = [[], [], [], []]
         for _ in range(8):
@@ -255,17 +255,20 @@ class TestCalibration:
         net = LSTMNetwork(3, 4, 2, seed=29, crossbar=cfg)
         for p in (-1, 100.5, math.nan):
             with pytest.raises(ValueError):
-                RangeCollector(p, 4)
+                RangeCollector(p)
         # one step of more than cap + 1 samples per gate would break the
         # count bound the tail's size rests on
         monkeypatch.setattr(network, "MAX_CALIB_SAMPLES", 30)
         with pytest.raises(ValueError):
             net.forward_sequence(np.zeros((1, 8, 3)), mode="calibrate",
-                                 on_preact=RangeCollector(99.9, 4))
+                                 on_preact=RangeCollector(99.9))
+        # the gate width is a quarter of the step's width
+        with pytest.raises(ValueError, match="width 6"):
+            RangeCollector(99.9)(np.zeros((2, 6)))
 
     def test_freeze_without_samples_errors(self):
         with pytest.raises(RuntimeError):
-            RangeCollector(99.9, 3).ranges()
+            RangeCollector(99.9).ranges()
 
     def test_collector_sees_every_mode(self):
         # the sink is the caller's: any forward hands it to run_cell, and a
@@ -327,6 +330,18 @@ class TestDeterminism:
         # normal(0, 1e308) overflows to +-inf
         with pytest.raises(ValueError, match="init_scale"):
             LSTMNetwork(3, 2, 2, seed=1, init_scale=1e308)
+
+    @pytest.mark.parametrize("w_max, fits", [(6e37, True), (7e37, False), (1e307, False)])
+    def test_reads_past_float32_rejected(self, w_max, fits):
+        # a read sums 5 rows of +-w_max; calibration holds its magnitudes
+        # in float32, whose largest value is about 3.4e38
+        cfg = CrossbarConfig.for_lstm(3, 2, weight_bits=4, adc_bits=4, dac_bits=4,
+                                      w_max=w_max)
+        if fits:
+            LSTMNetwork(3, 2, 2, seed=1, crossbar=cfg)
+        else:
+            with pytest.raises(ValueError, match="5 rows"):
+                LSTMNetwork(3, 2, 2, seed=1, crossbar=cfg)
 
     def test_same_seed_same_init(self):
         a = LSTMNetwork(4, 4, 3, seed=42)
