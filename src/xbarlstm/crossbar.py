@@ -91,8 +91,8 @@ class CrossbarConfig:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("array must have at least one row and column")
-        if not 0 <= self.g_min <= self.g_max:
-            raise ValueError("need 0 <= g_min <= g_max")
+        if not 0 <= self.g_min <= self.g_max < math.inf:
+            raise ValueError("need finite 0 <= g_min <= g_max")
         if self.g_min == self.g_max:
             raise ValueError("conductance window is empty (g_min == g_max)")
         if self.v_read <= 0:

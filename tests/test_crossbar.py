@@ -339,8 +339,6 @@ class TestDumpFormat:
                                         (1e-6, math.inf), (math.nan, 5e-5)],
                              ids=["equal", "inverted", "negative", "infinite", "nan"])
     def test_conductance_window_checked(self, tmp_path, window):
-        # the window CrossbarConfig would reject: an equal one divided by
-        # zero and an inverted one loaded
         self._check_edit(tmp_path, 5, lambda lines: lines[:4] + [
             "conductance " + " ".join(float(g).hex() for g in window)] + lines[5:])
 
@@ -362,12 +360,13 @@ class TestDumpFormat:
 
 class TestConfigValidation:
     def test_conductance_window(self):
-        with pytest.raises(ValueError):
-            CrossbarConfig(rows=2, cols=2,
-                           weight_spec=QuantSpec.symmetric(4, 1.0),
-                           dac_spec=QuantSpec.symmetric(4, 1.0),
-                           adc_spec=QuantSpec.symmetric(4, 1.0),
-                           g_min=2e-6, g_max=1e-6)
+        for g_min, g_max in [(2e-6, 1e-6), (1e-6, math.inf)]:
+            with pytest.raises(ValueError):
+                CrossbarConfig(rows=2, cols=2,
+                               weight_spec=QuantSpec.symmetric(4, 1.0),
+                               dac_spec=QuantSpec.symmetric(4, 1.0),
+                               adc_spec=QuantSpec.symmetric(4, 1.0),
+                               g_min=g_min, g_max=g_max)
 
     def test_dac_within_drive_range(self):
         with pytest.raises(ValueError):
