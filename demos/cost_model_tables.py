@@ -36,4 +36,4 @@ for bits in (4, 9, 10, 12):
           % (bits, adc_energy_per_sample(bits) * 1e12, adc_unit_area(bits) / MM2))
 print()
 
-print(render_comparison_tables(p))
+print(render_comparison_tables(rep))

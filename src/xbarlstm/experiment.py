@@ -28,6 +28,8 @@ cost figure), 3 training divergence, 4 infeasible hardware parameters.
 from __future__ import annotations
 
 import configparser
+import csv
+import io
 import json
 import math
 import sys
@@ -83,6 +85,9 @@ class SweepConfig:
         for state in self.adc_noise_grid:
             if state not in ("on", "off"):
                 raise ValueError(f"adc_noise_grid entries must be on/off, got {state!r}")
+        for name, values in asdict(self).items():  # a repeat would train identical cells
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} lists a value twice: {', '.join(map(str, values))}")
 
 
 # What each command reads besides [experiment] command, out and seed, by
@@ -372,25 +377,25 @@ def load_config(path, out_dir=None, seed=None, threads=None,
     sections = (_sections_from_json(text, path) if text.lstrip().startswith("{")
                 else _sections_from_ini(text, path))
     exp = dict(sections.get("experiment", {}))
+    nulls = [key for key, value in exp.items() if value is None]  # JSON null
+    if nulls:
+        raise ConfigError(f"[experiment] {', '.join(nulls)}: expected a value, got null")
     file_command = exp.pop("command", None)
     command = command if command is not None else file_command
     if command is None:
         raise ConfigError(f"{path}: missing command in [experiment]")
     task = exp.pop("task", "char_lm")
-    file_out = exp.pop("out", None)
-    file_seed = exp.pop("seed", None)
+    file_out = exp.pop("out", ExperimentConfig.out_dir)
+    file_seed = exp.pop("seed", ExperimentConfig.seed)
     file_threads = exp.pop("threads", None)
     if exp:
         raise ConfigError(f"unknown [experiment] keys: {sorted(exp)}")
     _check_threads(threads if threads is not None else file_threads)
 
-    root_seed = seed if seed is not None else (
-        _coerce(file_seed, int, "seed") if file_seed is not None else 1)
     return ExperimentConfig(
         command=str(command), task=str(task),
-        out_dir=str(out_dir if out_dir is not None else (
-            file_out if file_out is not None else "runs/out")),
-        seed=root_seed,
+        out_dir=str(out_dir if out_dir is not None else file_out),
+        seed=seed if seed is not None else _coerce(file_seed, int, "seed"),
         train_overrides=_build_train_overrides(sections.get("train", {}),
                                                sections.get("noise", {})),
         hw=_build(HwParams, sections.get("hw", {}), "hw", _HW_ALIASES),
@@ -526,10 +531,9 @@ def _write_manifest(cfg: ExperimentConfig, out: Path):
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
 
 
 def _cost(hw: HwParams) -> tuple[dict, dict[str, str]]:
@@ -554,8 +558,8 @@ def _cost(hw: HwParams) -> tuple[dict, dict[str, str]]:
         raise ConfigError(f"hw params overflow the cost model: {', '.join(infinite)} "
                           "not finite")
     return report, {"metrics.csv": _csv(["name", "value"], rows),
-                    "comparison.txt": render_comparison_tables(hw),
-                    "comparison.csv": render_comparison_tables(hw, fmt="csv")}
+                    "comparison.txt": render_comparison_tables(report),
+                    "comparison.csv": render_comparison_tables(report, fmt="csv")}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

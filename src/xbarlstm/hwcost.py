@@ -19,6 +19,8 @@ Conventions that matter when reading the numbers:
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import sys
 from dataclasses import dataclass, asdict
@@ -250,42 +252,33 @@ def _fmt(x):
     return f"{x:,.0f}"
 
 
-def render_comparison_tables(p: HwParams = HwParams(), fmt: str = "text") -> str:
-    """Render the digital and NVM comparison tables ('text' or 'csv'),
-    appending a 'this work' row computed from `p`."""
-    rep = cost_report(p)
+def render_comparison_tables(report: dict, fmt: str = "text") -> str:
+    """Render the digital and NVM comparison tables ('text' or 'csv') of
+    the reference rows and a 'this work' row read from `report`, the dict
+    `cost_report` returns."""
+    p = report["params"]
     this_work = {
-        "name": "This work", "technology": "NVM", "array_size": f"{p.rows}x{p.cols}",
-        "precision_bits": p.adc_bits, "throughput_gops": rep["overall_throughput_gops"],
-        "power_w": rep["power_w"]["total"],
-        "computing_efficiency": rep["computing_efficiency_gops_per_w"],
-        "area_mm2": rep["area_mm2"]["total"],
-        "area_efficiency": rep["area_efficiency_gops_per_mm2"], "source": "this estimator",
+        "name": "This work", "technology": "NVM", "array_size": f"{p['rows']}x{p['cols']}",
+        "precision_bits": p["adc_bits"], "throughput_gops": report["overall_throughput_gops"],
+        "power_w": report["power_w"]["total"],
+        "computing_efficiency": report["computing_efficiency_gops_per_w"],
+        "area_mm2": report["area_mm2"]["total"],
+        "area_efficiency": report["area_efficiency_gops_per_mm2"], "source": "this estimator",
     }
-
-    digital_cols = ["name", "technology", "precision_bits", "throughput_gops", "power_w",
-                    "computing_efficiency", "area_mm2", "area_efficiency", "source"]
-    nvm_cols = ["name", "array_size", "precision_bits", "throughput_gops", "power_w",
+    tables = {"digital": ("Comparison with mainstream digital approaches", "technology"),
+              "nvm": ("Comparison with other NVM-based approaches", "array_size")}
+    out = io.StringIO()
+    for kind, (title, second) in tables.items():
+        cols = ["name", second, "precision_bits", "throughput_gops", "power_w",
                 "computing_efficiency", "area_mm2", "area_efficiency", "source"]
-    tables = [
-        ("Comparison with mainstream digital approaches",
-         digital_cols, COMPARISON_ROWS["digital"] + [this_work]),
-        ("Comparison with other NVM-based approaches",
-         nvm_cols, COMPARISON_ROWS["nvm"] + [this_work]),
-    ]
-
-    lines = []
-    for title, cols, rows in tables:
+        rows = [[r[c] for c in cols] for r in COMPARISON_ROWS[kind] + [this_work]]
         if fmt == "csv":
-            lines.append("# " + title)
-            lines.append(",".join(cols))
-            for r in rows:
-                lines.append(",".join(str(r.get(c, "")) if r.get(c) is not None else "N/A" for c in cols))
+            csv.writer(out, lineterminator="\n").writerows(
+                [["# " + title], cols] + [["N/A" if v is None else v for v in r] for r in rows])
         else:
-            lines.append(title)
-            widths = {c: max(len(c), *(len(_fmt(r.get(c))) for r in rows)) for c in cols}
-            lines.append("  ".join(c.ljust(widths[c]) for c in cols))
-            for r in rows:
-                lines.append("  ".join(_fmt(r.get(c)).ljust(widths[c]) for c in cols))
-        lines.append("")
-    return "\n".join(lines)
+            cells = [cols] + [[_fmt(v) for v in r] for r in rows]
+            widths = [max(map(len, column)) for column in zip(*cells)]
+            out.write(title + "\n")
+            out.writelines("  ".join(map(str.ljust, r, widths)) + "\n" for r in cells)
+        out.write("\n")
+    return out.getvalue()[:-1]  # a blank line between the tables, none after the last

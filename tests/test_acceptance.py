@@ -6,7 +6,8 @@ exactly run to run, and a cell two tests share is trained once per
 session (see trained_cells).  A summary line per criterion is printed at
 the end of the session (see conftest), with each value a trend criterion
 compares, its bound and the margin between them, as the test passed
-them to `record_bound` (see conftest).
+them to `record_bound`, and the per-seed metrics of each cell whose mean
+it took from `trained_mean` (see conftest).
 """
 
 import numpy as np
@@ -34,7 +35,6 @@ from xbarlstm.lstm import LSTMParams, LSTMState, forward_sequence, lstm_backward
 from xbarlstm.quantizer import QuantSpec, quantize, to_code
 from xbarlstm.experiment import _train_cell, run as run_config_file
 
-from trained_cells import mean_metric
 
 # -- 1 ---------------------------------------------------------------------------
 
@@ -197,13 +197,13 @@ def test_criterion5_quantizer_property_suite():
 
 # -- 6 ---------------------------------------------------------------------------
 
-def test_criterion6_char_corpus_bitwidth_trend(record_bound):
+def test_criterion6_char_corpus_bitwidth_trend(record_bound, trained_mean):
     """Bundled char corpus, 3-seed mean perplexity ratios against the FP
     baseline: 4b/4b <= 1.05, 2b/2b <= 1.10, 1b/1b >= 1.20."""
-    fp = mean_metric("char_lm", None)
-    r444 = mean_metric("char_lm", (4, 4, 4)) / fp
-    r222 = mean_metric("char_lm", (2, 2, 2)) / fp
-    r111 = mean_metric("char_lm", (1, 1, 1)) / fp
+    fp = trained_mean("char_lm", None)
+    r444 = trained_mean("char_lm", (4, 4, 4)) / fp
+    r222 = trained_mean("char_lm", (2, 2, 2)) / fp
+    r111 = trained_mean("char_lm", (1, 1, 1)) / fp
     record_bound("4b/4b ratio", r444, "<=", 1.05)
     record_bound("2b/2b ratio", r222, "<=", 1.10)
     record_bound("1b/1b ratio", r111, ">=", 1.20)
@@ -214,14 +214,14 @@ def test_criterion6_char_corpus_bitwidth_trend(record_bound):
 
 # -- 7 ---------------------------------------------------------------------------
 
-def test_criterion7_bit_asymmetry_trend(record_bound):
+def test_criterion7_bit_asymmetry_trend(record_bound, trained_mean):
     """Word task, 3-seed means: 4-bit weights with 2-bit converters beat
     2-bit weights with 4-bit converters, and 1-bit weights with 2-bit
     converters are worse than 2-bit weights with 1-bit converters."""
-    p422 = mean_metric("word_lm", (4, 2, 2))
-    p244 = mean_metric("word_lm", (2, 4, 4))
-    p122 = mean_metric("word_lm", (1, 2, 2))
-    p211 = mean_metric("word_lm", (2, 1, 1))
+    p422 = trained_mean("word_lm", (4, 2, 2))
+    p244 = trained_mean("word_lm", (2, 4, 4))
+    p122 = trained_mean("word_lm", (1, 2, 2))
+    p211 = trained_mean("word_lm", (2, 1, 1))
     record_bound("422 vs 244 perplexity", p422, "<", p244)
     record_bound("122 vs 211 perplexity", p122, ">", p211)
     assert p422 < p244, f"422={p422:.2f} vs 244={p244:.2f}"
@@ -230,13 +230,13 @@ def test_criterion7_bit_asymmetry_trend(record_bound):
 
 # -- 8 ---------------------------------------------------------------------------
 
-def test_criterion8_noise_robustness(record_bound):
+def test_criterion8_noise_robustness(record_bound, trained_mean):
     """Char corpus at 4b/4b: ADC quantization noise and beta = 0.2 weight
     noise each move the 3-seed mean metric by <= 5%; beta = 0 is
     bit-identical to the noiseless path."""
-    clean = mean_metric("char_lm", (4, 4, 4))
-    b02 = mean_metric("char_lm", (4, 4, 4), NoiseConfig(weight_noise_beta=0.2))
-    adc = mean_metric("char_lm", (4, 4, 4), NoiseConfig(adc_noise_enabled=True))
+    clean = trained_mean("char_lm", (4, 4, 4))
+    b02 = trained_mean("char_lm", (4, 4, 4), NoiseConfig(weight_noise_beta=0.2))
+    adc = trained_mean("char_lm", (4, 4, 4), NoiseConfig(adc_noise_enabled=True))
     record_bound("beta=0.2 |delta| %", 100 * abs(b02 / clean - 1), "<=", 5.0)
     record_bound("adc noise |delta| %", 100 * abs(adc / clean - 1), "<=", 5.0)
     assert abs(b02 / clean - 1) <= 0.05, f"beta=0.2 delta {100*abs(b02/clean-1):.2f}%"
@@ -277,11 +277,11 @@ hidden_size = 16
 
 # -- 10 --------------------------------------------------------------------------
 
-def test_criterion10_synthetic_har(record_bound):
+def test_criterion10_synthetic_har(record_bound, trained_mean):
     """FP baseline reaches >= 95% validation accuracy; the 4b/4b model sits
     within 2 accuracy points of it on 3-seed means."""
-    fp = mean_metric("har", None)
-    q4 = mean_metric("har", (4, 4, 4))
+    fp = trained_mean("har", None)
+    q4 = trained_mean("har", (4, 4, 4))
     record_bound("fp accuracy", fp, ">=", 0.95)
     record_bound("4b/4b gap points", abs(fp - q4) * 100, "<=", 2.0)
     assert fp >= 0.95, f"FP accuracy {fp:.3f}"

@@ -1,7 +1,9 @@
 """Experiment harness: config parsing, exit codes, output artifacts,
 manifest closure and byte-identical reproduction."""
 
+import csv
 import dataclasses
+import io
 import json
 import re
 from pathlib import Path
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import xbarlstm.experiment as exp
+import xbarlstm.hwcost as hwcost
 from xbarlstm.cli import main as cli_main
 from xbarlstm.crossbar import NoiseConfig
 from xbarlstm.experiment import (
@@ -555,6 +558,19 @@ epochs = 1
          "adc_range_percentile = 50\n[sweep]\nweight_bits = 2\nadc_bits = 2\n", "sweep", "dir"),
         ("[experiment]\ncommand = noise-sweep\ntask = word_lm\n[sweep]\nbetas = 0\n"
          "adc_bits = 1, 2\n", "noise-sweep", "dir"),
+        ("[experiment]\ncommand = sweep\ntask = har\n[sweep]\nweight_bits = 2, 2\n"
+         "adc_bits = 2\n", "sweep", "dir"),
+        ("[experiment]\ncommand = sweep\ntask = har\n[sweep]\nweight_bits = 2\n"
+         "adc_bits = 2\nseeds = 1, 1\n", "sweep", "dir"),
+        ("[experiment]\ncommand = noise-sweep\ntask = har\n[sweep]\nbetas = 0.1, 0.1\n",
+         "noise-sweep", "dir"),
+        ("[experiment]\ncommand = noise-sweep\ntask = har\n[sweep]\nbetas =\n"
+         "adc_noise_grid = on\nadc_bits = 1, 2, 1\n", "noise-sweep", "dir"),
+        ("[experiment]\ncommand = noise-sweep\ntask = har\n[sweep]\nbetas =\n"
+         "adc_noise_grid = on, on\n", "noise-sweep", "dir"),
+        (json.dumps({"experiment": {"command": "cost", "out": None}}), "cost", None),
+        (json.dumps({"experiment": {"command": "cost", "seed": None}}), "cost", "dir"),
+        (json.dumps({"experiment": {"command": "cost", "threads": None}}), "cost", "dir"),
     ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero",
             "ini-out-empty", "json-out-empty", "cost-config-out-flag-empty",
             "cost-out-flag-empty", "json-seed-overflows", "sweep-weight-bits-zero",
@@ -576,7 +592,10 @@ epochs = 1
             "json-section-not-an-object", "fp-weight-range", "fp-adc-range-percentile",
             "fp-adc-range-override", "fp-weight-noise", "fp-adc-noise", "json-fp-inline-noise",
             "adc-range-override-and-percentile", "sweep-adc-range-override-and-percentile",
-            "noise-sweep-adc-bits-without-grid"])
+            "noise-sweep-adc-bits-without-grid", "sweep-repeated-bits", "sweep-repeated-seed",
+            "noise-sweep-repeated-beta", "noise-sweep-repeated-adc-bits",
+            "noise-sweep-repeated-adc-noise-state", "json-null-out", "json-null-seed",
+            "json-null-threads"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, config, command, out):
         # anything written to a relative path lands in tmp_path
         monkeypatch.chdir(tmp_path)
@@ -796,6 +815,41 @@ class TestArtifacts:
         want = cost_report(HwParams(rows=128, cols=256, num_adcs=16, adc_bits=12,
                                     parallel_arrays=2))
         assert report == want and list(report) == list(want)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ""),
+        ("sweep", "[sweep]\nweight_bits = 2\nadc_bits = 2, 4\n"),
+        ("noise-sweep", "[sweep]\nbetas = 0, 0.1\nadc_noise_grid = on\nadc_bits = 2\n"),
+        ("cost", ""),
+        ("cost", "[hw]\nrows = 128\ncols = 256\nnum_adcs = 16\nadc_bits = 12\n"
+                 "parallel_arrays = 2\n"),
+    ], ids=["train", "sweep", "noise-sweep", "cost", "cost-off-default"])
+    def test_every_csv_row_is_as_wide_as_its_header(self, tmp_path, command, extra):
+        config = ("[experiment]\ncommand = cost\n" if command == "cost"
+                  else TINY_TRAIN.replace("command = train", f"command = {command}"))
+        assert run(write(tmp_path, config + extra), out_dir=tmp_path / "out") == EXIT_OK
+        tables = [list(csv.reader(io.StringIO((tmp_path / "out" / "metrics.csv").read_text())))]
+        if command == "cost":
+            # each table: a '# title' line, the header, the rows; a blank line between
+            blocks = (tmp_path / "out" / "comparison.csv").read_text().split("\n\n")
+            tables += [list(csv.reader(io.StringIO(block)))[1:] for block in blocks]
+            assert len(tables) == 3
+        for header, *rows in tables:
+            assert rows and all(len(row) == len(header) for row in rows), header
+
+    def test_cost_prices_the_array_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return cost_report(p)
+
+        # experiment holds its own reference to the function
+        monkeypatch.setattr(hwcost, "cost_report", counted)
+        monkeypatch.setattr(exp, "cost_report", counted)
+        assert run(write(tmp_path, "[experiment]\ncommand = cost\n"),
+                   out_dir=tmp_path / "out") == EXIT_OK
+        assert len(calls) == 1
 
     def test_train_writes_epoch_curves(self, tmp_path):
         p = write(tmp_path, FAST_TRAIN)

@@ -187,13 +187,13 @@ class TestReport:
         )
 
     def test_comparison_tables_include_reference_rows(self):
-        text = render_comparison_tables()
+        text = render_comparison_tables(cost_report(HwParams()))
         for row in COMPARISON_ROWS["digital"] + COMPARISON_ROWS["nvm"]:
             assert row["name"] in text
         assert "This work" in text
 
     def test_comparison_csv(self):
-        csv_text = render_comparison_tables(fmt="csv")
+        csv_text = render_comparison_tables(cost_report(HwParams()), fmt="csv")
         assert "name,technology" in csv_text
         assert "84,000" not in csv_text  # csv must not use thousands separators
 
