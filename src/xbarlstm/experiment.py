@@ -374,28 +374,34 @@ def load_config(path, out_dir=None, seed=None, threads=None,
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    sections = (_sections_from_json(text, path) if text.lstrip().startswith("{")
-                else _sections_from_ini(text, path))
+    as_json = text.lstrip().startswith("{")
+    sections = _sections_from_json(text, path) if as_json else _sections_from_ini(text, path)
     exp = dict(sections.get("experiment", {}))
-    nulls = [key for key, value in exp.items() if value is None]  # JSON null
-    if nulls:
-        raise ConfigError(f"[experiment] {', '.join(nulls)}: expected a value, got null")
+    # an [experiment] key that is given has no "unset" value: a JSON null,
+    # or an INI value that spells one (none, null or nothing), names no
+    # command, directory, seed or count (an absent key takes the default).
+    # A JSON string is taken as written.
+    unset = [key for key, value in exp.items()
+             if value is None or (not as_json and _is_unset(value))]
+    if unset:
+        raise ConfigError(f"[experiment] {', '.join(unset)}: expected a value, got none")
     file_command = exp.pop("command", None)
     command = command if command is not None else file_command
     if command is None:
         raise ConfigError(f"{path}: missing command in [experiment]")
     task = exp.pop("task", "char_lm")
     file_out = exp.pop("out", ExperimentConfig.out_dir)
-    file_seed = exp.pop("seed", ExperimentConfig.seed)
-    file_threads = exp.pop("threads", None)
+    # the file's values are checked whether or not an argument overrides them
+    file_seed = _coerce(exp.pop("seed", ExperimentConfig.seed), int, "seed")
+    _check_threads(exp.pop("threads", None))
     if exp:
         raise ConfigError(f"unknown [experiment] keys: {sorted(exp)}")
-    _check_threads(threads if threads is not None else file_threads)
+    _check_threads(threads)
 
     return ExperimentConfig(
         command=str(command), task=str(task),
         out_dir=str(out_dir if out_dir is not None else file_out),
-        seed=seed if seed is not None else _coerce(file_seed, int, "seed"),
+        seed=seed if seed is not None else file_seed,
         train_overrides=_build_train_overrides(sections.get("train", {}),
                                                sections.get("noise", {})),
         hw=_build(HwParams, sections.get("hw", {}), "hw", _HW_ALIASES),

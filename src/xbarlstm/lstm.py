@@ -36,23 +36,32 @@ step, whatever the gate count.  The ADC bank, a `FusedConverter` built
 once from the frozen ranges and the ADC bits, holds the four gate ADCs
 as per-column v_min, v_max, step and noise-sigma arrays plus one
 concatenated LUT table, and converts the whole (B, 4n) pre-activation in
-one pass: one `to_code` call with the bank as its spec, one gather, and
-`ste_mask`'s ADC pass mask when recording.  The DAC snaps the recycled
-hidden state as `grid[to_code(h)]` with the grid built once per forward.
-Both apply the same IEEE operations to every element as the per-gate
-`to_code` / LUT / `quantize` calls, so results are bit-identical to them.
+one pass: one `to_code` call with the bank as its spec and one gather.
+The DAC snaps the recycled hidden state as `grid[to_code(h)]` with the
+grid built once per forward.  Both apply the same IEEE operations to
+every element as the per-gate `to_code` / LUT / `quantize` calls, so
+results are bit-identical to them.
 
-A recorded forward writes each step into the sequence-major buffers of
-a `SequenceCache`: step t of every buffer is index t, and the
-DAC-snapped hidden state goes straight into the next step's VMM input
-row.  The backward pass operates on the recorded cache of any forward
-mode and sums the weight gradient in one GEMM over the stacked input
-rows.  Quantizer nodes backpropagate as clipped identity
-(straight-through): the cache carries the ADC's boolean pass mask, and
-the caller may set a weight mask derived from the latent weights; both
-are `None` in full-precision mode.  The DAC range must cover [-1, 1],
-the range of |h| = |o tanh(c)| <= 1, so the hidden state's pass mask
-would be all true and is never built.  Local derivatives of the gate
+Only the recurrence stays inside the step loops; work that does not
+depend on it runs once per sequence, with the same IEEE operations on
+every element.  A recorded forward writes each step into the
+sequence-major buffers of a `SequenceCache`: step t of every buffer is
+index t.  The inputs go into the VMM input rows before the loop, each
+DAC-snapped hidden state goes straight into the next step's row, and
+after the loop h_seq is read back from those rows and the ADC pass mask
+is `ste_mask` of the cached pre-activations, all at once.  The backward
+pass operates on the recorded cache of any forward mode and sums the
+weight gradient in one GEMM over the stacked input rows.  The
+nonlinearity derivatives, the ADC mask folded in, are made for as many
+steps at a time as fit in FACTOR_VALUES values, which keeps them in
+cache on the large array and makes them in one pass on a small one; the
+step loop keeps dh, dc, the gate-gradient products, the factor
+multiplies and the du GEMM.  Quantizer nodes backpropagate as clipped
+identity (straight-through): the cache carries the ADC's boolean pass
+mask, and the caller may set a weight mask derived from the latent
+weights; both are `None` in full-precision mode.  The DAC range must
+cover [-1, 1], the range of |h| = |o tanh(c)| <= 1, so the hidden
+state's pass mask would be all true and is never built.  Local derivatives of the gate
 nonlinearities are evaluated at the continuous pre-ADC values, i.e. the
 quantized activation unit is treated as out-quantizer(fn(ADC(a))) with
 both quantizers backpropagating straight through.  With ideal converters
@@ -261,13 +270,12 @@ class FusedConverter:
         self.base = per_column(np.cumsum([0] + [s.levels for s in specs[:-1]]))
         self.table = np.concatenate([lut.entries for lut in self.luts])
 
-    def __call__(self, a: np.ndarray, record: bool = True
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(gate values, ADC pass mask) for a (B, 4n) pre-activation; the
-        mask is None unless `record`.  Non-finite input raises ValueError."""
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        """The gate values of a (B, 4n) pre-activation; its ADC pass mask
+        is `ste_mask(a, bank)`.  Non-finite input raises ValueError."""
         codes = to_code(a, self)
         codes += self.base
-        return self.table[codes], ste_mask(a, self) if record else None
+        return self.table[codes]
 
 
 def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
@@ -295,8 +303,8 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         `adc_noise` (ValueError without `adc`) is added, then
         `on_preact(a)` sees the result (a caller's sink, such as
         `network.RangeCollector`).
-    converter: sigmoid/tanh, or one pass of the ADC bank `adc`, which
-        records the ADC pass mask.
+    converter: sigmoid/tanh, or one pass of the ADC bank `adc`; a
+        recorded forward keeps its pass mask, made after the loop.
     DAC: identity, or inputs and the recycled hidden state snapped to
         `dac_spec`, whose range must cover [-1, 1] (ValueError otherwise).
 
@@ -346,12 +354,12 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         inputs=np.empty((span, batch, m + n)), preact=np.empty(gate_shape),
         gates=np.empty(gate_shape), c=np.zeros((span + 1, batch, n)),
         tanh_c=np.empty((span, batch, n)),
-        adc_mask=(np.empty(gate_shape, dtype=bool)
-                  if record and adc is not None else None),
         noise_eps=None if weight_noise is None else np.empty(gate_shape),
         noise_scale=None if weight_noise is None else np.empty((span, batch)))
     if t_steps:
         cache.inputs[0, :, m:] = h
+    if record:
+        cache.inputs[:, :, :m] = x_seq
     # rows past their length keep the zeros of h_seq
     h_seq = (np.empty if live is None else np.zeros)((t_steps, batch, n))
     adc_eps = None if adc_noise is None else np.empty((batch, 4 * n))
@@ -360,7 +368,8 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         k = t % span
         rows = batch if live is None else live[t]
         u = cache.inputs[k, :rows]
-        u[:, :m] = x_seq[t, :rows]
+        if not record:
+            u[:, :m] = x_seq[t, :rows]
         a = np.matmul(u, w, out=cache.preact[k, :rows])
         if weight_noise is not None:
             # u_b @ (W + Z_b), Z_b i.i.d. N(0, sigma^2), is distributed as
@@ -384,12 +393,7 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
             sigmoid(a[:, :3 * n], out=gates[:, :3 * n])
             np.tanh(a[:, 3 * n:], out=gates[:, 3 * n:])
         else:
-            # the LUT is out-quantizer(fn(ADC(a))): both quantizers backprop
-            # straight-through, so the cache records the continuous pre-ADC
-            # value for the fn' evaluation plus the ADC pass mask
-            gates[...], adc_mask = adc(a, record)
-            if record:
-                cache.adc_mask[k] = adc_mask
+            gates[...] = adc(a)
 
         f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n]
         c_prev = cache.c[t % (span + 1), :rows]
@@ -399,10 +403,20 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
         h = o * np.tanh(c, out=cache.tanh_c[k, :rows])
         if dac_spec is not None:
             h = dac_grid[to_code(h, dac_spec)]
-        h_seq[t, :rows] = h
+        if not record or t + 1 == t_steps:
+            h_seq[t, :rows] = h
         if t + 1 < t_steps:
             cache.inputs[(t + 1) % span, :rows, m:] = h
-    return h_seq, cache if record else None
+    if not record:
+        return h_seq, None
+    # a recorded forward kept each h as the next step's VMM input only
+    h_seq[:-1] = cache.inputs[1:, :, m:]
+    if adc is not None:
+        # the LUT is out-quantizer(fn(ADC(a))): both quantizers backprop
+        # straight-through, so the cache records the continuous pre-ADC
+        # value for the fn' evaluation plus the ADC pass mask
+        cache.adc_mask = ste_mask(cache.preact, adc)
+    return h_seq, cache
 
 
 def _live_rows(lengths, t_steps: int, batch: int) -> np.ndarray:
@@ -416,6 +430,49 @@ def _live_rows(lengths, t_steps: int, batch: int) -> np.ndarray:
         raise ValueError(f"lengths must lie in [1, {t_steps}]")
     # lengths is sorted, so the rows with length > t are a prefix
     return (lengths[None, :] > np.arange(t_steps)[:, None]).sum(axis=1)
+
+
+# Values of the gate-gradient buffer whose factors one pass of
+# `lstm_backward` makes: as many steps as fit, at least one.  Passes over
+# a whole sequence were measured slower on char_lm's 356x1024 array
+# (sequence-long factor buffers leave the cache before their step reads
+# them, and fresh ones cost page faults), while a pass per step costs
+# word_lm's small steps a dozen numpy calls each.  256 KiB of float64
+# holds one char_lm step or eight word_lm steps (its sentences have at
+# most seven).
+FACTOR_VALUES = 32768
+
+
+def _factors(cache: SequenceCache, lo: int, hi: int, da_seq: np.ndarray,
+             one_minus_s: np.ndarray, d_tanh_c: np.ndarray):
+    """The factors of steps lo..hi-1 that do not depend on the recurrence,
+    step t at index t of `da_seq` and t - lo of the others: s and 1 - s
+    of sigmoid' = s (1 - s) on the f, i, o blocks, tanh' = 1 - th^2 on
+    the c block and tanh'(c) = 1 - tanh(c)^2.  Ideal converters cached
+    sigmoid/tanh of the pre-activations bit for bit; after an ADC the
+    cached gates are LUT entries, so they are recomputed, and the ADC pass
+    mask is folded into s and 1 - th^2: for m in {0, 1}, ((x s)(1 - s)) m
+    equals (x (s m))(1 - s) bit for bit, signed zeros included, since s,
+    1 - s and 1 - th^2 are >= 0.  The elementwise passes run on the
+    contiguous buffers and write the strided blocks of `da_seq` once."""
+    n, steps, mask = cache.hidden_size, slice(lo, hi), cache.adc_mask
+    s, d_th = da_seq[steps, :, :3 * n], da_seq[steps, :, 3 * n:]
+    # buf holds th^2 and 1 - th^2 on their way to d_th, then tanh'(c)
+    oms, buf = one_minus_s[:hi - lo], d_tanh_c[:hi - lo]
+    if mask is None:
+        np.copyto(s, cache.gates[steps, :, :3 * n])
+        np.subtract(1.0, s, out=oms)
+        np.square(cache.gates[steps, :, 3 * n:], out=buf)
+        np.subtract(1.0, buf, out=d_th)
+    else:
+        np.multiply(sigmoid(cache.preact[steps, :, :3 * n], out=oms),
+                    mask[steps, :, :3 * n], out=s)
+        np.subtract(1.0, oms, out=oms)
+        np.square(np.tanh(cache.preact[steps, :, 3 * n:], out=buf), out=buf)
+        np.subtract(1.0, buf, out=buf)
+        np.multiply(buf, mask[steps, :, 3 * n:], out=d_th)
+    np.square(cache.tanh_c[steps], out=buf)
+    np.subtract(1.0, buf, out=buf)
 
 
 def lstm_backward(cache: SequenceCache, d_h: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -434,42 +491,37 @@ def lstm_backward(cache: SequenceCache, d_h: Sequence[np.ndarray] | np.ndarray) 
         raise ValueError("cache is missing the weight matrix used in the forward pass")
     m, n = cache.input_size, cache.hidden_size
     w_hidden = cache.w_used[m:]
-    preact, gates, c_seq = cache.preact, cache.gates, cache.c
+    d_h = np.asarray(d_h, dtype=np.float64)
+    gates, c_seq = cache.gates, cache.c
     # each step's gate-input gradient goes into one buffer, so d_w is a
-    # single GEMM over the stacked (T*B) rows after the recurrence
-    da_seq = np.empty(preact.shape)
+    # single GEMM over the stacked (T*B) rows after the recurrence; step
+    # t's rows first hold its factors s m | (1 - th^2) m (see _factors),
+    # made for `span` steps per pass
+    da_seq = np.empty(gates.shape)
+    span = max(1, FACTOR_VALUES // gates[0].size)
+    block = (min(span, cache.steps), gates.shape[1])
+    one_minus_s, d_tanh_c = np.empty(block + (3 * n,)), np.empty(block + (n,))
+    products = np.empty(gates.shape[1:])
     dh_next = np.zeros(c_seq.shape[1:])
     dc_next = np.zeros_like(dh_next)
-    s_buf, th_buf = np.empty(preact.shape[1:2] + (3 * n,)), np.empty_like(dh_next)
 
     for t in range(cache.steps - 1, -1, -1):
-        dh = np.asarray(d_h[t], dtype=np.float64) + dh_next
+        if t == cache.steps - 1 or t % span == span - 1:
+            _factors(cache, t - t % span, t + 1, da_seq, one_minus_s, d_tanh_c)
+        dh = d_h[t] + dh_next
         g = gates[t]
         f, i, o, c_tilde = g[:, 0:n], g[:, n:2 * n], g[:, 2 * n:3 * n], g[:, 3 * n:]
 
         da, tanh_c = da_seq[t], cache.tanh_c[t]
-        dc = dc_next + dh * o * (1.0 - tanh_c**2)
-        np.multiply(dc, c_seq[t], out=da[:, 0:n])                 # df
-        np.multiply(dc, c_tilde, out=da[:, n:2 * n])              # di
-        np.multiply(dh, tanh_c, out=da[:, 2 * n:3 * n])           # do
-        np.multiply(dc, i, out=da[:, 3 * n:])                     # dc_tilde
+        dc = dc_next + dh * o * d_tanh_c[t % span]
+        np.multiply(dc, c_seq[t], out=products[:, 0:n])           # df
+        np.multiply(dc, c_tilde, out=products[:, n:2 * n])        # di
+        np.multiply(dh, tanh_c, out=products[:, 2 * n:3 * n])     # do
+        np.multiply(dc, i, out=products[:, 3 * n:])               # dc_tilde
         dc_next = dc * f
 
-        # nonlinearity derivatives at the pre-activation values of this
-        # pass, step by step: sequence-wide factor buffers were measured
-        # slower (memory traffic and page faults on the 356x1024 array).
-        # Ideal converters cached sigmoid/tanh of exactly these values, bit
-        # for bit; after an ADC the cached gates are LUT entries instead.
-        if cache.adc_mask is None:
-            s, th = g[:, :3 * n], g[:, 3 * n:]
-        else:
-            s = sigmoid(preact[t][:, :3 * n], out=s_buf)
-            th = np.tanh(preact[t][:, 3 * n:], out=th_buf)
-        da[:, :3 * n] *= s
-        da[:, :3 * n] *= np.subtract(1.0, s, out=s_buf)
-        da[:, 3 * n:] *= np.subtract(1.0, np.square(th, out=th_buf), out=th_buf)
-        if cache.adc_mask is not None:
-            da *= cache.adc_mask[t]
+        da *= products
+        da[:, :3 * n] *= one_minus_s[t % span]
 
         if t > 0:
             # only the hidden slice of du feeds the recurrence

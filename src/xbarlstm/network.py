@@ -142,8 +142,9 @@ class RangeCollector:
             raise ValueError(f"a calibration step of {a.shape[0] * n} samples per gate "
                              f"exceeds MAX_CALIB_SAMPLES + 1")
         if self.count < MAX_CALIB_SAMPLES:
+            magnitudes = np.abs(a).astype(np.float32)
             for b, tail in enumerate(self.tails):
-                tail.add(np.abs(a[:, b * n:(b + 1) * n]).astype(np.float32).ravel())
+                tail.add(magnitudes[:, b * n:(b + 1) * n].ravel())
             self.count += a.shape[0] * n
 
     def ranges(self) -> list[float]:

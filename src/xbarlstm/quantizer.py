@@ -77,7 +77,7 @@ class QuantSpec:
 
 
 def _check_finite(x: np.ndarray):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("quantizer input must be finite")
 
 
@@ -93,13 +93,14 @@ def to_code(x, spec: QuantSpec) -> np.ndarray:
     # array is never written.  x is clipped to [v_min, v_max] first (two
     # ufuncs, equal to np.clip on finite input): every step is monotone,
     # so the codes equal clipping the result to [0, levels - 1], and
-    # values near the float limit cannot overflow in the divide.
+    # values near the float limit cannot overflow in the divide.  After
+    # the clip u + 0.5 >= 0.5, so the int64 cast, which truncates toward
+    # zero, is the floor.
     raw = np.maximum(x, spec.v_min, out=np.empty(x.shape))
     np.minimum(raw, spec.v_max, out=raw)
     raw -= spec.v_min
     raw /= spec.step
     raw += 0.5
-    np.floor(raw, out=raw)
     codes = raw.astype(np.int64)
     # 0-d input returns a numpy integer, not a 0-d array
     return codes if codes.ndim else codes[()]
@@ -140,7 +141,9 @@ def ste_backward(upstream_grad, x, spec: QuantSpec):
 def ste_mask(x, spec: QuantSpec) -> np.ndarray:
     """Boolean pass-through mask of the clipped STE (True inside the range)."""
     x = np.asarray(x, dtype=np.float64)
-    return (x >= spec.v_min) & (x <= spec.v_max)
+    mask = x >= spec.v_min
+    mask &= x <= spec.v_max  # in place: one temporary fewer on a whole sequence
+    return mask
 
 
 def sigmoid(z, out: np.ndarray | None = None):

@@ -8,7 +8,9 @@ and the clipping: each epoch's learning rate is
 learning_rate * lr_decay ** (epoch - 1), each step's gradients are
 clipped to a global norm of grad_clip (Pascanu et al., 2013; 0 turns
 clipping off), and both go to an update rule that holds nothing else
-(`_sgd_step`, or `_Adam`'s moments).
+(`_sgd_step`, or `_Adam`'s moments, which runs the closed form's
+operations over blocks of _Adam.BLOCK values so each block's operands
+stay in cache).
 When a quantized model has no frozen ADC ranges yet, the first epoch is
 a calibration epoch: weights snapped to the device grid and the DAC grid
 on inputs and hidden state, but ideal converters, while `train`'s own
@@ -18,7 +20,10 @@ at the configured percentile and the remaining epochs train through the
 quantized path (an explicit range override skips the calibration epoch
 and quantizes from the start).  Training forwards record a cache for
 the backward pass; evaluation forwards pass each row's length and so
-record nothing.
+record nothing.  With a valid split, every epoch ends with an
+evaluation; when that evaluation draws no noise, the last epoch's
+report is the final one, since the same model, split and arithmetic
+give the same bytes (only the noise streams depend on the epoch).
 
 Training batches come in shuffled order, each padded to its longest
 chunk (`make_batches`); the padded rows also feed the ADC-range
@@ -217,12 +222,14 @@ def _pad(ds: SequenceDataset, group: list, inactive: float
             targets[t - 1, j] = label
             mask[t - 1, j] = 1.0
     else:
+        # the (step, row) of every token of every item, item by item
+        lengths = np.array([_length(item) for item in group])
+        rows = np.repeat(np.arange(b), lengths)
+        steps = np.arange(rows.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         x = np.full((t_max, b, ds.input_dim), inactive)
-        for j, (inp, tgt) in enumerate(group):
-            t = len(inp)
-            x[np.arange(t), j, inp] = 1.0
-            targets[:t, j] = tgt
-            mask[:t, j] = 1.0
+        x[steps, rows, np.concatenate([inp for inp, _ in group])] = 1.0
+        targets[steps, rows] = np.concatenate([tgt for _, tgt in group])
+        mask[steps, rows] = 1.0
     return x, targets, mask
 
 
@@ -270,17 +277,16 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
     z = logits - logits.max(axis=-1, keepdims=True)
     expz = np.exp(z)
     sumz = expz.sum(axis=-1, keepdims=True)
-    logp = z - np.log(sumz)
-    t_idx, b_idx = np.meshgrid(np.arange(logits.shape[0]), np.arange(logits.shape[1]),
-                               indexing="ij")
-    picked = logp[t_idx, b_idx, targets]
+    t_idx, b_idx = np.arange(logits.shape[0])[:, None], np.arange(logits.shape[1])
+    # log-softmax at the targets only
+    picked = z[t_idx, b_idx, targets] - np.log(sumz[..., 0])
     count = float(mask.sum())
     if count == 0:
         raise ValueError("batch mask selects no tokens")
     nll_sum = float(-(picked * mask).sum())
     correct = float(((logits.argmax(axis=-1) == targets) * mask).sum())
 
-    d = expz / sumz
+    d = np.divide(expz, sumz, out=expz)
     d[t_idx, b_idx, targets] -= 1.0
     d *= (mask / count)[..., None]
     return nll_sum, count, correct, d
@@ -307,6 +313,7 @@ class _Adam:
     clipped gradients and the epoch's learning rate."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+    BLOCK = 16384  # values per pass of the update (128 KiB per float64 operand)
 
     def __init__(self):
         self.t = 0
@@ -315,30 +322,41 @@ class _Adam:
 
     def step(self, params, grads, lr: float):
         """p -= lr * mhat / (sqrt(vhat) + eps), with the moments updated in
-        place and every operation in the closed form's order."""
-        b1, b2 = self.BETA1, self.BETA2
+        place and every operation in the closed form's order.  Each
+        operation runs over BLOCK values of the flattened arrays at a time,
+        so a block's operands stay in cache between operations; every value
+        sees the same operations either way.  Parameters must be
+        C-contiguous, as the update writes through flat views of them."""
+        b1, b2, block = self.BETA1, self.BETA2, self.BLOCK
         self.t += 1
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for k, p in params.items():
-            g = grads[k]
+            if not p.flags.c_contiguous:
+                raise ValueError(f"parameter {k!r} is not C-contiguous")
             if k not in self.m:
                 self.m[k], self.v[k] = np.zeros_like(p), np.zeros_like(p)
-            m, v = self.m[k], self.v[k]
-            # scratch lives only for the step: persistent buffers would add
-            # two parameter-sized arrays to the peak memory of backward
-            step, denom = np.empty_like(p), np.empty_like(p)
-            m *= b1
-            m += np.multiply(g, 1 - b1, out=step)
-            v *= b2
-            np.multiply(g, 1 - b2, out=step)
-            step *= g
-            v += step
-            np.divide(m, 1 - b1**self.t, out=step)            # mhat
-            np.divide(v, 1 - b2**self.t, out=denom)           # vhat
-            np.sqrt(denom, out=denom)
-            denom += self.EPS
-            step *= lr
-            step /= denom
-            p -= step
+            p_all, g_all = p.reshape(-1), np.ravel(grads[k])
+            m_all, v_all = self.m[k].reshape(-1), self.v[k].reshape(-1)
+            # working buffers for one block only: parameter-sized ones would
+            # add two arrays to the step's peak memory
+            step_all, denom_all = np.empty((2, min(p.size, block)))
+            for lo in range(0, p.size, block):
+                hi = lo + block
+                w, g, m, v = p_all[lo:hi], g_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
+                step, denom = step_all[:w.size], denom_all[:w.size]
+                m *= b1
+                m += np.multiply(g, 1 - b1, out=step)
+                v *= b2
+                np.multiply(g, 1 - b2, out=step)
+                step *= g
+                v += step
+                np.divide(m, c1, out=step)                        # mhat
+                np.divide(v, c2, out=denom)                       # vhat
+                np.sqrt(denom, out=denom)
+                denom += self.EPS
+                step *= lr
+                step /= denom
+                w -= step
 
 
 # --- train / evaluate ---------------------------------------------------------------
@@ -396,10 +414,12 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
           valid_dataset: SequenceDataset | None = None,
           task_name: str | None = None) -> tuple[LSTMNetwork, EvalReport]:
     """Optimize the latent weights; returns the model and the final
-    EvalReport, taken on the valid split when one is given, else on the
-    training split.  Its `train_loss_curve` holds each epoch's mean training
-    loss; its `curve` holds each epoch's valid metric, and stays empty
-    without a valid split.  Raises TrainingDiverged with the offending step
+    EvalReport, taken on the valid split when one is given (the last
+    epoch's, unless the evaluation draws noise; then a fresh one on
+    streams of its own), else on the training split.  Its
+    `train_loss_curve` holds each epoch's mean training loss; its `curve`
+    holds each epoch's valid metric, and stays empty without a valid
+    split.  Raises TrainingDiverged with the offending step
     index if the loss becomes non-finite, and as `evaluate` does."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -416,6 +436,7 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
 
     train_curve: list[tuple[int, float]] = []
     valid_curve: list[tuple[int, float]] = []
+    rep = None  # the last epoch's valid report
     global_step = 0
     for epoch in range(1, cfg.epochs + 1):
         collector = (RangeCollector(cfg.adc_range_percentile)
@@ -447,8 +468,13 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
             rep = evaluate(model, valid_dataset, cfg, epoch_tag=epoch, task_name=task_name)
             valid_curve.append((epoch, rep.metric))
 
-    final = evaluate(model, valid_dataset if valid_dataset is not None else dataset,
-                     cfg, epoch_tag=cfg.epochs + 1, task_name=task_name)
+    # without noise the last epoch's evaluation of the same model and split
+    # is the final one, bit for bit: only the noise streams follow epoch_tag
+    if rep is not None and not (quantized_model and model.noise.any_enabled):
+        final = rep
+    else:
+        final = evaluate(model, valid_dataset if valid_dataset is not None else dataset,
+                         cfg, epoch_tag=cfg.epochs + 1, task_name=task_name)
     final.curve = valid_curve
     final.train_loss_curve = train_curve
     return model, final

@@ -140,6 +140,37 @@ class TestConfigParsing:
         assert cfg.seed == 99
         assert not hasattr(cfg, "threads")
 
+    @pytest.mark.parametrize("line, overrides", [
+        ("seed = abc", {"seed": 3}), ("threads = 0", {"threads": 2}),
+        ("threads = 0", {"seed": 3, "threads": 2})], ids=["seed", "threads", "both"])
+    def test_file_values_checked_under_overrides(self, tmp_path, line, overrides):
+        path = write(tmp_path, f"[experiment]\ncommand = cost\n{line}\n")
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            load_config(path)
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            load_config(path, **overrides)
+
+    def test_cli_seed_flag_does_not_hide_a_bad_file_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = write(tmp_path, "[experiment]\ncommand = cost\nseed = abc\n")
+        assert cli_main(["cost", "--config", str(config), "--seed", "3"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: seed")
+        assert written(tmp_path) == ["exp.ini"]
+
+    @pytest.mark.parametrize("value", ["none", "null", "None", ""])
+    def test_ini_out_spelling_none_rejected(self, tmp_path, value):
+        path = write(tmp_path, f"[experiment]\ncommand = cost\nout = {value}\n")
+        with pytest.raises(ConfigError, match="out: expected a value"):
+            load_config(path)
+        with pytest.raises(ConfigError, match="out: expected a value"):
+            load_config(path, out_dir=str(tmp_path / "elsewhere"))
+
+    def test_json_out_string_none_is_a_directory_name(self, tmp_path):
+        # a manifest of a run with `--out none` reloads: JSON spells unset as null
+        path = write(tmp_path, json.dumps({"experiment": {"command": "cost", "out": "none"}}),
+                     name="manifest.json")
+        assert load_config(path).out_dir == "none"
+
     @pytest.mark.parametrize("command, sweep", [
         ("sweep", "betas = 0.1"),
         ("sweep", "adc_noise_grid = off, on"),
@@ -571,6 +602,7 @@ epochs = 1
         (json.dumps({"experiment": {"command": "cost", "out": None}}), "cost", None),
         (json.dumps({"experiment": {"command": "cost", "seed": None}}), "cost", "dir"),
         (json.dumps({"experiment": {"command": "cost", "threads": None}}), "cost", "dir"),
+        ("[experiment]\ncommand = cost\nout = none\n", "cost", None),
     ], ids=["epochs-not-int", "threads-not-int", "out-is-a-file", "json-threads-zero",
             "ini-out-empty", "json-out-empty", "cost-config-out-flag-empty",
             "cost-out-flag-empty", "json-seed-overflows", "sweep-weight-bits-zero",
@@ -595,7 +627,7 @@ epochs = 1
             "noise-sweep-adc-bits-without-grid", "sweep-repeated-bits", "sweep-repeated-seed",
             "noise-sweep-repeated-beta", "noise-sweep-repeated-adc-bits",
             "noise-sweep-repeated-adc-noise-state", "json-null-out", "json-null-seed",
-            "json-null-threads"])
+            "json-null-threads", "ini-out-none"])
     def test_malformed_input_exit_2(self, tmp_path, monkeypatch, capsys, config, command, out):
         # anything written to a relative path lands in tmp_path
         monkeypatch.chdir(tmp_path)

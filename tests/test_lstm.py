@@ -22,7 +22,7 @@ from xbarlstm.lstm import (
     lstm_step_ref,
     run_cell,
 )
-from xbarlstm.quantizer import QuantSpec, quantize, ste_mask, to_code
+from xbarlstm.quantizer import QuantSpec, quantize, sigmoid, ste_mask, to_code
 
 
 def oracle_step(params, x, h_prev, c_prev):
@@ -342,6 +342,152 @@ class TestBackwardAgainstPerStep:
         self._check(cache, seed=58)
 
 
+def loop_factor_backward(cache, d_h):
+    """lstm_backward with every activation-derivative factor evaluated
+    step by step and the ADC mask multiplied last: the form whose
+    arithmetic the sequence-wide factors must keep bit for bit."""
+    m, n = cache.input_size, cache.hidden_size
+    w_hidden = cache.w_used[m:]
+    da_seq = np.empty(cache.preact.shape)
+    dh_next = np.zeros(cache.c.shape[1:])
+    dc_next = np.zeros_like(dh_next)
+    for t in range(cache.steps - 1, -1, -1):
+        dh = np.asarray(d_h[t], dtype=np.float64) + dh_next
+        g = cache.gates[t]
+        f, i, o, c_tilde = g[:, 0:n], g[:, n:2 * n], g[:, 2 * n:3 * n], g[:, 3 * n:]
+        da, tanh_c = da_seq[t], cache.tanh_c[t]
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        da[:, 0:n] = dc * cache.c[t]
+        da[:, n:2 * n] = dc * c_tilde
+        da[:, 2 * n:3 * n] = dh * tanh_c
+        da[:, 3 * n:] = dc * i
+        dc_next = dc * f
+        if cache.adc_mask is None:
+            s, th = g[:, :3 * n], g[:, 3 * n:]
+        else:
+            s = sigmoid(cache.preact[t][:, :3 * n])
+            th = np.tanh(cache.preact[t][:, 3 * n:])
+        da[:, :3 * n] *= s
+        da[:, :3 * n] *= 1.0 - s
+        da[:, 3 * n:] *= 1.0 - th**2
+        if cache.adc_mask is not None:
+            da *= cache.adc_mask[t]
+        if t > 0:
+            dh_next = da @ w_hidden.T
+            if cache.noise_eps is not None:
+                u = cache.inputs[t]
+                sq = np.einsum("ij,ij->i", u, u)
+                gain = np.einsum("ij,ij->i", da, cache.noise_eps[t]) * cache.noise_scale[t]
+                np.divide(gain, sq, out=gain, where=sq > 0)
+                dh_next += gain[:, None] * u[:, m:]
+    rows = cache.steps * da_seq.shape[1]
+    d_w = cache.inputs.reshape(rows, -1).T @ da_seq.reshape(rows, -1)
+    if cache.w_mask is not None:
+        d_w *= cache.w_mask
+    return d_w
+
+
+class TestBackwardFactorsOutsideTheLoop:
+    """lstm_backward makes sigmoid', tanh' and tanh'(c) outside its step
+    loop, for as many steps per pass as FACTOR_VALUES holds, and folds the
+    ADC mask into them; the gradient equals the step-by-step, mask-last
+    form bit for bit, signed zeros included, at one pass per sequence,
+    one per step and 4 + 2 steps."""
+
+    M, N, T, B = 5, 4, 6, 3
+
+    @pytest.fixture(autouse=True, params=[None, 1, 4], ids=["sequence", "step", "4+2-steps"])
+    def steps_per_pass(self, request, monkeypatch):
+        import xbarlstm.lstm
+
+        if request.param is not None:
+            monkeypatch.setattr(xbarlstm.lstm, "FACTOR_VALUES",
+                                request.param * self.B * 4 * self.N)
+
+    def _cache(self, noise=False, dac=None, adc=True):
+        rng = np.random.default_rng(90)
+        w = random_params(self.M, self.N, seed=91, scale=0.8).concat()
+        x_seq = rng.uniform(-1, 1, size=(self.T, self.B, self.M))
+        stages = {"dac_spec": dac}
+        if adc:
+            stages["adc"] = FusedConverter((1.0, 1.5, 2.0, 2.5), 4, self.N)
+        if noise:
+            stages.update(weight_noise=(np.random.default_rng(92), 0.2),
+                          adc_noise=np.random.default_rng(93))
+        return run_cell(x_seq, w, **stages)[1]
+
+    def _check(self, cache, d_h=None):
+        if d_h is None:
+            d_h = np.random.default_rng(94).normal(size=(self.T, self.B, self.N))
+            d_h[::2, 0] = 0.0  # zero upstream rows make signed zeros downstream
+        got = lstm_backward(cache, d_h)
+        want = loop_factor_backward(cache, d_h)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize("dac", [None, QuantSpec.symmetric(4, 1.0)], ids=["fp", "calibrate"])
+    def test_ideal_converters(self, dac):
+        self._check(self._cache(dac=dac, adc=False))
+
+    @pytest.mark.parametrize("noise", [False, True], ids=["clean", "noisy"])
+    def test_adc_mask_as_recorded(self, noise):
+        cache = self._cache(noise=noise, dac=QuantSpec.symmetric(4, 1.0))
+        assert 0 < cache.adc_mask.sum() < cache.adc_mask.size
+        self._check(cache)
+
+    def test_all_blocked_mask(self):
+        cache = self._cache()
+        cache.adc_mask[...] = False
+        assert not self._check(cache).any()
+
+    def test_saturated_gates(self):
+        # s == 1 (so 1 - s == +0), s near +0 and |tanh| == 1 at the pre-ADC values
+        cache = self._cache()
+        n = self.N
+        cache.preact[1, :, 0] = 40.0
+        cache.preact[2, :, n] = -700.0
+        cache.preact[3, :, 3 * n] = 30.0
+        cache.preact[4, :, 3 * n + 1] = -30.0
+        assert sigmoid(np.float64(40.0)) == 1.0 and sigmoid(np.float64(-700.0)) < 1e-300
+        assert np.tanh(30.0) == 1.0
+        cache.adc_mask[1:3] = np.random.default_rng(95).random(cache.adc_mask[1:3].shape) < 0.5
+        self._check(cache)
+
+
+class TestAdcMaskAfterTheLoop:
+    """A recorded quantized forward builds the ADC pass mask once from the
+    cached pre-activations; it equals ste_mask of what each step's
+    converter saw, noise included."""
+
+    def test_equals_per_step_ste_mask(self):
+        rng = np.random.default_rng(96)
+        adc = FusedConverter((0.5, 0.75, 1.0, 1.25), 4, 3)
+        w = random_params(4, 3, seed=97, scale=0.9).concat()
+        seen = []
+        _, cache = run_cell(rng.uniform(-1, 1, size=(7, 5, 4)), w, adc=adc,
+                            weight_noise=(np.random.default_rng(98), 0.1),
+                            adc_noise=np.random.default_rng(99),
+                            on_preact=lambda a: seen.append(ste_mask(a, adc)),
+                            dac_spec=QuantSpec.symmetric(4, 1.0))
+        want = np.stack(seen)
+        assert 0 < want.sum() < want.size
+        assert cache.adc_mask.dtype == bool
+        assert cache.adc_mask.tobytes() == want.tobytes()
+
+    def test_h_seq_and_inputs_as_written_per_step(self):
+        # h_seq[t] is the hidden state the next step reads, and each
+        # step's input row holds x_t
+        rng = np.random.default_rng(100)
+        w = random_params(4, 3, seed=101).concat()
+        x_seq = rng.uniform(-1, 1, size=(5, 2, 4))
+        h_seq, cache = run_cell(x_seq, w)
+        packed, _ = run_cell(x_seq, w, lengths=np.full(2, 5))
+        assert h_seq.tobytes() == packed.tobytes()
+        assert cache.inputs[:, :, :4].tobytes() == x_seq.tobytes()
+        assert cache.inputs[1:, :, 4:].tobytes() == h_seq[:-1].tobytes()
+        assert not cache.inputs[0, :, 4:].any()
+
+
 class TestWeightReadNoise:
     """Per-sample weight read noise by local reparameterization: a step
     draws one (B, 4n) standard normal instead of a noise matrix."""
@@ -466,12 +612,10 @@ def assert_fused_equals_per_gate(a, ranges, bits, n):
     luts = gate_luts(specs, bits)
     converter = FusedConverter(ranges, bits, n)
     assert converter.specs == specs
-    gates, mask = converter(a)
+    gates, mask = converter(a), ste_mask(a, converter)
     want_gates, want_mask = per_gate_converter(a, specs, luts, n)
     assert gates.tobytes() == want_gates.tobytes()
     assert np.array_equal(mask, want_mask)
-    unrecorded, no_mask = converter(a, record=False)
-    assert unrecorded.tobytes() == gates.tobytes() and no_mask is None
     return gates, mask
 
 

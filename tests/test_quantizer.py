@@ -308,6 +308,15 @@ class TestCodeLaw:
                 assert type(q) is float
                 assert_bitwise(np.float64(q), from_code(ref_to_code(x, spec), spec))
 
+    @pytest.mark.parametrize("spec", LAW_SPECS, ids=lambda s: f"{s.bits}bit-{s.v_min}")
+    def test_int_cast_is_the_floor(self, spec):
+        # after the clip every value is >= 0.5, so the truncating cast
+        # equals np.floor of the same buffer at ties, ends and the float limit
+        x = law_inputs(spec)
+        raw = (np.minimum(np.maximum(x, spec.v_min), spec.v_max) - spec.v_min) / spec.step + 0.5
+        assert raw.min() >= 0.5
+        assert_bitwise(to_code(x, spec), np.floor(raw).astype(np.int64))
+
     def test_values_near_the_float_limit_raise_no_warning(self):
         spec = QuantSpec(16, -4.0, 4.0)
         x = np.array([-1.7e308, -1e300, 1e300, 1.7e308])

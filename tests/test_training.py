@@ -125,6 +125,44 @@ class TestMetrics:
         with pytest.raises(ValueError):
             evaluate(LSTMNetwork(6, 4, 6, seed=1), ds, TrainConfig())
 
+    def test_softmax_xent_equals_the_meshgrid_form_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        logits = rng.normal(scale=4.0, size=(7, 5, 11))
+        logits[2, 1] = 0.0  # a tied row: argmax takes the first
+        logits[3, 2, 4] = 800.0  # exp underflows to zero off the target
+        targets = rng.integers(0, 11, size=(7, 5))
+        targets[3, 2] = 4
+        mask = (rng.random((7, 5)) < 0.7).astype(np.float64)
+        got = softmax_xent(logits, targets, mask)
+        want = meshgrid_softmax_xent(logits, targets, mask)
+        assert got[:3] == want[:3]
+        assert got[3].tobytes() == want[3].tobytes()
+        # one token at a time, nll_sum is that token's log-softmax exactly
+        for t, b in np.ndindex(mask.shape):
+            one = np.zeros_like(mask)
+            one[t, b] = 1.0
+            got, want = (f(logits, targets, one)[0] for f in (softmax_xent,
+                                                              meshgrid_softmax_xent))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def meshgrid_softmax_xent(logits, targets, mask):
+    """softmax_xent with the whole log-softmax formed and indexed through
+    a meshgrid: the reference the target-only form must equal."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    expz = np.exp(z)
+    sumz = expz.sum(axis=-1, keepdims=True)
+    logp = z - np.log(sumz)
+    t_idx, b_idx = np.meshgrid(np.arange(logits.shape[0]), np.arange(logits.shape[1]),
+                               indexing="ij")
+    count = float(mask.sum())
+    nll_sum = float(-(logp[t_idx, b_idx, targets] * mask).sum())
+    correct = float(((logits.argmax(axis=-1) == targets) * mask).sum())
+    d = expz / sumz
+    d[t_idx, b_idx, targets] -= 1.0
+    d *= (mask / count)[..., None]
+    return nll_sum, count, correct, d
+
 
 class TestTrainLoop:
     def test_zero_lr_keeps_parameters_bit_identical(self):
@@ -155,6 +193,31 @@ class TestTrainLoop:
         assert [epoch for epoch, _ in rep.train_loss_curve] == [1, 2]
         final = evaluate(model, ds, cfg, epoch_tag=cfg.epochs + 1)
         assert (rep.metric, rep.accuracy) == (final.metric, final.accuracy)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noise-free", "noisy"])
+    def test_final_report(self, monkeypatch, noisy):
+        # noise-free, the last epoch's valid report is the final one; with
+        # noise the final report is a fresh draw on its own streams
+        bundle = build_task("word_lm", seed=6)
+        noise = NoiseConfig(weight_noise_beta=0.2 if noisy else 0.0, adc_noise_enabled=noisy)
+        cfg = replace(bundle.defaults, epochs=2, bitwidths=(4, 4, 4), hidden_size=8,
+                      noise=noise, seed=6)
+        tags = []
+        inner = xbarlstm.training.evaluate
+
+        def spy(*args, **kwargs):
+            tags.append(kwargs["epoch_tag"])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(xbarlstm.training, "evaluate", spy)
+        model, rep = train(build_network(bundle, cfg), bundle.train, cfg,
+                           valid_dataset=bundle.valid)
+        assert tags == ([1, 2, 3] if noisy else [1, 2])
+        again = inner(model, bundle.valid, cfg, epoch_tag=cfg.epochs + 1)
+        assert (rep.metric, rep.accuracy, rep.perplexity) == (
+            again.metric, again.accuracy, again.perplexity)
+        assert [e for e, _ in rep.curve] == [1, 2]
+        assert (rep.metric == rep.curve[-1][1]) is not noisy
 
     def test_seed_determinism_bit_identical_reports(self):
         reports = []
@@ -284,6 +347,22 @@ class TestBatching:
             assert x.shape[0] == lengths[0]
             assert np.array_equal(mask.sum(axis=0), lengths)
 
+    @pytest.mark.parametrize("inactive", [0.0, -1.0 / 15])
+    def test_lm_batches_equal_the_row_loop_bit_for_bit(self, inactive):
+        ds = tiny_lm_dataset(lengths=[3, 9, 1, 20, 9, 5, 16, 2], vocab=7)
+        order = np.random.default_rng(41).permutation(len(ds))
+        got = list(make_batches(ds, 3, 8, order, inactive=inactive))
+        got += [p[:3] for p in make_packs(ds, 4, 8, inactive=inactive)]
+        shuffled = [c for k in order for c in _chunks(ds.sequences[k], 8)]
+        by_length = sorted((c for seq in ds.sequences for c in _chunks(seq, 8)),
+                           key=lambda c: len(c[0]), reverse=True)
+        want = [row_loop_pad(ds, shuffled[i:i + 3], inactive) for i in range(0, 13, 3)]
+        want += [row_loop_pad(ds, by_length[i:i + 4], inactive) for i in range(0, 13, 4)]
+        assert len(shuffled) == 13 and len(got) == len(want) == 9
+        for batch, ref in zip(got, want):
+            for a, b in zip(batch, ref):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_classification_target_at_final_step(self):
         rng = np.random.default_rng(3)
         seqs = [(rng.normal(size=(5, 3)), 2), (rng.normal(size=(7, 3)), 1)]
@@ -294,6 +373,26 @@ class TestBatching:
         assert mask[4, 0] == 1.0 and mask[6, 1] == 1.0
         assert mask.sum() == 2
         assert targets[4, 0] == 2 and targets[6, 1] == 1
+
+
+def _chunks(seq, bptt_length):
+    x, y = seq
+    return [(x[k:k + bptt_length], y[k:k + bptt_length])
+            for k in range(0, max(len(x), 1), bptt_length)]
+
+
+def row_loop_pad(ds, group, inactive):
+    """A language-model batch built one row at a time."""
+    b, t_max = len(group), max(len(inp) for inp, _ in group)
+    x = np.full((t_max, b, ds.input_dim), inactive)
+    targets = np.zeros((t_max, b), dtype=np.int64)
+    mask = np.zeros((t_max, b))
+    for j, (inp, tgt) in enumerate(group):
+        t = len(inp)
+        x[np.arange(t), j, inp] = 1.0
+        targets[:t, j] = tgt
+        mask[:t, j] = 1.0
+    return x, targets, mask
 
 
 def clip_closed_form(grads, max_norm):
@@ -335,6 +434,36 @@ class TestAdam:
                 assert np.array_equal(params[k], ref[k])
                 assert np.array_equal(opt.m[k], m[k])
                 assert np.array_equal(opt.v[k], v[k])
+
+    def test_blocks_match_closed_form_bit_for_bit(self):
+        from xbarlstm.training import _Adam
+
+        rng = np.random.default_rng(72)
+        # three blocks and a partial one, one partial block, one exact block
+        shapes = {"w": (41, 1200), "w_head": (7, 9), "exact": (_Adam.BLOCK,)}
+        assert 3 * _Adam.BLOCK < 41 * 1200 < 4 * _Adam.BLOCK
+        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        m = {k: 0.0 for k in params}
+        v = {k: 0.0 for k in params}
+        opt = _Adam()
+        for t in range(1, 5):
+            grads = {k: rng.normal(scale=10.0 ** (t - 3), size=p.shape)
+                     for k, p in params.items()}
+            grads["w"][t, :5] = 0.0
+            opt.step(params, grads, 0.01)
+            adam_closed_form(ref, grads, m, v, t, 0.01)
+            for k in params:
+                assert params[k].tobytes() == ref[k].tobytes()
+                assert opt.m[k].tobytes() == m[k].tobytes()
+                assert opt.v[k].tobytes() == v[k].tobytes()
+
+    def test_non_contiguous_parameter_rejected(self):
+        from xbarlstm.training import _Adam
+
+        p = np.zeros((6, 4))[:, ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            _Adam().step({"w": p}, {"w": np.ones_like(p)}, 0.01)
 
 
 class TestScheduleAndClip:

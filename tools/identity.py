@@ -11,7 +11,7 @@ compared byte for byte: `metrics.csv` and `report.json` of each run and
 the comparison tables of each `cost` run.  One line per file; the exit
 status is 1 if any file differs or is missing on either side, else 0.
 
-The set takes about 15 s per revision on two cores.  It is fixed here,
+The set takes about 12 s per revision on two cores.  It is fixed here,
 so every comparison runs the same configs.
 """
 
@@ -49,6 +49,17 @@ epochs = 2
 [noise]
 weight_noise_beta = 0.2
 adc_noise = on
+"""),
+    # the large array without noise: several Adam blocks per step, the
+    # ADC pass mask folded into backward, the last epoch's report as final
+    "char_lm-qat": ("train", """
+[experiment]
+task = char_lm
+[train]
+weight_bits = 4
+adc_bits = 4
+dac_bits = 4
+epochs = 2
 """),
     "har-noise-sweep": ("noise-sweep", """
 [experiment]
