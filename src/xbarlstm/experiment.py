@@ -527,10 +527,18 @@ def _write(path: Path, text: str):
 
 def _write_manifest(cfg: ExperimentConfig, out: Path):
     manifest = cfg.as_dict()
+    # the BLAS build is named because its summation order decides the ADC
+    # codes of pre-activations that sit on a threshold
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy that does not report its build
+        blas = {}
     manifest["environment"] = {
         "package": "xbarlstm",
         "version": __version__,
         "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
         "python": sys.version.split()[0],
     }
     _write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")

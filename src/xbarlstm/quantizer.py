@@ -81,27 +81,32 @@ def _check_finite(x: np.ndarray):
         raise ValueError("quantizer input must be finite")
 
 
-def to_code(x, spec: QuantSpec) -> np.ndarray:
-    """Nearest grid index for each value; out-of-range input clips to the
-    nearest endpoint code; exact midpoints round toward +inf.  `spec` may
-    be any object with `v_min`, `v_max` and `step` that broadcast against
-    `x`, such as the per-column ADC bank `lstm.FusedConverter`."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_finite(x)
-    # floor((x - v_min) / step + 0.5) in one fresh buffer; floor(u + 0.5)
-    # rounds half-up, i.e. toward +inf, unlike np.round.  The caller's
-    # array is never written.  x is clipped to [v_min, v_max] first (two
-    # ufuncs, equal to np.clip on finite input): every step is monotone,
-    # so the codes equal clipping the result to [0, levels - 1], and
-    # values near the float limit cannot overflow in the divide.  After
-    # the clip u + 0.5 >= 0.5, so the int64 cast, which truncates toward
-    # zero, is the floor.
-    raw = np.maximum(x, spec.v_min, out=np.empty(x.shape))
+def _scaled(x: np.ndarray, spec, out: np.ndarray | None) -> np.ndarray:
+    """(clip(x) - v_min) / step + 0.5 of finite float64 `x` in `out`, or in
+    one new buffer.  x is clipped to [v_min, v_max] first (two ufuncs,
+    equal to np.clip on finite input): every step is monotone, so flooring
+    the result equals clipping the codes to [0, levels - 1], and values
+    near the float limit cannot overflow in the divide.  The result is
+    >= 0.5, so truncating it toward zero is the floor, and floor(u + 0.5)
+    rounds half-up, i.e. toward +inf, unlike np.round."""
+    raw = np.maximum(x, spec.v_min, out=np.empty(x.shape) if out is None else out)
     np.minimum(raw, spec.v_max, out=raw)
     raw -= spec.v_min
     raw /= spec.step
     raw += 0.5
-    codes = raw.astype(np.int64)
+    return raw
+
+
+def to_code(x, spec: QuantSpec) -> np.ndarray:
+    """Nearest grid index for each value; out-of-range input clips to the
+    nearest endpoint code; exact midpoints round toward +inf.  `spec` may
+    be any object with `v_min`, `v_max` and `step` that broadcast against
+    `x`, such as the per-column ADC bank `lstm.FusedConverter`.  The
+    caller's array is never written."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_finite(x)
+    # the int64 cast of the non-negative scaled values is their floor
+    codes = _scaled(x, spec, None).astype(np.int64)
     # 0-d input returns a numpy integer, not a 0-d array
     return codes if codes.ndim else codes[()]
 
@@ -114,19 +119,27 @@ def from_code(codes, spec: QuantSpec) -> np.ndarray:
     return spec.v_min + codes.astype(np.float64) * spec.step
 
 
-def quantize(x, spec: QuantSpec):
+def quantize(x, spec: QuantSpec, out: np.ndarray | None = None):
     """Snap values to the nearest grid point (clipping outside the range).
 
-    The grid value of `to_code(x)`, gathered from `spec.grid()`: bit for
-    bit `from_code(to_code(x))`, without `from_code`'s range scan, which
-    cannot fail on codes `to_code` has clipped.  Total over finite reals;
-    NaN/inf raise.  Returns a float for scalar or 0-d input, an ndarray
+    Bit for bit `from_code(to_code(x))`: the code is made as a float,
+    trunc((clip(x) - v_min)/step + 0.5), then scaled by the step and
+    offset by v_min, the IEEE operations of `from_code`, all in one buffer
+    (and without `from_code`'s range scan, which cannot fail on clipped
+    codes).  That buffer is `out`, a float64 array of x's shape, when
+    given, else a new one.  Total over finite reals; NaN/inf raise.
+    Returns a float for scalar or 0-d input without `out`, the buffer
     otherwise.
     """
-    out = spec.grid()[to_code(x, spec)]
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    arr = np.asarray(x, dtype=np.float64)
+    _check_finite(arr)
+    q = _scaled(arr, spec, out)
+    np.trunc(q, out=q)
+    q *= spec.step
+    q += spec.v_min
+    if out is None and arr.ndim == 0:
+        return float(q)
+    return q
 
 
 def ste_backward(upstream_grad, x, spec: QuantSpec):

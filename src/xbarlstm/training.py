@@ -20,10 +20,17 @@ at the configured percentile and the remaining epochs train through the
 quantized path (an explicit range override skips the calibration epoch
 and quantizes from the start).  Training forwards record a cache for
 the backward pass; evaluation forwards pass each row's length and so
-record nothing.  With a valid split, every epoch ends with an
-evaluation; when that evaluation draws no noise, the last epoch's
-report is the final one, since the same model, split and arithmetic
-give the same bytes (only the noise streams depend on the epoch).
+record nothing.  An epoch's steps share one `lstm.StepBuffers`: each
+training forward and backward writes the programmed array, the cache,
+the hidden states and the weight gradient into the same buffers, no
+array of a step outlives it, and the buffers are released before the
+calibration freeze and the evaluation, so their peaks do not add up.
+The logits, their gradient, the head's gradient and the STE masks are
+new each step; the clipping scales the gradients in place.  With a
+valid split, every epoch ends with an evaluation; when that evaluation
+draws no noise, the last epoch's report is the final one, since the
+same model, split and arithmetic give the same bytes (only the noise
+streams depend on the epoch).
 
 Training batches come in shuffled order, each padded to its longest
 chunk (`make_batches`); the padded rows also feed the ADC-range
@@ -58,6 +65,7 @@ import numpy as np
 
 from .crossbar import NoiseConfig
 from .datasets import SequenceDataset
+from .lstm import StepBuffers
 from .network import LSTMNetwork, RangeCollector
 from .quantizer import QuantSpec
 from .seeding import derive_rng
@@ -295,10 +303,13 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
 # --- optimizers -------------------------------------------------------------------
 
 def _clip_global(grads: dict[str, np.ndarray], max_norm: float):
+    """Scales the gradients in place to a global norm of at most max_norm
+    (0: no clipping) and returns them."""
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
-        return {k: g * scale for k, g in grads.items()}
+        for g in grads.values():
+            g *= scale
     return grads
 
 
@@ -319,6 +330,9 @@ class _Adam:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        # working buffers for one block only, shared by every parameter and
+        # step: parameter-sized ones would add two arrays to the peak memory
+        self._work = np.empty((2, self.BLOCK))
 
     def step(self, params, grads, lr: float):
         """p -= lr * mhat / (sqrt(vhat) + eps), with the moments updated in
@@ -337,9 +351,7 @@ class _Adam:
                 self.m[k], self.v[k] = np.zeros_like(p), np.zeros_like(p)
             p_all, g_all = p.reshape(-1), np.ravel(grads[k])
             m_all, v_all = self.m[k].reshape(-1), self.v[k].reshape(-1)
-            # working buffers for one block only: parameter-sized ones would
-            # add two arrays to the step's peak memory
-            step_all, denom_all = np.empty((2, min(p.size, block)))
+            step_all, denom_all = self._work
             for lo in range(0, p.size, block):
                 hi = lo + block
                 w, g, m, v = p_all[lo:hi], g_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
@@ -410,6 +422,21 @@ def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
     )
 
 
+def _step(model: LSTMNetwork, x: np.ndarray, targets: np.ndarray, mask: np.ndarray,
+          buffers: StepBuffers, update, lr: float, grad_clip: float, **forward
+          ) -> tuple[float, float]:
+    """One training step on a batch, its working set in `buffers`: the
+    batch's (nll_sum, token count), with no update when the loss is not
+    finite.  Its arrays die when it returns, so none of them is alive
+    while the next step's forward builds its cache."""
+    logits, h_seq, cache = model.forward_sequence(x, buffers=buffers, **forward)
+    s, c, _, d_logits = softmax_xent(logits, targets, mask)
+    if math.isfinite(s):
+        grads = model.backward(cache, h_seq, d_logits, buffers)
+        update(model.parameters(), _clip_global(grads, grad_clip), lr)
+    return s, c
+
+
 def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
           valid_dataset: SequenceDataset | None = None,
           task_name: str | None = None) -> tuple[LSTMNetwork, EvalReport]:
@@ -447,19 +474,20 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
 
         order = rng_data.permutation(len(dataset))
         nll_sum = count = 0.0
+        buffers = StepBuffers()
         for x, targets, mask in make_batches(dataset, cfg.batch_size,
                                              cfg.bptt_length, order, inactive=inactive):
-            logits, h_seq, cache = model.forward_sequence(
-                x, mode=mode, rng_weight_noise=rng_w, rng_adc_noise=rng_a,
-                on_preact=collector)
-            s, c, _, d_logits = softmax_xent(logits, targets, mask)
+            s, c = _step(model, x, targets, mask, buffers, update, lr, cfg.grad_clip,
+                         mode=mode, rng_weight_noise=rng_w, rng_adc_noise=rng_a,
+                         on_preact=collector)
             if not math.isfinite(s):
                 raise TrainingDiverged(global_step)
-            grads = model.backward(cache, h_seq, d_logits)
-            update(model.parameters(), _clip_global(grads, cfg.grad_clip), lr)
             nll_sum += s
             count += c
             global_step += 1
+        # released before the calibration freeze and the evaluation, so
+        # their peaks do not add to the step's
+        del buffers
 
         if collector is not None:
             model.freeze_adc_ranges(collector.ranges())

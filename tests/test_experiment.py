@@ -983,6 +983,13 @@ class TestReproducibility:
         b = (tmp_path / "b" / "metrics.csv").read_bytes()
         assert a == b
 
+    def test_manifest_names_the_blas_build(self, tmp_path):
+        assert run(write(tmp_path, FAST_TRAIN), out_dir=tmp_path / "a") == EXIT_OK
+        env = json.loads((tmp_path / "a" / "manifest.json").read_text())["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert (env["blas"], env["blas_version"]) == (blas["name"], blas["version"])
+        assert env["blas"] and env["blas_version"]
+
     def test_older_manifest_noise_seed_ignored(self, tmp_path):
         # older manifests record a "seed" in train.noise (noise streams
         # derive from the train seed) and "resample_per_read": true (weight

@@ -791,3 +791,66 @@ class TestBackwardReusesIdealGates:
         reused = lstm_backward(cache, d_h)
         cache.adc_mask = np.ones(cache.preact.shape, dtype=bool)
         assert np.array_equal(reused, lstm_backward(cache, d_h))
+
+
+class TestStepBuffers:
+    """Given `StepBuffers`, a recorded forward and its backward write into
+    them and give the new-array results bit for bit, whatever the buffers
+    held before; given none, every array they hand out is new, so a cache
+    a caller holds does not change under a later call."""
+
+    M, N, B = 5, 4, 3
+    FIELDS = ("inputs", "preact", "gates", "c", "tanh_c", "adc_mask", "noise_eps",
+              "noise_scale", "w_used", "w_mask")
+
+    def _net(self):
+        from xbarlstm.crossbar import CrossbarConfig, NoiseConfig
+        from xbarlstm.network import LSTMNetwork
+
+        cfg = CrossbarConfig.for_lstm(self.M, self.N, weight_bits=4, adc_bits=4,
+                                      dac_bits=4, w_max=0.8)
+        net = LSTMNetwork(self.M, self.N, 3, seed=8, crossbar=cfg, init_scale=0.6,
+                          noise=NoiseConfig(weight_noise_beta=0.2, adc_noise_enabled=True))
+        net.freeze_adc_ranges((1.0, 1.5, 2.0, 2.5))
+        return net
+
+    def _step(self, net, steps, seed, buffers=None) -> dict:
+        """A quantized noisy forward and backward: every array they hand out."""
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, size=(steps, self.B, self.M))
+        logits, h_seq, cache = net.forward_sequence(
+            x, mode="quantized", rng_weight_noise=np.random.default_rng(seed + 1),
+            rng_adc_noise=np.random.default_rng(seed + 2), buffers=buffers)
+        grads = net.backward(cache, h_seq, rng.normal(size=logits.shape), buffers)
+        return {"h_seq": h_seq, "d_w": grads["w"], **{k: getattr(cache, k) for k in self.FIELDS}}
+
+    def test_buffers_give_the_new_array_results_bit_for_bit(self):
+        from xbarlstm.lstm import StepBuffers
+
+        net, buffers = self._net(), StepBuffers()
+        self._step(net, 8, seed=1, buffers=buffers)  # a longer step's values stay behind
+        got = self._step(net, 6, seed=2, buffers=buffers)
+        want = self._step(net, 6, seed=2)
+        for key, a in want.items():
+            assert got[key].shape == a.shape and got[key].tobytes() == a.tobytes(), key
+        assert np.shares_memory(got["preact"], buffers.take("preact", (1,)))
+
+    def test_held_cache_is_not_changed_by_later_calls(self):
+        net = self._net()
+        first = self._step(net, 6, seed=3)
+        held = {key: a.copy() for key, a in first.items()}
+        later = self._step(net, 6, seed=4)
+        for key, a in first.items():
+            assert a.tobytes() == held[key].tobytes(), key
+            assert not np.shares_memory(a, later[key]), key
+        # the full-precision path through run_cell directly
+        params = random_params(self.M, self.N, seed=5)
+        x = np.random.default_rng(6).uniform(-1, 1, size=(6, self.B, self.M))
+        d_h = np.random.default_rng(7).normal(size=(6, self.B, self.N))
+        h_seq, cache = run_cell(x, params.concat())
+        d_w = lstm_backward(cache, d_h)
+        held = [a.copy() for a in (h_seq, cache.preact, cache.gates, cache.c, d_w)]
+        run_cell(x[::-1], params.concat())
+        lstm_backward(cache, d_h[::-1])
+        for a, b in zip((h_seq, cache.preact, cache.gates, cache.c, d_w), held):
+            assert a.tobytes() == b.tobytes()

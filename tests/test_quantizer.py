@@ -259,12 +259,15 @@ def assert_bitwise(got, want):
 
 
 # 1, 4 and 16 bits; the [-7.5, 7.5] 4-bit grid has step 1, so its
-# half-step midpoints are exact ties in floating point
+# half-step midpoints are exact ties in floating point; the last two put
+# a level at zero, the grid's first one from a v_min of -0.0
 LAW_SPECS = [
     QuantSpec(1, -1.0, 1.0),
     QuantSpec(4, -0.7, 1.3),
     QuantSpec(4, -7.5, 7.5),
     QuantSpec(16, -4.0, 4.0),
+    QuantSpec(4, -7.0, 8.0),
+    QuantSpec(4, -0.0, 1.5),
 ]
 
 
@@ -276,7 +279,8 @@ def law_inputs(spec: QuantSpec) -> np.ndarray:
     return np.concatenate([
         spec.v_min + k * spec.step,
         spec.v_min + (k[:-1] + 0.5) * spec.step,
-        [spec.v_min - 3 * spec.step, spec.v_max + 2.5, -1e300, 1e300, -1.7e308, 1.7e308],
+        [spec.v_min - 3 * spec.step, spec.v_max + 2.5, -1e300, 1e300, -1.7e308, 1.7e308,
+         -0.0, 0.0],
         rng.uniform(spec.v_min - 1.0, spec.v_max + 1.0, size=2000),
     ])
 
@@ -295,6 +299,10 @@ class TestCodeLaw:
         codes = to_code(x, spec)
         assert_bitwise(codes, ref_to_code(x, spec))
         assert_bitwise(quantize(x, spec), from_code(ref_to_code(x, spec), spec))
+        # into a caller's buffer, whatever it held: one strided, one not
+        for out in (np.full(x.shape, np.nan), np.full((x.size, 2), -0.0)[:, :1]):
+            assert quantize(x, spec, out=out) is out
+            assert_bitwise(out, from_code(ref_to_code(x, spec), spec))
         assert_bitwise(x, before)
 
     @pytest.mark.parametrize("spec", LAW_SPECS, ids=lambda s: f"{s.bits}bit-{s.v_min}")

@@ -2,6 +2,7 @@
 reporting, and consistency of the 16-bit quantized path with the pure
 full-precision trainer."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -501,6 +502,88 @@ class TestScheduleAndClip:
             assert np.array_equal(p, params[k])
 
 
+class TestStepBuffers:
+    """`train` keeps one step's working set in buffers that every step of
+    an epoch writes into, and keeps nothing of a step once it is done."""
+
+    NOISY = NoiseConfig(weight_noise_beta=0.2, adc_noise_enabled=True)
+    # three batches of one shape per epoch: 24 sequences of 5 tokens, 8 a batch
+    CFG = TrainConfig(optimizer="adam", learning_rate=0.01, epochs=2, batch_size=8,
+                      bitwidths=(4, 4, 4), noise=NOISY, seed=6)
+    STEPS = 3
+
+    def _model(self):
+        xcfg = CrossbarConfig.for_lstm(6, 4, weight_bits=4, adc_bits=4, dac_bits=4)
+        return LSTMNetwork(6, 4, 6, seed=9, crossbar=xcfg, noise=self.NOISY)
+
+    @staticmethod
+    def _root(a):
+        return a if a.base is None else a.base
+
+    def test_consecutive_steps_share_buffers(self, monkeypatch):
+        model = self._model()
+        real_forward, real_backward = model.forward_sequence, model.backward
+        names = ("inputs", "preact", "gates", "c", "tanh_c", "noise_eps", "noise_scale",
+                 "w_used")
+        steps = []  # per recorded forward: its arrays, its h_seq and its d_w
+
+        def forward(*args, **kwargs):
+            logits, h_seq, cache = real_forward(*args, **kwargs)
+            if cache is not None:
+                steps.append({"h_seq": h_seq, **{k: getattr(cache, k) for k in names}})
+            return logits, h_seq, cache
+
+        def backward(*args, **kwargs):
+            grads = real_backward(*args, **kwargs)
+            steps[-1]["d_w"] = grads["w"]
+            return grads
+
+        monkeypatch.setattr(model, "forward_sequence", forward)
+        monkeypatch.setattr(model, "backward", backward)
+        train(model, tiny_lm_dataset(), self.CFG, valid_dataset=tiny_lm_dataset(seed=4))
+        # the calibration epoch records no noise draws; the quantized one does
+        assert len(steps) == self.CFG.epochs * self.STEPS
+        for epoch in range(self.CFG.epochs):
+            first, *rest = steps[epoch * self.STEPS:(epoch + 1) * self.STEPS]
+            for later in rest:
+                for key, a in first.items():
+                    if a is not None:
+                        assert np.shares_memory(a, later[key]), (epoch, key)
+
+    def test_no_step_array_outlives_its_step(self, monkeypatch):
+        model = self._model()
+        real_forward = model.forward_sequence
+        caches, roots = [], []
+
+        def released(what):
+            assert all(ref() is None for ref in caches), f"a recorded cache outlives {what}"
+            assert all(ref() is None for ref in roots), f"a step buffer outlives {what}"
+
+        def forward(*args, **kwargs):
+            if kwargs.get("lengths") is not None:
+                released("the epoch, into evaluate")
+            else:
+                assert all(ref() is None for ref in caches), "the last cache is still held"
+            logits, h_seq, cache = real_forward(*args, **kwargs)
+            if cache is not None:
+                caches.append(weakref.ref(cache))
+                roots.extend(weakref.ref(self._root(a)) for a in (cache.preact, h_seq))
+            return logits, h_seq, cache
+
+        real_ranges = xbarlstm.network.RangeCollector.ranges
+
+        def ranges(collector):
+            released("the calibration epoch, into ranges()")
+            return real_ranges(collector)
+
+        monkeypatch.setattr(model, "forward_sequence", forward)
+        monkeypatch.setattr(xbarlstm.network.RangeCollector, "ranges", ranges)
+        _, rep = train(model, tiny_lm_dataset(), self.CFG,
+                       valid_dataset=tiny_lm_dataset(seed=4))
+        assert len(caches) == self.CFG.epochs * self.STEPS
+        assert len(rep.curve) == self.CFG.epochs
+
+
 class TestEvalPackRows:
     """evaluate() sizes its packs by the array's width, 4n columns, and
     never by the training batch size."""
@@ -632,9 +715,9 @@ class TestEvaluationSnap:
         shapes = []
         real = xbarlstm.network.quantize
 
-        def counting(x, spec):
+        def counting(x, spec, **kwargs):
             shapes.append(np.shape(x))
-            return real(x, spec)
+            return real(x, spec, **kwargs)
 
         # the network is the only batched-path code that snaps the weights
         monkeypatch.setattr(xbarlstm.network, "quantize", counting)
