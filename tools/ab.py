@@ -1,16 +1,15 @@
 """Compare the benchmark of two revisions in alternating pairs.
 
     python tools/ab.py REV_A REV_B --workload W --seed S --pairs N [--out FILE]
-                       [--seconds S]
 
 REV_A is the base (the parent) and REV_B the change.  Both revisions are
 unpacked with `git archive` (`tools/identity.py`'s `unpack`), and each
-pair runs `bench/run.py --workload W --seed S --seconds S --trace 0` once
-in each tree (S defaults to BENCHMARK.json's `run_seconds`): A first on odd pairs, B
+pair runs `bench/run.py --workload W --seed S --seconds <run_seconds of
+BENCHMARK.json> --trace 0` once in each tree: A first on odd pairs, B
 first on even ones.  Besides the benchmark's end-to-end metrics, each
 run's child-process rusage, read with `os.wait4`, gives minor page
-faults, system and user CPU seconds per unit (the run's totals over its
-units, the warm-up unit included).
+faults, system and user CPU seconds per unit: the run's totals, start-up
+and set-up included, over its units, the warm-up unit counted.
 
 For each metric the summary holds each side's q1, median and q3, the
 per-pair ratios B/A, the median ratio and the win count k/n: the pairs in
@@ -148,13 +147,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     bench = json.loads((REPO / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     try:
         revs = {"a": _sha(args.rev_a), "b": _sha(args.rev_b)}
     except subprocess.CalledProcessError as exc:
@@ -168,7 +166,12 @@ def main(argv: list[str]) -> int:
             unpack(revs[side], tree)
         for pair in range(1, args.pairs + 1):
             for side in ("ab" if pair % 2 else "ba"):
-                runs[side].append(run_bench(trees[side], args.workload, args.seed, seconds))
+                try:
+                    runs[side].append(run_bench(trees[side], args.workload, args.seed,
+                                                seconds))
+                except RuntimeError as exc:  # a failed run leaves nothing to compare
+                    print(exc, file=sys.stderr)
+                    return 1
             print(f"pair {pair}/{args.pairs} done", file=sys.stderr)
 
     metrics = compare_runs(runs["a"], runs["b"], better)
