@@ -67,17 +67,10 @@ quantized activation unit is treated as out-quantizer(fn(ADC(a))) with
 both quantizers backpropagating straight through.  With ideal converters
 the cached gates equal sigmoid/tanh of the cached pre-activations bit for
 bit, so backward reads them instead of recomputing them.
-
-A caller that runs step after step (`training.train`) hands both passes
-one `StepBuffers`: the recorded forward's cache arrays and hidden states
-and the backward's working arrays and weight gradient are then views of
-those buffers, which the next call overwrites.  Without them every array
-is new, so a cache a caller holds never changes under it.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -92,7 +85,6 @@ __all__ = [
     "GateActivations",
     "OpCounter",
     "SequenceCache",
-    "StepBuffers",
     "lstm_step_ref",
     "run_cell",
     "FusedConverter",
@@ -233,36 +225,6 @@ class SequenceCache:
         return len(self.preact)
 
 
-class StepBuffers:
-    """The working set of one training step, kept for many steps.
-
-    A forward or backward given these buffers writes its large arrays
-    into them instead of into new ones: one flat float64 buffer per name,
-    grown to the largest size asked for, whose prefix is a C-contiguous
-    view of the shape asked for.  So step after step reuses the same
-    pages, and every array a call hands out from them (the cache, the
-    hidden states, the weight gradient, the programmed array) is
-    overwritten by the next call that is given the same buffers.  The
-    owner keeps nothing of a step past it; calls given no buffers make
-    new arrays.
-    """
-
-    def __init__(self):
-        self._flat: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialised float64 array of `shape` in buffer `name`."""
-        size = math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size)
-        return flat[:size].reshape(shape)
-
-
-def _empty(buffers: StepBuffers | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    return np.empty(shape) if buffers is None else buffers.take(name, shape)
-
-
 def forward_sequence(params: LSTMParams, x_seq: np.ndarray) -> tuple[np.ndarray, SequenceCache]:
     """Batched full-precision forward pass over a (T, B, m) input sequence.
 
@@ -323,7 +285,6 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
              adc: FusedConverter | None = None,
              dac_spec: QuantSpec | None = None,
              lengths: np.ndarray | None = None,
-             buffers: StepBuffers | None = None,
              ) -> tuple[np.ndarray, SequenceCache | None]:
     """The batched step loop behind every forward pass.
 
@@ -357,10 +318,6 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
     Rows past their length read zeros in the returned h_seq.  This is the
     packed-sequence layout of cuDNN and PyTorch's `pack_padded_sequence`:
     rows that finished cost nothing.
-
-    Given `buffers`, the cache arrays and the hidden states are views of
-    those buffers, which the next call given them overwrites; else they
-    are new arrays.
     """
     x_seq = np.asarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3:
@@ -392,26 +349,20 @@ def run_cell(x_seq: np.ndarray, w: np.ndarray, *,
     # Step t uses index t modulo a buffer's length.
     span = t_steps if record else min(t_steps, 1)
     gate_shape = (span, batch, 4 * n)
-
-    def empty(name, shape):
-        return _empty(buffers, name, shape)
-
     cache = SequenceCache(
         input_size=m, hidden_size=n, w_used=w,
-        inputs=empty("inputs", (span, batch, m + n)), preact=empty("preact", gate_shape),
-        gates=empty("gates", gate_shape), c=empty("c", (span + 1, batch, n)),
-        tanh_c=empty("tanh_c", (span, batch, n)),
-        noise_eps=None if weight_noise is None else empty("noise_eps", gate_shape),
-        noise_scale=None if weight_noise is None else empty("noise_scale", (span, batch)))
-    cache.c[0] = 0.0
+        inputs=np.empty((span, batch, m + n)), preact=np.empty(gate_shape),
+        gates=np.empty(gate_shape), c=np.zeros((span + 1, batch, n)),
+        tanh_c=np.empty((span, batch, n)),
+        noise_eps=None if weight_noise is None else np.empty(gate_shape),
+        noise_scale=None if weight_noise is None else np.empty((span, batch)))
     if t_steps:
         cache.inputs[0, :, m:] = h
     if record:
         cache.inputs[:, :, :m] = x_seq
     # rows past their length keep the zeros of h_seq
-    h_seq = (empty("h_seq", (t_steps, batch, n)) if live is None
-             else np.zeros((t_steps, batch, n)))
-    adc_eps = None if adc_noise is None else empty("adc_eps", (batch, 4 * n))
+    h_seq = (np.empty if live is None else np.zeros)((t_steps, batch, n))
+    adc_eps = None if adc_noise is None else np.empty((batch, 4 * n))
 
     for t in range(t_steps):
         k = t % span
@@ -524,16 +475,13 @@ def _factors(cache: SequenceCache, lo: int, hi: int, da_seq: np.ndarray,
     np.subtract(1.0, buf, out=buf)
 
 
-def lstm_backward(cache: SequenceCache, d_h: Sequence[np.ndarray] | np.ndarray,
-                  buffers: StepBuffers | None = None) -> np.ndarray:
+def lstm_backward(cache: SequenceCache, d_h: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Backpropagate through the recorded sequence.
 
     `d_h[t]` is the upstream loss gradient into h_t, shape (B, n) per step.
     Returns the (m+n) x 4n gradient w.r.t. the (latent) concatenated
     weights, gate blocks in [f | i | o | c] order; quantizer nodes pass
-    gradient through where the cache masks allow.  Given `buffers`, the
-    gradient and the working arrays are views of those buffers (see
-    `StepBuffers`); else they are new arrays.
+    gradient through where the cache masks allow.
     """
     if cache.steps == 0:
         raise ValueError("cache holds no recorded steps")
@@ -549,12 +497,11 @@ def lstm_backward(cache: SequenceCache, d_h: Sequence[np.ndarray] | np.ndarray,
     # single GEMM over the stacked (T*B) rows after the recurrence; step
     # t's rows first hold its factors s m | (1 - th^2) m (see _factors),
     # made for `span` steps per pass
-    da_seq = _empty(buffers, "da_seq", gates.shape)
+    da_seq = np.empty(gates.shape)
     span = max(1, FACTOR_VALUES // gates[0].size)
     block = (min(span, cache.steps), gates.shape[1])
-    one_minus_s = _empty(buffers, "one_minus_s", block + (3 * n,))
-    d_tanh_c = _empty(buffers, "d_tanh_c", block + (n,))
-    products = _empty(buffers, "products", gates.shape[1:])
+    one_minus_s, d_tanh_c = np.empty(block + (3 * n,)), np.empty(block + (n,))
+    products = np.empty(gates.shape[1:])
     dh_next = np.zeros(c_seq.shape[1:])
     dc_next = np.zeros_like(dh_next)
 
@@ -589,8 +536,7 @@ def lstm_backward(cache: SequenceCache, d_h: Sequence[np.ndarray] | np.ndarray,
                 dh_next += gain[:, None] * u[:, m:]
 
     rows = cache.steps * da_seq.shape[1]
-    d_w = np.matmul(cache.inputs.reshape(rows, -1).T, da_seq.reshape(rows, -1),
-                    out=_empty(buffers, "d_w", cache.w_used.shape))
+    d_w = cache.inputs.reshape(rows, -1).T @ da_seq.reshape(rows, -1)
     if cache.w_mask is not None:
         d_w *= cache.w_mask
     return d_w

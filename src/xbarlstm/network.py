@@ -33,12 +33,13 @@ megabyte at the 99.9th percentile (and everything at low percentiles).
 Only the network turns the latent weights into the array a read sees:
 `programmed_weights` snaps them to the device grid, and a recorded
 forward keeps their STE mask for backward.  Training forwards program
-the array every time, since every step changes the weights: a forward
-given step buffers (`lstm.StepBuffers`, which only `training.train`
-passes) into its buffer, which the next step overwrites, any other into
-a new array.  An evaluation split programs it once, into a new array,
-for all its forwards.  The network itself keeps no programmed array, so
-writes to `w` between calls are always seen.
+the array every time, since every step changes the weights; an
+evaluation split programs it once for all its forwards.  Nothing keeps
+the programmed array beyond the call that asked for it, so writes to `w`
+between calls are always seen.  Every array a forward or backward hands
+out (the programmed array, the cache, the hidden states, the logits and
+the gradients) is new; `training.train` lets go of one step's before
+the next step's forward.
 
 The batched matmuls here use BLAS; the single-vector crossbar ops in
 `crossbar` accumulate row by row instead.  Same arithmetic, different
@@ -56,7 +57,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .crossbar import CrossbarConfig, NoiseConfig
-from .lstm import FusedConverter, SequenceCache, StepBuffers, lstm_backward, run_cell
+from .lstm import FusedConverter, SequenceCache, lstm_backward, run_cell
 from .quantizer import quantize, ste_mask
 from .seeding import derive_rng
 
@@ -214,7 +215,6 @@ class LSTMNetwork:
                          programmed: np.ndarray | None = None,
                          lengths: np.ndarray | None = None,
                          on_preact: Callable[[np.ndarray], None] | None = None,
-                         buffers: StepBuffers | None = None,
                          ) -> tuple[np.ndarray, np.ndarray, SequenceCache | None]:
         """Run a (T, B, m) batch; returns (logits (T,B,V), h_seq (T,B,n), cache).
 
@@ -236,10 +236,6 @@ class LSTMNetwork:
         once for many forwards), else the latent weights in 'fp' mode and
         `programmed_weights()` in the others.  A recorded non-fp forward
         stores the latent weights' STE mask in its cache for backward.
-
-        Given `buffers` (see `lstm.StepBuffers`), the programmed array, the
-        hidden states and the cache arrays are views of them, overwritten
-        by the next call given the same buffers; the logits are always new.
         """
         if mode not in ("fp", "calibrate", "quantized"):
             raise ValueError(f"unknown forward mode {mode!r}")
@@ -261,13 +257,10 @@ class LSTMNetwork:
                                           noise.weight_noise_beta * cfg.weight_spec.full_range)
             if noise.adc_noise_enabled:
                 stages["adc_noise"] = rng_adc_noise
-        if programmed is None and mode == "fp":
-            programmed = self.w
-        elif programmed is None:
-            programmed = self.programmed_weights(
-                None if buffers is None else buffers.take("programmed", self.w.shape))
+        if programmed is None:
+            programmed = self.w if mode == "fp" else self.programmed_weights()
         h_seq, cache = run_cell(x_seq, programmed, lengths=lengths, on_preact=on_preact,
-                                buffers=buffers, **stages)
+                                **stages)
         if cache is not None and mode != "fp":
             cache.w_mask = ste_mask(self.w, cfg.weight_spec)
         # matmul over the (T, B, n) stack is one (B, n) GEMM per step: a
@@ -275,29 +268,26 @@ class LSTMNetwork:
         # logits in the last bits
         return h_seq @ self.w_head, h_seq, cache
 
-    def programmed_weights(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The LSTM array as a read pass sees it: the latent weights snapped
-        to the device grid, in `out` when given, else in a new array, which
-        later writes to `w` do not change; or `w` itself without a
-        crossbar."""
+    def programmed_weights(self) -> np.ndarray:
+        """The LSTM array as a read pass sees it: a new array of the latent
+        weights snapped to the device grid, which later writes to `w` do
+        not change, or `w` itself without a crossbar."""
         if self.crossbar is None:
             return self.w
-        return quantize(self.w, self.crossbar.weight_spec, out=out)
+        return np.asarray(quantize(self.w, self.crossbar.weight_spec))
 
     # --- backward -----------------------------------------------------------
 
-    def backward(self, cache: SequenceCache, h_seq: np.ndarray, d_logits: np.ndarray,
-                 buffers: StepBuffers | None = None) -> dict[str, np.ndarray]:
+    def backward(self, cache: SequenceCache, h_seq: np.ndarray,
+                 d_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of the loss w.r.t. the latent weights and the head,
-        given d(loss)/d(logits) per step; the weights' gradient is a view of
-        `buffers` when given (see `lstm_backward`)."""
+        given d(loss)/d(logits) per step."""
         # d_head sums per step in time order, the order its results are
         # pinned to; d_h is one (B, V) GEMM per step, as the head is
         d_head = np.zeros_like(self.w_head)
         for t in range(cache.steps):
             d_head += h_seq[t].T @ d_logits[t]
-        return {"w": lstm_backward(cache, d_logits @ self.w_head.T, buffers),
-                "w_head": d_head}
+        return {"w": lstm_backward(cache, d_logits @ self.w_head.T), "w_head": d_head}
 
     # --- parameter access ----------------------------------------------------
 

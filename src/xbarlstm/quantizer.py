@@ -81,15 +81,15 @@ def _check_finite(x: np.ndarray):
         raise ValueError("quantizer input must be finite")
 
 
-def _scaled(x: np.ndarray, spec, out: np.ndarray | None) -> np.ndarray:
-    """(clip(x) - v_min) / step + 0.5 of finite float64 `x` in `out`, or in
-    one new buffer.  x is clipped to [v_min, v_max] first (two ufuncs,
+def _scaled(x: np.ndarray, spec) -> np.ndarray:
+    """(clip(x) - v_min) / step + 0.5 of finite float64 `x`, in one new
+    buffer.  x is clipped to [v_min, v_max] first (two ufuncs,
     equal to np.clip on finite input): every step is monotone, so flooring
     the result equals clipping the codes to [0, levels - 1], and values
     near the float limit cannot overflow in the divide.  The result is
     >= 0.5, so truncating it toward zero is the floor, and floor(u + 0.5)
     rounds half-up, i.e. toward +inf, unlike np.round."""
-    raw = np.maximum(x, spec.v_min, out=np.empty(x.shape) if out is None else out)
+    raw = np.maximum(x, spec.v_min, out=np.empty(x.shape))
     np.minimum(raw, spec.v_max, out=raw)
     raw -= spec.v_min
     raw /= spec.step
@@ -106,7 +106,7 @@ def to_code(x, spec: QuantSpec) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     _check_finite(x)
     # the int64 cast of the non-negative scaled values is their floor
-    codes = _scaled(x, spec, None).astype(np.int64)
+    codes = _scaled(x, spec).astype(np.int64)
     # 0-d input returns a numpy integer, not a 0-d array
     return codes if codes.ndim else codes[()]
 
@@ -119,25 +119,23 @@ def from_code(codes, spec: QuantSpec) -> np.ndarray:
     return spec.v_min + codes.astype(np.float64) * spec.step
 
 
-def quantize(x, spec: QuantSpec, out: np.ndarray | None = None):
+def quantize(x, spec: QuantSpec):
     """Snap values to the nearest grid point (clipping outside the range).
 
     Bit for bit `from_code(to_code(x))`: the code is made as a float,
     trunc((clip(x) - v_min)/step + 0.5), then scaled by the step and
-    offset by v_min, the IEEE operations of `from_code`, all in one buffer
-    (and without `from_code`'s range scan, which cannot fail on clipped
-    codes).  That buffer is `out`, a float64 array of x's shape, when
-    given, else a new one.  Total over finite reals; NaN/inf raise.
-    Returns a float for scalar or 0-d input without `out`, the buffer
-    otherwise.
+    offset by v_min, the IEEE operations of `from_code`, all in one new
+    buffer (and without `from_code`'s range scan, which cannot fail on
+    clipped codes).  Total over finite reals; NaN/inf raise.  Returns a
+    float for scalar or 0-d input, an ndarray otherwise.
     """
     arr = np.asarray(x, dtype=np.float64)
     _check_finite(arr)
-    q = _scaled(arr, spec, out)
+    q = _scaled(arr, spec)
     np.trunc(q, out=q)
     q *= spec.step
     q += spec.v_min
-    if out is None and arr.ndim == 0:
+    if arr.ndim == 0:
         return float(q)
     return q
 

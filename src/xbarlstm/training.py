@@ -20,17 +20,14 @@ at the configured percentile and the remaining epochs train through the
 quantized path (an explicit range override skips the calibration epoch
 and quantizes from the start).  Training forwards record a cache for
 the backward pass; evaluation forwards pass each row's length and so
-record nothing.  An epoch's steps share one `lstm.StepBuffers`: each
-training forward and backward writes the programmed array, the cache,
-the hidden states and the weight gradient into the same buffers, no
-array of a step outlives it, and the buffers are released before the
-calibration freeze and the evaluation, so their peaks do not add up.
-The logits, their gradient, the head's gradient and the STE masks are
-new each step; the clipping scales the gradients in place.  With a
-valid split, every epoch ends with an evaluation; when that evaluation
-draws no noise, the last epoch's report is the final one, since the
-same model, split and arithmetic give the same bytes (only the noise
-streams depend on the epoch).
+record nothing.  Each training step's arrays (the programmed array, the
+cache, the hidden states, the logits and the gradients) are new, and
+none outlives its step, so the next step's forward never builds its
+cache beside the last one's; the clipping scales the gradients in
+place.  With a valid split, every epoch ends with an evaluation; when
+that evaluation draws no noise, the last epoch's report is the final
+one, since the same model, split and arithmetic give the same bytes
+(only the noise streams depend on the epoch).
 
 Training batches come in shuffled order, each padded to its longest
 chunk (`make_batches`); the padded rows also feed the ADC-range
@@ -65,7 +62,6 @@ import numpy as np
 
 from .crossbar import NoiseConfig
 from .datasets import SequenceDataset
-from .lstm import StepBuffers
 from .network import LSTMNetwork, RangeCollector
 from .quantizer import QuantSpec
 from .seeding import derive_rng
@@ -423,16 +419,15 @@ def evaluate(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
 
 
 def _step(model: LSTMNetwork, x: np.ndarray, targets: np.ndarray, mask: np.ndarray,
-          buffers: StepBuffers, update, lr: float, grad_clip: float, **forward
-          ) -> tuple[float, float]:
-    """One training step on a batch, its working set in `buffers`: the
-    batch's (nll_sum, token count), with no update when the loss is not
-    finite.  Its arrays die when it returns, so none of them is alive
-    while the next step's forward builds its cache."""
-    logits, h_seq, cache = model.forward_sequence(x, buffers=buffers, **forward)
+          update, lr: float, grad_clip: float, **forward) -> tuple[float, float]:
+    """One training step on a batch: the batch's (nll_sum, token count),
+    with no update when the loss is not finite.  Its arrays die when it
+    returns, so none of them is alive while the next step's forward
+    builds its cache."""
+    logits, h_seq, cache = model.forward_sequence(x, **forward)
     s, c, _, d_logits = softmax_xent(logits, targets, mask)
     if math.isfinite(s):
-        grads = model.backward(cache, h_seq, d_logits, buffers)
+        grads = model.backward(cache, h_seq, d_logits)
         update(model.parameters(), _clip_global(grads, grad_clip), lr)
     return s, c
 
@@ -474,10 +469,9 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
 
         order = rng_data.permutation(len(dataset))
         nll_sum = count = 0.0
-        buffers = StepBuffers()
         for x, targets, mask in make_batches(dataset, cfg.batch_size,
                                              cfg.bptt_length, order, inactive=inactive):
-            s, c = _step(model, x, targets, mask, buffers, update, lr, cfg.grad_clip,
+            s, c = _step(model, x, targets, mask, update, lr, cfg.grad_clip,
                          mode=mode, rng_weight_noise=rng_w, rng_adc_noise=rng_a,
                          on_preact=collector)
             if not math.isfinite(s):
@@ -485,9 +479,6 @@ def train(model: LSTMNetwork, dataset: SequenceDataset, cfg: TrainConfig,
             nll_sum += s
             count += c
             global_step += 1
-        # released before the calibration freeze and the evaluation, so
-        # their peaks do not add to the step's
-        del buffers
 
         if collector is not None:
             model.freeze_adc_ranges(collector.ranges())

@@ -299,10 +299,6 @@ class TestCodeLaw:
         codes = to_code(x, spec)
         assert_bitwise(codes, ref_to_code(x, spec))
         assert_bitwise(quantize(x, spec), from_code(ref_to_code(x, spec), spec))
-        # into a caller's buffer, whatever it held: one strided, one not
-        for out in (np.full(x.shape, np.nan), np.full((x.size, 2), -0.0)[:, :1]):
-            assert quantize(x, spec, out=out) is out
-            assert_bitwise(out, from_code(ref_to_code(x, spec), spec))
         assert_bitwise(x, before)
 
     @pytest.mark.parametrize("spec", LAW_SPECS, ids=lambda s: f"{s.bits}bit-{s.v_min}")
